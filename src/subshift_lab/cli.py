@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,15 +38,6 @@ from .substitution import (
     poly_to_text,
     substitution_to_json,
 )
-
-
-def thread_cap() -> int:
-    """Worker cap from SUBSHIFT_LAB_THREADS (default 1)."""
-    raw = os.environ.get("SUBSHIFT_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _fmt(value):
@@ -242,7 +231,6 @@ def cmd_classify(args) -> int:
     if constant_length(sub) is None:
         raise CliError("chain classification needs a constant-length substitution")
     gamma = select_gamma(sub, args.gamma)
-    d = constant_length(sub)
     if args.block:
         try:
             digits = [int(x) for x in args.block.split(",")]
@@ -385,9 +373,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_salem(args) -> int:
-    ns = list(range(1, args.n_max + 1))
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        reports = list(pool.map(salem_mod.salem_check, ns))
+    reports = [salem_mod.salem_check(n) for n in range(1, args.n_max + 1)]
     doc = [r.to_json() for r in reports]
     if args.table:
         rows = ["  n  salem  s            t            char poly"]
@@ -478,9 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="100", help="horizon, or comma list for growth")
     p.add_argument("--samples", type=int, default=10**5)
     p.add_argument("--seed", type=int, default=0)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true")
-    mode.add_argument("--mc", action="store_true")
+    p.add_argument("--exact", action="store_true", help="exact law instead of Monte Carlo")
     p.set_defaults(fn=cmd_dist)
 
     p = sub.add_parser("salem", help="verify the interval-exchange family")

@@ -7,9 +7,11 @@ matches the ergodic sum S at time floor(d^n t) up to a boundary term of at
 most 3 max|gamma|, which ``word_vs_chain_check`` verifies against words
 built letter by letter.
 
-Exact distributions evolve a (state, lattice sum) table with integer
-numerators; Monte Carlo runs vectorized over numpy with integer-scaled
-payoffs, so sample values are exact lattice points too.
+Both engines step through the same compiled layers: integer (states, d)
+tables of edge targets and of payoffs in lattice units.  Exact distributions
+evolve a (state, lattice sum) table with integer numerators over d^n times
+the initial denominator; Monte Carlo gathers from the tables with numpy, so
+sample values are exact lattice points too.
 """
 
 from __future__ import annotations
@@ -19,19 +21,19 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .automata import build_tau_automaton
 from .markov import (
     ChainGraph,
     InitialDistribution,
     RecurrentClass,
     absorption_probabilities,
     asymptotic_variance,
-    chain_of,
+    compose,
+    digit_chains,
     initial_distribution,
     recurrent_classes,
 )
@@ -234,26 +236,49 @@ class _ShiftedRandom:
 def layer_chains(
     sub: Substitution, gamma: WeightVector, plan: TimeExpansion, n: int
 ) -> list[ChainGraph]:
-    """The chain layer for each of the first n steps (memoized per digit)."""
-    memo: dict[int, ChainGraph] = {}
-    layers = []
-    for k in range(1, n + 1):
-        tau = plan.layer_digit(k)
-        if tau not in memo:
-            memo[tau] = chain_of(build_tau_automaton(sub, gamma, tau))
-        layers.append(memo[tau])
-    return layers
+    """The chain layer for each of the first n steps (one chain per digit)."""
+    return digit_chains(sub, gamma, [plan.layer_digit(k) for k in range(1, n + 1)])
 
 
 def payoff_lattice(layers: Sequence[ChainGraph]) -> int:
     """lcm of payoff denominators across layers."""
-    lattice = 1
-    for chain in layers:
-        for group in chain.edges:
-            for e in group:
-                den = e.payoff.denominator
-                lattice = lattice * den // gcd(lattice, den)
-    return lattice
+    return math.lcm(
+        *(e.payoff.denominator for chain in layers for group in chain.edges for e in group)
+    )
+
+
+_Tables = tuple[list[list[int]], list[list[int]]]
+
+
+def _layer_tables(
+    layers: Sequence[ChainGraph], n: int
+) -> tuple[int, list[_Tables], list[int]]:
+    """Integer tables of the first n layers, each distinct layer compiled once.
+
+    Returns the payoff lattice, one (targets, pays) pair per distinct layer
+    and the index of each step's pair: ``targets[q][j]`` is the target of
+    state q's j-th edge and ``pays[q][j]`` its payoff times the lattice.
+    Every row must be exactly d edges of probability 1/d, as ``chain_of``
+    builds them, so a step picks one of the d edges uniformly.
+    """
+    distinct: list[ChainGraph] = []
+    order: list[int] = []
+    for chain in layers[:n]:
+        i = next((i for i, seen in enumerate(distinct) if seen is chain), len(distinct))
+        if i == len(distinct):
+            distinct.append(chain)
+        order.append(i)
+    lattice = payoff_lattice(distinct)
+    tables = []
+    for chain in distinct:
+        d = len(chain.edges[0])
+        p = Fraction(1, d)
+        if any(len(group) != d or any(e.prob != p for e in group) for group in chain.edges):
+            raise ValueError("every state of a layer needs d edges of probability 1/d")
+        targets = [[e.target for e in group] for group in chain.edges]
+        pays = [[int(e.payoff * lattice) for e in group] for group in chain.edges]
+        tables.append((targets, pays))
+    return lattice, tables, order
 
 
 def _initial_indices(
@@ -366,11 +391,9 @@ def exact_sum_distribution(
     """
     if n > len(layers):
         raise ValueError("not enough layers for the requested horizon")
-    lattice = payoff_lattice(layers[:n]) if n else 1
+    lattice, tables, order = _layer_tables(layers, n)
     init_idx = _initial_indices(layers, init)
-    denom = 1
-    for p in init_idx.values():
-        denom = denom * p.denominator // gcd(denom, p.denominator)
+    denom = math.lcm(*(p.denominator for p in init_idx.values()))
     table: dict[tuple[int, int], int] = {
         (q, 0): int(p * denom) for q, p in init_idx.items() if p
     }
@@ -384,20 +407,13 @@ def exact_sum_distribution(
     if 0 in want:
         snaps.append(snapshot(0))
     for k in range(1, n + 1):
-        chain = layers[k - 1]
-        step_denom = 1
-        for group in chain.edges:
-            for e in group:
-                step_denom = step_denom * e.prob.denominator // gcd(
-                    step_denom, e.prob.denominator
-                )
+        targets, pays = tables[order[k - 1]]
         new: dict[tuple[int, int], int] = {}
         for (q, s), num in table.items():
-            for e in chain.edges[q]:
-                weight = num * int(e.prob * step_denom)
-                key = (e.target, s + int(e.payoff * lattice))
-                new[key] = new.get(key, 0) + weight
-        denom *= step_denom
+            for target, pay in zip(targets[q], pays[q]):
+                key = (target, s + pay)
+                new[key] = new.get(key, 0) + num
+        denom *= len(targets[0])
         table = new
         if len(table) > support_cap:
             raise SupportCapExceeded(k, len(table))
@@ -429,30 +445,6 @@ class EmpiricalSample:
         return len(self.values)
 
 
-class _CompiledLayer:
-    """Padded cumulative-probability arrays for vectorized stepping."""
-
-    def __init__(self, chain: ChainGraph, lattice: int):
-        width = max(len(group) for group in chain.edges)
-        n = chain.n
-        self.cum = np.ones((n, width), dtype=np.float64)
-        self.target = np.zeros((n, width), dtype=np.int64)
-        self.pay = np.zeros((n, width), dtype=np.int64)
-        for i, group in enumerate(chain.edges):
-            acc = 0.0
-            for j, e in enumerate(group):
-                acc += float(e.prob)
-                self.cum[i, j] = acc
-                self.target[i, j] = e.target
-                self.pay[i, j] = int(e.payoff * lattice)
-            self.cum[i, len(group) - 1] = 1.0 + 1e-12  # guard the last edge
-
-    def step(self, states: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows_cum = self.cum[states]
-        idx = (u[:, None] >= rows_cum).sum(axis=1)
-        return self.target[states, idx], self.pay[states, idx]
-
-
 def monte_carlo(
     layers: Sequence[ChainGraph],
     init: InitialDistribution | Mapping,
@@ -464,13 +456,22 @@ def monte_carlo(
 ) -> EmpiricalSample | list[EmpiricalSample]:
     """IID paths of the layered chain; deterministic per seed.
 
-    Payoffs accumulate as scaled integers, so sample values are exact.
+    Payoffs accumulate as scaled integers, so sample values are exact.  A
+    uniform draw u picks edge j of a state's d edges when u lies between the
+    running float sums of j and j + 1 edge probabilities.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if n > len(layers):
         raise ValueError("not enough layers for the requested horizon")
-    lattice = payoff_lattice(layers[:n]) if n else 1
+    lattice, tables, order = _layer_tables(layers, n)
+    arrays = []
+    for targets, pays in tables:
+        d = len(targets[0])
+        thresholds = np.cumsum(np.full(d - 1, 1 / d))
+        arrays.append(
+            (np.array(targets, dtype=np.int64), np.array(pays, dtype=np.int64), thresholds)
+        )
     rng = np.random.default_rng(seed)
     init_idx = _initial_indices(layers, init)
     states_list = sorted(init_idx)
@@ -480,7 +481,6 @@ def monte_carlo(
     draws = rng.random(samples)
     states = np.array(states_list, dtype=np.int64)[np.searchsorted(cum, draws)]
     sums = np.zeros(samples, dtype=np.int64)
-    compiled: dict[int, _CompiledLayer] = {}
     want = sorted(set(checkpoints))
     snaps: list[EmpiricalSample] = []
     meta = dict(t_digits or {})
@@ -499,12 +499,9 @@ def monte_carlo(
     if 0 in want:
         snaps.append(snapshot(0))
     for k in range(1, n + 1):
-        chain = layers[k - 1]
-        key = id(chain)
-        if key not in compiled:
-            compiled[key] = _CompiledLayer(chain, lattice)
-        u = rng.random(samples)
-        states, pay = compiled[key].step(states, u)
+        targets, pays, thresholds = arrays[order[k - 1]]
+        j = np.searchsorted(thresholds, rng.random(samples), side="right")
+        states, pay = targets[states, j], pays[states, j]
         sums += pay
         if k in want:
             snaps.append(snapshot(k))
@@ -699,27 +696,16 @@ def mixture_prediction(
     pre = list(stream.preperiod)
     per = list(stream.period)
     init = initial_distribution(sub, gamma, plan.tau0)
-    pre_layers = layer_chains(sub, gamma, plan, len(pre))
+    chains = digit_chains(sub, gamma, pre + per)
+    pre_layers, per_layers = chains[: len(pre)], chains[len(pre) :]
     # composed chain over one period, aligned to start after the preperiod
-    memo: dict[int, ChainGraph] = {}
-
-    def layer(tau: int) -> ChainGraph:
-        if tau not in memo:
-            memo[tau] = chain_of(build_tau_automaton(sub, gamma, tau))
-        return memo[tau]
-
-    from .markov import compose
-
-    block: ChainGraph | None = None
-    for tau in per:
-        block = layer(tau) if block is None else compose(block, layer(tau))
-    assert block is not None
+    block = reduce(compose, per_layers)
     classes = recurrent_classes(block)
-    mu = _initial_indices([layer(per[0])] if not pre_layers else pre_layers, init)
+    mu = _initial_indices(chains, init)
     for chain in pre_layers:
         mu = _push(chain, mu)
     weights = absorption_probabilities(block, classes, mu)
-    lattice = payoff_lattice([layer(tau) for tau in set(per)])
+    lattice = payoff_lattice(per_layers)
     p0 = Fraction(0)
     comps: list[MixtureComponent] = []
     dirac_states: set[int] = set()
@@ -732,7 +718,7 @@ def mixture_prediction(
             step = 0
             for s in cls.states:
                 for e in block.edges[s]:
-                    step = gcd(step, int(e.payoff * lattice))
+                    step = math.gcd(step, int(e.payoff * lattice))
             comps.append(
                 MixtureComponent(
                     p, sigma2_block / len(per), frozenset(cls.states), max(step, 1)
@@ -798,7 +784,10 @@ def ks_lattice_vs_normal(scaled: np.ndarray, step: int, mean: float, sd: float) 
 
 def ks_exact_vs_sample(dist: SumDistribution, sample: EmpiricalSample) -> float:
     """KS distance between an exact lattice law and an empirical sample."""
-    assert dist.lattice == sample.lattice
+    if dist.lattice != sample.lattice:
+        raise ValueError(
+            f"exact law lattice {dist.lattice} differs from sample lattice {sample.lattice}"
+        )
     marg = dist.sum_marginal()
     support = np.array(sorted(marg), dtype=np.int64)
     cdf = np.cumsum([float(marg[s]) for s in support])

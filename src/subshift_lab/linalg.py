@@ -10,7 +10,7 @@ point anywhere; results are bit-for-bit reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
@@ -91,13 +91,9 @@ def normalize_integer_vector(v: Sequence[Fraction]) -> list[int]:
     """Scale a rational vector to coprime integers, first nonzero positive."""
     if all(x == 0 for x in v):
         raise ValueError("zero vector cannot be normalized")
-    lcm = 1
-    for x in v:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    scale = lcm(*(x.denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     first = next(x for x in ints if x != 0)
     if first < 0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -131,6 +132,18 @@ def compose(first: ChainGraph, second: ChainGraph) -> ChainGraph:
     return ChainGraph(first.states, first.state_labels, tuple(groups))
 
 
+def digit_chains(
+    sub: Substitution, gamma: WeightVector, digits: Sequence[int]
+) -> list[ChainGraph]:
+    """The chain of each digit's automaton, built once per distinct digit.
+
+    Equal digits share one ChainGraph object, so callers that compile a
+    chain can do it once per distinct layer.
+    """
+    built = {tau: chain_of(build_tau_automaton(sub, gamma, tau)) for tau in set(digits)}
+    return [built[tau] for tau in digits]
+
+
 def product_chain(
     sub: Substitution,
     gamma: WeightVector,
@@ -157,14 +170,9 @@ def product_chain(
         digits = list(digit_block)
         if len(digits) != n_layers:
             raise ValueError("digit block length must equal the number of layers")
-    layers = {}
-    chain = None
-    for tau in digits:
-        if tau not in layers:
-            layers[tau] = chain_of(build_tau_automaton(sub, gamma, tau))
-        chain = layers[tau] if chain is None else compose(chain, layers[tau])
-    assert chain is not None
-    return chain
+    if not digits:
+        raise ValueError("a product chain needs at least one layer")
+    return reduce(compose, digit_chains(sub, gamma, digits))
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +334,6 @@ def _stationary(chain: ChainGraph, states: Sequence[int]) -> dict[int, Fraction]
     x = linalg.solve_consistent(a, b)
     assert all(v > 0 for v in x), "stationary distribution of a class must be positive"
     return {s: x[local[s]] for s in states}
-
-
-def stationary(chain: ChainGraph, cls: RecurrentClass) -> dict[int, Fraction]:
-    return dict(cls.stationary)
 
 
 def expected_payoff(chain: ChainGraph, cls: RecurrentClass) -> Fraction:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -108,10 +108,8 @@ class WeightVector:
 
     def scaled_integers(self) -> tuple[list[int], int]:
         """Return (L*gamma as ints, L) with L the lcm of denominators."""
-        lcm = 1
-        for v in self.values:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        return [int(v * lcm) for v in self.values], lcm
+        scale = lcm(*(v.denominator for v in self.values))
+        return [int(v * scale) for v in self.values], scale
 
 
 def matrix_of(sub: Substitution) -> list[list[int]]:

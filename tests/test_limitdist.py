@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from subshift_lab.limitdist import (
     variance_growth,
     word_vs_chain_check,
 )
-from subshift_lab.markov import initial_distribution
+from subshift_lab.markov import compose, initial_distribution, initial_state_indices
 from subshift_lab.substitution import parse_substitution, eigenvector_for, matrix_of
 
 
@@ -183,6 +184,157 @@ def test_monte_carlo_zero_mean(twist2):
     sample = monte_carlo(layers, init, 50, 10**5, seed=2)
     sigma = float(np.std(sample.values))
     assert abs(float(np.mean(sample.values))) <= 5 * sigma / math.sqrt(len(sample))
+
+
+# ---------------------------------------------------------------------------
+# reference engines: both laws stepped edge by edge from the ChainGraph, with
+# Fraction probabilities (exact) and a per-row float CDF (Monte Carlo)
+# ---------------------------------------------------------------------------
+
+
+def _reference_lattice(layers):
+    lattice = 1
+    for chain in layers:
+        for group in chain.edges:
+            for e in group:
+                den = e.payoff.denominator
+                lattice = lattice * den // math.gcd(lattice, den)
+    return lattice
+
+
+def _reference_exact(layers, init, n, checkpoints):
+    """(n, lattice, denominator, table) at each checkpoint."""
+    lattice = _reference_lattice(layers[:n])
+    init_idx = initial_state_indices(layers[0], init)
+    denom = 1
+    for p in init_idx.values():
+        denom = denom * p.denominator // math.gcd(denom, p.denominator)
+    table = {(q, 0): int(p * denom) for q, p in init_idx.items() if p}
+    snaps = []
+    for k in range(1, n + 1):
+        chain = layers[k - 1]
+        step_denom = 1
+        for group in chain.edges:
+            for e in group:
+                step_denom = step_denom * e.prob.denominator // math.gcd(
+                    step_denom, e.prob.denominator
+                )
+        new = {}
+        for (q, s), num in table.items():
+            for e in chain.edges[q]:
+                weight = num * int(e.prob * step_denom)
+                key = (e.target, s + int(e.payoff * lattice))
+                new[key] = new.get(key, 0) + weight
+        denom *= step_denom
+        table = new
+        if k in checkpoints:
+            snaps.append((k, lattice, denom, table))
+    return snaps
+
+
+class _ReferenceLayer:
+    """Padded cumulative-probability rows, the last edge guarded."""
+
+    def __init__(self, chain, lattice):
+        width = max(len(group) for group in chain.edges)
+        self.cum = np.ones((chain.n, width), dtype=np.float64)
+        self.target = np.zeros((chain.n, width), dtype=np.int64)
+        self.pay = np.zeros((chain.n, width), dtype=np.int64)
+        for i, group in enumerate(chain.edges):
+            acc = 0.0
+            for j, e in enumerate(group):
+                acc += float(e.prob)
+                self.cum[i, j] = acc
+                self.target[i, j] = e.target
+                self.pay[i, j] = int(e.payoff * lattice)
+            self.cum[i, len(group) - 1] = 1.0 + 1e-12
+
+    def step(self, states, u):
+        idx = (u[:, None] >= self.cum[states]).sum(axis=1)
+        return self.target[states, idx], self.pay[states, idx]
+
+
+def _reference_monte_carlo(layers, init, n, samples, seed):
+    """(scaled sums, final states) after n steps."""
+    lattice = _reference_lattice(layers[:n])
+    rng = np.random.default_rng(seed)
+    init_idx = initial_state_indices(layers[0], init)
+    states_list = sorted(init_idx)
+    probs = np.array([float(init_idx[s]) for s in states_list])
+    probs /= probs.sum()
+    draws = rng.random(samples)
+    states = np.array(states_list, dtype=np.int64)[np.searchsorted(np.cumsum(probs), draws)]
+    sums = np.zeros(samples, dtype=np.int64)
+    compiled = {}
+    for chain in layers[:n]:
+        if id(chain) not in compiled:
+            compiled[id(chain)] = _ReferenceLayer(chain, lattice)
+        states, pay = compiled[id(chain)].step(states, rng.random(samples))
+        sums += pay
+    return sums, states
+
+
+def _law_inputs(request, name, t, n):
+    sub, g = request.getfixturevalue(name)
+    plan = time_expansion(sub, t)
+    return layer_chains(sub, g, plan, n), initial_distribution(sub, g, plan.tau0)
+
+
+@pytest.mark.parametrize(
+    "name, t, n, checkpoints",
+    [
+        ("twist2", RandomDigitStream(3, 5), 64, (16, 32, 64)),
+        ("twist2", RandomDigitStream(3, 2024), 64, (16, 32, 64)),
+        ("sync3", Fraction(3, 2), 100, ()),
+    ],
+)
+def test_exact_matches_reference(request, name, t, n, checkpoints):
+    layers, init = _law_inputs(request, name, t, n)
+    got = exact_sum_distribution(layers, init, n, checkpoints=checkpoints)
+    snaps = got if checkpoints else [got]
+    assert [(s.n, s.lattice, s.denominator, s.table) for s in snaps] == _reference_exact(
+        layers, init, n, checkpoints or (n,)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, t",
+    [
+        ("twist2", Fraction(1)),
+        ("twist2", Fraction(7, 3)),
+        ("twist2", RandomDigitStream(3, 11)),
+        ("sync3", Fraction(7, 4)),
+    ],
+)
+def test_monte_carlo_matches_reference_per_seed(request, name, t):
+    layers, init = _law_inputs(request, name, t, 60)
+    sample = monte_carlo(layers, init, 60, 3000, seed=17)
+    scaled, states = _reference_monte_carlo(layers, init, 60, 3000, seed=17)
+    assert np.array_equal(sample.scaled, scaled)
+    assert np.array_equal(sample.final_states, states)
+
+
+def test_engines_reject_layers_without_d_equal_edges(twist2):
+    sub, g = twist2
+    layer = layer_chains(sub, g, time_expansion(sub, Fraction(1)), 1)[0]
+    merged = compose(layer, layer)  # parallel edges merge: fewer than 9, unequal
+    assert any(len(group) < 9 for group in merged.edges)
+    init = {0: Fraction(1)}
+    with pytest.raises(ValueError):
+        exact_sum_distribution([merged], init, 1)
+    with pytest.raises(ValueError):
+        monte_carlo([merged], init, 1, 10, seed=0)
+
+
+def test_ks_exact_vs_sample_rejects_lattice_mismatch(twist2):
+    sub, g = twist2
+    plan = time_expansion(sub, Fraction(3, 2))
+    layers = layer_chains(sub, g, plan, 2)
+    init = initial_distribution(sub, g, plan.tau0)
+    dist = exact_sum_distribution(layers, init, 2)
+    sample = monte_carlo(layers, init, 2, 100, seed=0)
+    with pytest.raises(ValueError):
+        ks_exact_vs_sample(dist, dataclasses.replace(sample, lattice=2 * sample.lattice))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from subshift_lab.markov import (
     class_period,
     coboundary_on_class,
     compose,
+    digit_chains,
     ergodic_coefficient,
     expected_payoff,
     factor_blocks,
@@ -207,6 +208,21 @@ def test_product_chain(twist2):
     assert all(e.prob.denominator == 9 for group in two.edges for e in group)
     assert is_strongly_connected(product_chain(sub, g, 1, 1))
     assert recurrent_classes(product_chain(sub, g, 1, 1))[0].period == 1
+
+
+def test_product_chain_needs_a_layer(twist2):
+    sub, g = twist2
+    with pytest.raises(ValueError):
+        product_chain(sub, g, 0, [])
+    with pytest.raises(ValueError):
+        product_chain(sub, g, 0, 0)
+
+
+def test_digit_chains_share_one_chain_per_digit(twist2):
+    sub, g = twist2
+    chains = digit_chains(sub, g, [1, 0, 1, 1])
+    assert chains[0] is chains[2] is chains[3] and chains[1] is not chains[0]
+    assert chains[0].kernel() == chain_of(build_tau_automaton(sub, g, 1)).kernel()
 
 
 def test_compose_is_associative(twist2):
