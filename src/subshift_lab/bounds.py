@@ -63,29 +63,6 @@ def liminf_constant(sub: Substitution, gamma: WeightVector) -> Fraction:
     return max_letter + max_suffix + max_prefix
 
 
-def liminf_constant_planar(
-    sub: Substitution, gamma_re: Sequence[float], gamma_im: Sequence[float]
-) -> float:
-    """Float analogue of the liminf constant for a complex unit eigenvalue.
-
-    The weight of a letter is the point (gamma_re, gamma_im) in the real
-    eigen-plane and absolute values become Euclidean norms.  Exactness is
-    impossible here (the plane coordinates are algebraic irrationals), so
-    this is a numerical diagnostic only.
-    """
-    automaton = build_ps_automaton(sub)
-
-    def norm_of(w: Word) -> float:
-        re = sum(gamma_re[b] for b in w)
-        im = sum(gamma_im[b] for b in w)
-        return float(np.hypot(re, im))
-
-    max_letter = max(norm_of(bytes([a])) for a in range(sub.alphabet_size))
-    max_suffix = max(norm_of(s) for s in automaton.suffixes())
-    max_prefix = max(norm_of(p) for p in automaton.prefixes())
-    return max_letter + max_suffix + max_prefix
-
-
 @dataclass(frozen=True)
 class BoundedPrefix:
     """A window prefix W_k together with its exact gamma value."""
@@ -105,7 +82,7 @@ def bounded_prefixes(
 
         gamma(W_k) = theta^k (gamma(c_k) + gamma(s_k) + gamma(pi_k))
 
-    is asserted exactly before returning.
+    is checked exactly before returning; a mismatch raises ``ValueError``.
     """
     _require_unit_eigenvalue(gamma)
     path = tuple(path)
@@ -135,7 +112,8 @@ def bounded_prefixes(
                 + gamma_of_word(gamma, triple.suffix)
                 + gamma_of_word(gamma, pi_k)
             )
-            assert value == expected, "prefix family identity must hold exactly"
+            if value != expected:
+                raise ValueError("prefix family identity must hold exactly")
             out.append(BoundedPrefix(k, w_k, value))
         hat_s = hat_s + sub.apply_power(triple.suffix, k)
         hat_p = sub.apply_power(triple.prefix, k) + hat_p

@@ -128,7 +128,10 @@ def parse_time(args, sub: Substitution):
     if len(given) > 1:
         raise CliError("use only one of --t, --digits, --random-digits")
     if args.random_digits is not None:
-        return ld.time_expansion(sub, ld.RandomDigitStream(d, args.random_digits))
+        try:
+            return ld.time_expansion(sub, ld.RandomDigitStream(d, args.random_digits))
+        except ValueError as exc:
+            raise CliError(str(exc))
     if args.digits is not None:
         try:
             if ":" in args.digits:

@@ -2,7 +2,9 @@
 
 The time parameter t in [1, d) drives everything through its base-d digits:
 the integer digit fixes the initial state law, each fractional digit selects
-the automaton layer for one step.  The accumulated payoff after n steps
+the automaton layer for one step.  One ``DigitStream`` holds t however it is
+given: a rational (``--t``), a preperiod and period (``--digits``) or a seed
+for uniform digits (``--random-digits``).  The accumulated payoff after n steps
 matches the ergodic sum S at time floor(d^n t) up to a boundary term of at
 most 3 max|gamma|, which ``word_vs_chain_check`` verifies against words
 built letter by letter.
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from typing import Mapping, Sequence
@@ -35,6 +37,7 @@ from .markov import (
     compose,
     digit_chains,
     initial_distribution,
+    initial_state_indices,
     recurrent_classes,
 )
 from .prefix_suffix import sample_point_with_coverage
@@ -50,19 +53,34 @@ DEFAULT_SUPPORT_CAP = 10**6
 
 @dataclass(frozen=True)
 class DigitStream:
-    """Eventually periodic base-d expansion of a fractional part t in [0, 1)."""
+    """Base-d expansion t = tau0 + sum digit(i) * base**-i of a time parameter.
+
+    A rational t has ``preperiod`` digits followed by ``period`` repeating.
+    A seeded stream (``seed`` set) draws uniform digits from numpy's default
+    generator instead, prefix-stable and reproducible; ``consumed`` counts
+    the draws its ``digit(1)`` skips.  ``tau0`` stays 0 until
+    ``time_expansion`` normalizes t; then it fixes the initial state and
+    digit(k) selects the k-th automaton layer.
+    """
 
     base: int
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    preperiod: tuple[int, ...] = ()
+    period: tuple[int, ...] = ()
+    seed: int | None = None
+    tau0: int = 0
+    consumed: int = 0
+    # seeded digits drawn so far, shared by every shift of one stream
+    _drawn: list[int] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base < 2:
             raise ValueError("base must be >= 2")
-        for digit in self.preperiod + self.period:
+        for digit in (self.tau0,) + self.preperiod + self.period:
             if not 0 <= digit < self.base:
                 raise ValueError(f"digit {digit} outside 0..{self.base - 1}")
-        if not self.period:
+        if self.seed is not None and (self.preperiod or self.period):
+            raise ValueError("a seeded stream has no preperiod or period")
+        if self.seed is None and not self.period:
             object.__setattr__(self, "period", (0,))
 
     @staticmethod
@@ -83,28 +101,59 @@ class DigitStream:
         start = seen[rem]
         return DigitStream(base, tuple(digits[:start]), tuple(digits[start:]))
 
+    @property
+    def eventually_periodic(self) -> bool:
+        return self.seed is None
+
     def digit(self, i: int) -> int:
-        """The i-th digit, 1-based: t = sum digit(i) * base**-i."""
+        """The i-th digit after tau0, 1-based."""
         if i < 1:
             raise ValueError("digit index is 1-based")
+        if self.seed is not None:
+            return self._draw(self.consumed + i)
         i -= 1
         if i < len(self.preperiod):
             return self.preperiod[i]
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
-    def shifted(self, k: int) -> "DigitStream":
-        """Drop the first k digits (multiply t by base**k, keep fraction)."""
-        pre = list(self.preperiod)
-        per = list(self.period)
-        for _ in range(k):
-            if pre:
-                pre.pop(0)
-            else:
-                per = per[1:] + per[:1]
-        return DigitStream(self.base, tuple(pre), tuple(per))
+    layer_digit = digit
 
-    def value(self) -> Fraction:
-        total = Fraction(0)
+    def _draw(self, i: int) -> int:
+        """The i-th seeded draw.  Draws come in chunks of 64, then of the
+        count drawn so far; a longer prefix is redrawn from the seed."""
+        drawn = self._drawn
+        if i > len(drawn):
+            rng = np.random.default_rng(self.seed)
+            chunks = [rng.integers(0, self.base, size=64, dtype=np.int64)]
+            total = 64
+            while total < i:
+                chunks.append(rng.integers(0, self.base, size=total, dtype=np.int64))
+                total *= 2
+            drawn[:] = np.concatenate(chunks).tolist()
+        return drawn[i - 1]
+
+    def shifted(self, k: int) -> "DigitStream":
+        """t * base**k modulo base: the k-th digit becomes tau0."""
+        tau0 = self.digit(k)
+        if self.seed is not None:
+            return replace(self, tau0=tau0, consumed=self.consumed + k)
+        cut = min(k, len(self.preperiod))
+        turn = (k - cut) % len(self.period)
+        period = self.period[turn:] + self.period[:turn]
+        return replace(self, preperiod=self.preperiod[cut:], period=period, tau0=tau0)
+
+    def floor_dn_t(self, n: int) -> int:
+        """floor(d^n t), exact from the digits."""
+        total = self.tau0
+        for k in range(1, n + 1):
+            total = total * self.base + self.digit(k)
+        return total
+
+    def value(self) -> Fraction | None:
+        """t itself, or None for a seeded stream."""
+        if self.seed is not None:
+            return None
+        total = Fraction(self.tau0)
         for i, digit in enumerate(self.preperiod, start=1):
             total += Fraction(digit, self.base**i)
         p = len(self.period)
@@ -112,120 +161,47 @@ class DigitStream:
         total += Fraction(block, self.base ** len(self.preperiod) * (self.base**p - 1)) if block else 0
         return total
 
-
-class RandomDigitStream:
-    """Seeded uniform digits; prefix-stable and reproducible."""
-
-    def __init__(self, base: int, seed: int):
-        self.base = base
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
-        self._cache = np.empty(0, dtype=np.int64)
-
-    def digit(self, i: int) -> int:
-        if i < 1:
-            raise ValueError("digit index is 1-based")
-        while i > len(self._cache):
-            more = self._rng.integers(0, self.base, size=max(64, len(self._cache)), dtype=np.int64)
-            self._cache = np.concatenate([self._cache, more])
-        return int(self._cache[i - 1])
-
-
-@dataclass(frozen=True)
-class TimeExpansion:
-    """Normalized time parameter:`t = tau0.digits` in base d with tau0 >= 1.
-
-    The leading digit shapes the initial state; digit(k) selects the k-th
-    automaton layer.
-    """
-
-    base: int
-    tau0: int
-    digits: DigitStream | RandomDigitStream
-
-    def __post_init__(self):
-        if not 1 <= self.tau0 <= self.base - 1:
-            raise ValueError("leading digit must lie in 1..base-1")
-
-    @property
-    def eventually_periodic(self) -> bool:
-        return isinstance(self.digits, DigitStream)
-
-    def layer_digit(self, k: int) -> int:
-        return self.digits.digit(k)
-
-    def floor_dn_t(self, n: int) -> int:
-        """floor(d^n t), exact from the digits."""
-        total = self.tau0
-        for k in range(1, n + 1):
-            total = total * self.base + self.layer_digit(k)
-        return total
-
-    def value(self) -> Fraction | None:
-        if not self.eventually_periodic:
-            return None
-        return self.tau0 + self.digits.value()
-
     def describe(self) -> dict:
-        if self.eventually_periodic:
-            return {
-                "tau0": self.tau0,
-                "preperiod": list(self.digits.preperiod),
-                "period": list(self.digits.period),
-            }
-        return {"tau0": self.tau0, "random_seed": self.digits.seed}
+        if self.seed is not None:
+            return {"tau0": self.tau0, "random_seed": self.seed}
+        return {
+            "tau0": self.tau0,
+            "preperiod": list(self.preperiod),
+            "period": list(self.period),
+        }
 
 
-def time_expansion(sub: Substitution, t) -> TimeExpansion:
+def RandomDigitStream(base: int, seed: int) -> DigitStream:
+    """Seeded uniform digits; prefix-stable and reproducible."""
+    return DigitStream(base, seed=seed)
+
+
+def time_expansion(sub: Substitution, t) -> DigitStream:
     """Normalize a time parameter for a constant-length substitution.
 
-    Accepts a TimeExpansion, a DigitStream for t in (0, 1) (shifted so the
-    first layer consumes the first nonzero digit), or a rational t in (0, d).
+    A rational t in (0, d) keeps its integer part as tau0.  A stream whose
+    tau0 is set is returned as is; otherwise it is t in (0, 1) and is shifted
+    so that its first nonzero digit becomes tau0.
     """
     d = len(sub.images[0])
-    if isinstance(t, TimeExpansion):
-        if t.base != d:
-            raise ValueError("time expansion base does not match the substitution")
-        return t
-    if isinstance(t, RandomDigitStream):
-        if t.base != d:
-            raise ValueError("digit stream base does not match the substitution")
-        shift = 1
-        while t.digit(shift) == 0:
-            shift += 1
-        return TimeExpansion(d, t.digit(shift), _ShiftedRandom(t, shift))
-    if isinstance(t, DigitStream):
-        if t.base != d:
-            raise ValueError("digit stream base does not match the substitution")
-        stream = t
-    else:
+    try:
         t = Fraction(t)
+    except TypeError:
+        pass  # not a number: a DigitStream
+    else:
         if not 0 < t < d:
             raise ValueError(f"t must lie in (0, {d})")
-        if t >= 1:
-            return TimeExpansion(d, int(t), DigitStream.from_rational(t - int(t), d))
-        stream = DigitStream.from_rational(t, d)
-    # t in (0,1): shift until the leading digit is nonzero
-    shift = 0
-    while stream.digit(shift + 1) == 0:
+        t = replace(DigitStream.from_rational(t - int(t), d), tau0=int(t))
+    if t.base != d:
+        raise ValueError("digit stream base does not match the substitution")
+    if t.tau0:
+        return t
+    if t.eventually_periodic and not any(t.preperiod + t.period):
+        raise ValueError("t must be positive (all digits are zero)")
+    shift = 1
+    while t.digit(shift) == 0:
         shift += 1
-        if shift > len(stream.preperiod) + len(stream.period):
-            raise ValueError("t must be positive (all digits are zero)")
-    tau0 = stream.digit(shift + 1)
-    return TimeExpansion(d, tau0, stream.shifted(shift + 1))
-
-
-class _ShiftedRandom:
-    """Random digit stream with its first ``shift`` digits consumed."""
-
-    def __init__(self, inner: RandomDigitStream, shift: int):
-        self.inner = inner
-        self.base = inner.base
-        self.seed = inner.seed
-        self.shift = shift
-
-    def digit(self, i: int) -> int:
-        return self.inner.digit(i + self.shift)
+    return t.shifted(shift)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +210,7 @@ class _ShiftedRandom:
 
 
 def layer_chains(
-    sub: Substitution, gamma: WeightVector, plan: TimeExpansion, n: int
+    sub: Substitution, gamma: WeightVector, plan: DigitStream, n: int
 ) -> list[ChainGraph]:
     """The chain layer for each of the first n steps (one chain per digit)."""
     return digit_chains(sub, gamma, [plan.layer_digit(k) for k in range(1, n + 1)])
@@ -284,21 +260,14 @@ def _layer_tables(
 def _initial_indices(
     layers: Sequence[ChainGraph], init: InitialDistribution | Mapping
 ) -> dict[int, Fraction]:
-    if not layers:
-        if isinstance(init, InitialDistribution):
-            raise ValueError("at least one layer is needed to index initial states")
-        return {k: Fraction(p) for k, p in init.items()}
-    chain = layers[0]
     if isinstance(init, InitialDistribution):
-        index = {s: i for i, s in enumerate(chain.states)}
-        return {index[s]: p for s, p in init.probs.items()}
-    out: dict[int, Fraction] = {}
-    for key, p in init.items():
-        if isinstance(key, int):
-            out[key] = Fraction(p)
-        else:
-            out[chain.states.index(key)] = Fraction(p)
-    return out
+        if not layers:
+            raise ValueError("at least one layer is needed to index initial states")
+        return initial_state_indices(layers[0], init)
+    return {
+        key if isinstance(key, int) else layers[0].states.index(key): Fraction(p)
+        for key, p in init.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +495,8 @@ def word_vs_chain_check(
     """Compare the symbolic ergodic sum with the chain-accumulated sum.
 
     Builds the length floor(d^n t) window letter by letter alongside the
-    automaton path and returns |word sum - chain sum|, asserted to be at
-    most 3 max|gamma|.  With ``verify_window`` the window is rebuilt a second
+    automaton path and returns |word sum - chain sum|, which must be at most
+    3 max|gamma|; a broken identity raises ``ValueError``.  With ``verify_window`` the window is rebuilt a second
     time from its closed-form decomposition and compared letter for letter.
     """
     plan = time_expansion(sub, t)
@@ -554,7 +523,8 @@ def word_vs_chain_check(
         v_pair = (pair_img[m + kappa - 1], pair_img[m + kappa])
         suffix_parts.append(s_part)
     count = plan.floor_dn_t(n)
-    assert len(u_word) == count - 1, "window length must equal floor(d^n t) - 1"
+    if len(u_word) != count - 1:
+        raise ValueError("window length must equal floor(d^n t) - 1")
     window = bytes([a]) + u_word
     if verify_window:
         # independent reconstruction: a_n, then the suffix tower, then the
@@ -564,11 +534,14 @@ def word_vs_chain_check(
             parts.append(sub.apply_power(suffix_parts[k - 1], n - k))
         parts.append(sub.apply_power(w[1:], n))
         rebuilt = b"".join(parts)[:count]
-        assert rebuilt == window, "window reconstruction mismatch"
+        if rebuilt != window:
+            raise ValueError("window reconstruction mismatch")
     word_sum = gamma_of_word(gamma, window)
-    assert gamma_of_word(gamma, u_word) == chain_sum, "chain sum must equal the window sum"
+    if gamma_of_word(gamma, u_word) != chain_sum:
+        raise ValueError("chain sum must equal the window sum")
     discrepancy = abs(word_sum - chain_sum)
-    assert discrepancy <= 3 * gamma.max_abs
+    if discrepancy > 3 * gamma.max_abs:
+        raise ValueError(f"discrepancy {discrepancy} exceeds 3 max|gamma|")
     return discrepancy
 
 
@@ -658,7 +631,7 @@ class MixtureComponent:
 class MixturePrediction:
     """Limit law p0 * delta_0 + sum p_k N(0, sigma_k^2) for periodic digits."""
 
-    plan: TimeExpansion
+    plan: DigitStream
     p0: Fraction
     components: tuple[MixtureComponent, ...]
     dirac_states: frozenset[int]
@@ -692,9 +665,8 @@ def mixture_prediction(
     plan = time_expansion(sub, t)
     if not plan.eventually_periodic:
         raise ValueError("mixture prediction requires an eventually periodic digit stream")
-    stream = plan.digits
-    pre = list(stream.preperiod)
-    per = list(stream.period)
+    pre = list(plan.preperiod)
+    per = list(plan.period)
     init = initial_distribution(sub, gamma, plan.tau0)
     chains = digit_chains(sub, gamma, pre + per)
     pre_layers, per_layers = chains[: len(pre)], chains[len(pre) :]

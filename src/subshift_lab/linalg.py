@@ -20,10 +20,6 @@ def frac_matrix(rows: Sequence[Sequence]) -> Matrix:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     n, k, m = len(a), len(b), len(b[0])
     out = [[0] * m for _ in range(n)]
@@ -37,10 +33,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
                 for j in range(m):
                     oi[j] += x * bt[j]
     return out
-
-
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:

@@ -7,7 +7,6 @@ from subshift_lab.bounds import (
     bounded_prefixes,
     ergodic_sums,
     liminf_constant,
-    liminf_constant_planar,
     liminf_probe,
 )
 from subshift_lab.prefix_suffix import (
@@ -17,6 +16,7 @@ from subshift_lab.prefix_suffix import (
     sample_point_with_coverage,
 )
 from subshift_lab.substitution import (
+    WeightVector,
     eigenvector_for,
     gamma_of_word,
     matrix_of,
@@ -100,6 +100,15 @@ def test_bounded_prefixes_identity_with_negative_eigenvalue():
             assert abs(entry.value) <= liminf_constant(sub, g)
 
 
+def test_bounded_prefixes_rejects_non_eigenvector(twist2):
+    # the identity check must hold under python -O too, where asserts vanish
+    sub, _ = twist2
+    g = WeightVector((Fraction(1), Fraction(0)), Fraction(1))
+    point = sample_point(sub, 5, seed=0)
+    with pytest.raises(ValueError, match="prefix family identity"):
+        bounded_prefixes(sub, g, point.path)
+
+
 def test_liminf_probe_first_step_bound(sync3):
     sub, g = sync3
     for seed in range(6):
@@ -165,16 +174,3 @@ def test_bounded_orbit_when_chain_coboundary_everywhere():
     sums = np.cumsum(table[letters])
     maxima = [np.abs(sums[: 3**k]).max() for k in range(3, 8)]
     assert len(set(int(m) for m in maxima)) == 1  # horizon independent
-
-
-def test_planar_constant_for_complex_unit_pair():
-    from subshift_lab.salem import salem_substitution
-
-    sub = salem_substitution(1)
-    m = np.array(matrix_of(sub), dtype=float)
-    eigvals, eigvecs = np.linalg.eig(m)
-    idx = int(np.argmin(np.abs(np.abs(eigvals) - 1.0)))
-    assert abs(abs(eigvals[idx]) - 1.0) < 1e-9
-    vec = eigvecs[:, idx]
-    c = liminf_constant_planar(sub, vec.real.tolist(), vec.imag.tolist())
-    assert 0 < c < 10

@@ -12,6 +12,7 @@ def run_cli(args):
         [sys.executable, "-m", "subshift_lab.cli", *args],
         capture_output=True,
         text=True,
+        timeout=120,
     )
     return proc
 
@@ -45,6 +46,14 @@ def test_malformed_input_is_structured_error():
     assert proc.returncode == 2
     err = json.loads(proc.stderr.strip().splitlines()[-1])
     assert "error" in err
+
+
+def test_random_digits_with_base_one_is_structured_error():
+    # a length-1 substitution has base 1, whose digits would all be zero
+    proc = run_cli(["simulate", "--inline", "1: 2; 2: 1", "--random-digits", "3"])
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err == {"error": "base must be >= 2"}
 
 
 def test_gallery_passes(tmp_path):

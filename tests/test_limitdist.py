@@ -26,7 +26,12 @@ from subshift_lab.limitdist import (
     word_vs_chain_check,
 )
 from subshift_lab.markov import compose, initial_distribution, initial_state_indices
-from subshift_lab.substitution import parse_substitution, eigenvector_for, matrix_of
+from subshift_lab.substitution import (
+    WeightVector,
+    eigenvector_for,
+    matrix_of,
+    parse_substitution,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +97,63 @@ def test_random_digit_stream_prefix_stable():
     first = [s.digit(i) for i in range(1, 50)]
     s2 = RandomDigitStream(3, 99)
     assert [s2.digit(i) for i in range(1, 50)] == first
+
+
+def test_random_digit_stream_pinned_draws():
+    # numpy draws 64 digits, then as many as were drawn so far; digits across
+    # both chunk boundaries are pinned so a changed schedule fails here
+    s = RandomDigitStream(3, 99)
+    assert [s.digit(i) for i in range(1, 21)] == [
+        2, 1, 2, 1, 0, 1, 2, 2, 2, 1, 0, 1, 1, 0, 2, 1, 1, 1, 0, 1
+    ]
+    assert [s.digit(i) for i in range(61, 69)] == [2, 0, 0, 0, 0, 0, 0, 0]
+    assert [s.digit(i) for i in range(125, 133)] == [2, 0, 1, 0, 0, 1, 2, 1]
+
+
+def test_digit_stream_rejects_invalid_fields():
+    # base 1 has only the digit 0, so normalizing t would never end
+    with pytest.raises(ValueError, match="base must be >= 2"):
+        RandomDigitStream(1, 3)
+    with pytest.raises(ValueError, match="outside"):
+        DigitStream(3, (), (1,), tau0=3)
+    with pytest.raises(ValueError, match="seeded stream"):
+        DigitStream(3, (1,), seed=2)
+
+
+def test_time_expansion_of_seeded_stream_skips_leading_zeros(twist2):
+    sub, _ = twist2
+    raw = RandomDigitStream(3, 11)
+    assert [raw.digit(i) for i in range(1, 4)] == [0, 0, 2]
+    plan = time_expansion(sub, RandomDigitStream(3, 11))
+    assert plan.tau0 == 2
+    assert [plan.layer_digit(k) for k in range(1, 201)] == [
+        raw.digit(k + 3) for k in range(1, 201)
+    ]
+    assert time_expansion(sub, plan) is plan
+
+
+def test_time_expansion_describe(twist2):
+    sub, _ = twist2
+    plan = time_expansion(sub, Fraction(7, 3))
+    assert plan.describe() == {"tau0": 2, "preperiod": [1], "period": [0]}
+    assert plan.value() == Fraction(7, 3)
+    plan = time_expansion(sub, RandomDigitStream(3, 11))
+    assert plan.describe() == {"tau0": 2, "random_seed": 11}
+    assert plan.value() is None and not plan.eventually_periodic
+    # 1/9 = 0.01 in base 3: the preperiod is consumed, t becomes 1
+    plan = time_expansion(sub, Fraction(1, 9))
+    assert plan.describe() == {"tau0": 1, "preperiod": [], "period": [0]}
+    assert plan.value() == 1 and plan.eventually_periodic
+
+
+def test_floor_dn_t_seeded(twist2):
+    sub, _ = twist2
+    raw = RandomDigitStream(3, 11)
+    plan = time_expansion(sub, RandomDigitStream(3, 11))
+    assert plan.floor_dn_t(5) == 609
+    for n in (0, 1, 70):
+        expected = sum(raw.digit(i) * 3 ** (n + 3 - i) for i in range(1, n + 4))
+        assert plan.floor_dn_t(n) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +418,14 @@ def test_word_vs_chain_basic(twist2, sync3):
 def test_word_vs_chain_n_zero(twist2):
     sub, g = twist2
     assert word_vs_chain_check(sub, g, Fraction(5, 2), 0, 3) <= 3 * g.max_abs
+
+
+def test_word_vs_chain_rejects_non_eigenvector(twist2):
+    # the identity check must hold under python -O too, where asserts vanish
+    sub, _ = twist2
+    gamma = WeightVector((Fraction(1), Fraction(0)), Fraction(1))
+    with pytest.raises(ValueError, match="chain sum must equal the window sum"):
+        word_vs_chain_check(sub, gamma, Fraction(3, 2), 6, 1)
 
 
 def test_word_vs_chain_finite_expansion_bounded(sync3):
