@@ -299,9 +299,12 @@ def cmd_simulate(args) -> int:
     plan = parse_time(args, sub)
     layers = ld.layer_chains(sub, gamma, plan, args.n)
     init = mk.initial_distribution(sub, gamma, plan.tau0)
-    sample = ld.monte_carlo(
-        layers, init, args.n, args.samples, args.seed, t_digits=plan.describe()
-    )
+    try:
+        sample = ld.monte_carlo(
+            layers, init, args.n, args.samples, args.seed, t_digits=plan.describe()
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     moments = ld.sample_moments(sample)
     report = {
         "t": plan.describe(),
@@ -337,10 +340,13 @@ def cmd_dist(args) -> int:
         prediction = ld.mixture_prediction(sub, gamma, plan)
         report["prediction"] = prediction.density_description()
     if len(n_values) > 1:
-        growth = ld.variance_growth(
-            sub, gamma, plan, n_values, samples=args.samples, seed=args.seed,
-            method="exact" if args.exact else "auto",
-        )
+        try:
+            growth = ld.variance_growth(
+                sub, gamma, plan, n_values, samples=args.samples, seed=args.seed,
+                method="exact" if args.exact else "auto",
+            )
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         report["variances"] = list(growth.variances)
         report["slope"] = growth.slope
         report["method"] = growth.method
@@ -355,9 +361,12 @@ def cmd_dist(args) -> int:
         if args.format == "csv":
             emit_text(_histogram_csv(pairs), args.out, f"dist-exact-n{n}.csv")
     else:
-        sample = ld.monte_carlo(
-            layers, init, n, args.samples, args.seed, t_digits=plan.describe()
-        )
+        try:
+            sample = ld.monte_carlo(
+                layers, init, n, args.samples, args.seed, t_digits=plan.describe()
+            )
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         report["samples"] = args.samples
         report["V_n"] = float(np.var(sample.values))
         if prediction is not None:

@@ -12,8 +12,11 @@ built letter by letter.
 Both engines step through the same compiled layers: integer (states, d)
 tables of edge targets and of payoffs in lattice units.  Exact distributions
 evolve a (state, lattice sum) table with integer numerators over d^n times
-the initial denominator; Monte Carlo gathers from the tables with numpy, so
-sample values are exact lattice points too.
+the initial denominator.  Monte Carlo flattens the tables into 1-D numpy
+arrays indexed by ``state * d + j``; the edge j of a uniform draw is the
+count of running float sums of edge probabilities at or below it, so each
+step is one flat gather per table, and sample values are exact lattice
+points too.
 """
 
 from __future__ import annotations
@@ -425,21 +428,38 @@ def monte_carlo(
 ) -> EmpiricalSample | list[EmpiricalSample]:
     """IID paths of the layered chain; deterministic per seed.
 
-    Payoffs accumulate as scaled integers, so sample values are exact.  A
-    uniform draw u picks edge j of a state's d edges when u lies between the
-    running float sums of j and j + 1 edge probabilities.
+    Payoffs accumulate as scaled int64 integers, so sample values are exact;
+    a horizon whose largest possible |sum| exceeds int64 raises ``ValueError``.
+    Each distinct layer is flattened once into 1-D target and payoff arrays
+    of width d per state, and a sample carries the row offset ``state * d``
+    of its state.  A uniform draw u picks edge j, the number of running
+    float sums of edge probabilities 1/d, ..., (d-1)/d that are <= u; the
+    step is then one gather from each flat array at ``row + j``.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if n > len(layers):
         raise ValueError("not enough layers for the requested horizon")
     lattice, tables, order = _layer_tables(layers, n)
-    arrays = []
+    max_pay = [max(abs(p) for row in pays for p in row) for _, pays in tables]
+    bound = sum(max_pay[i] for i in order)
+    if bound > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"Monte Carlo sums can reach {bound} lattice units, beyond int64; "
+            "scale gamma down or shorten the horizon"
+        )
+    # one row stride for every layer, so a row offset stays valid across layers
+    width = max((len(targets[0]) for targets, _ in tables), default=1)
+    flat = []
     for targets, pays in tables:
         d = len(targets[0])
-        thresholds = np.cumsum(np.full(d - 1, 1 / d))
-        arrays.append(
-            (np.array(targets, dtype=np.int64), np.array(pays, dtype=np.int64), thresholds)
+        pad = [0] * (width - d)
+        flat.append(
+            (
+                np.array([t * width for row in targets for t in row + pad], dtype=np.int64),
+                np.array([p for row in pays for p in row + pad], dtype=np.int64),
+                np.cumsum(np.full(d - 1, 1 / d)).tolist(),
+            )
         )
     rng = np.random.default_rng(seed)
     init_idx = _initial_indices(layers, init)
@@ -447,8 +467,9 @@ def monte_carlo(
     probs = np.array([float(init_idx[s]) for s in states_list])
     probs /= probs.sum()
     cum = np.cumsum(probs)
+    cum[-1] = 1.0  # the float sum can end below the largest draw, 1 - 2**-53
     draws = rng.random(samples)
-    states = np.array(states_list, dtype=np.int64)[np.searchsorted(cum, draws)]
+    rows = np.array(states_list, dtype=np.int64)[np.searchsorted(cum, draws)] * width
     sums = np.zeros(samples, dtype=np.int64)
     want = sorted(set(checkpoints))
     snaps: list[EmpiricalSample] = []
@@ -458,7 +479,7 @@ def monte_carlo(
         return EmpiricalSample(
             values=sums / lattice,
             scaled=sums.copy(),
-            final_states=states.copy(),
+            final_states=rows // width,
             lattice=lattice,
             n=step,
             seed=seed,
@@ -468,10 +489,13 @@ def monte_carlo(
     if 0 in want:
         snaps.append(snapshot(0))
     for k in range(1, n + 1):
-        targets, pays, thresholds = arrays[order[k - 1]]
-        j = np.searchsorted(thresholds, rng.random(samples), side="right")
-        states, pay = targets[states, j], pays[states, j]
-        sums += pay
+        targets, pays, thresholds = flat[order[k - 1]]
+        u = rng.random(samples)
+        idx = rows.copy()
+        for threshold in thresholds:
+            idx += u >= threshold
+        rows = targets.take(idx)
+        sums += pays.take(idx)
         if k in want:
             snaps.append(snapshot(k))
     if checkpoints:

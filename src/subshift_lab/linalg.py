@@ -122,7 +122,8 @@ def char_poly(m: Sequence[Sequence[int]]) -> list[int]:
     for k in range(1, n + 1):
         tr = sum(mk[i][i] for i in range(n))
         # the division by k is exact for integer matrices
-        assert tr % k == 0, "Faddeev-LeVerrier trace division must be exact"
+        if tr % k != 0:
+            raise ValueError("Faddeev-LeVerrier trace division must be exact")
         ck = -tr // k
         coeffs.append(ck)
         if k == n:

@@ -332,7 +332,8 @@ def _stationary(chain: ChainGraph, states: Sequence[int]) -> dict[int, Fraction]
     a[k] = [Fraction(1)] * k
     b.append(Fraction(1))
     x = linalg.solve_consistent(a, b)
-    assert all(v > 0 for v in x), "stationary distribution of a class must be positive"
+    if not all(v > 0 for v in x):
+        raise ValueError("stationary distribution of a class must be positive")
     return {s: x[local[s]] for s in states}
 
 

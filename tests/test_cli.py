@@ -56,6 +56,19 @@ def test_random_digits_with_base_one_is_structured_error():
     assert err == {"error": "base must be >= 2"}
 
 
+def test_simulate_sums_beyond_int64_is_structured_error():
+    big = 2**58
+    proc = run_cli(
+        [
+            "simulate", "--inline", "1: 112; 2: 221", "--gamma", f"{big},{-big}",
+            "--t", "1", "--n", "200", "--samples", "2000", "--seed", "1",
+        ]
+    )
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert "int64" in err["error"]
+
+
 def test_gallery_passes(tmp_path):
     proc = run_cli(["gallery", "--out", str(tmp_path)])
     assert proc.returncode == 0

@@ -359,6 +359,13 @@ def test_exact_matches_reference(request, name, t, n, checkpoints):
     )
 
 
+@pytest.fixture(scope="module")
+def twist5():
+    """1 -> 11212, 2 -> 22121: d = 5, so a step compares against 4 thresholds."""
+    sub = parse_substitution("1: 11212\n2: 22121")
+    return sub, eigenvector_for(matrix_of(sub), 1)
+
+
 @pytest.mark.parametrize(
     "name, t",
     [
@@ -366,6 +373,7 @@ def test_exact_matches_reference(request, name, t, n, checkpoints):
         ("twist2", Fraction(7, 3)),
         ("twist2", RandomDigitStream(3, 11)),
         ("sync3", Fraction(7, 4)),
+        ("twist5", Fraction(3, 2)),
     ],
 )
 def test_monte_carlo_matches_reference_per_seed(request, name, t):
@@ -374,6 +382,57 @@ def test_monte_carlo_matches_reference_per_seed(request, name, t):
     scaled, states = _reference_monte_carlo(layers, init, 60, 3000, seed=17)
     assert np.array_equal(sample.scaled, scaled)
     assert np.array_equal(sample.final_states, states)
+    snaps = monte_carlo(layers, init, 60, 3000, seed=17, checkpoints=(0, 6, 60))
+    assert [snap.n for snap in snaps] == [0, 6, 60]
+    for snap in snaps:
+        scaled, states = _reference_monte_carlo(layers, init, snap.n, 3000, seed=17)
+        lattice = _reference_lattice(layers[: snap.n])
+        assert np.array_equal(snap.scaled * lattice, scaled * snap.lattice)
+        assert np.array_equal(snap.final_states, states)
+
+
+def _scaled_gamma_layers(twist2, scale, n):
+    sub, g = twist2
+    gamma = WeightVector(tuple(v * scale for v in g.values), g.theta)
+    plan = time_expansion(sub, Fraction(1))
+    return layer_chains(sub, gamma, plan, n), initial_distribution(sub, gamma, plan.tau0)
+
+
+@pytest.mark.parametrize("scale", [2**58, 2**62])
+def test_monte_carlo_rejects_sums_beyond_int64(twist2, scale):
+    layers, init = _scaled_gamma_layers(twist2, scale, 200)
+    with pytest.raises(ValueError, match="int64"):
+        monte_carlo(layers, init, 200, 2000, seed=1)
+
+
+def test_monte_carlo_int64_guard_leaves_unit_gamma_alone(twist2):
+    layers, init = _scaled_gamma_layers(twist2, 1, 200)
+    sample = monte_carlo(layers, init, 200, 2000, seed=1)
+    scaled, _ = _reference_monte_carlo(layers, init, 200, 2000, seed=1)
+    assert np.array_equal(sample.scaled, scaled)
+
+
+def test_monte_carlo_initial_draw_below_one_picks_last_state(monkeypatch):
+    # the float CDF of this initial law ends at 1 - 2**-52, below the
+    # largest uniform draw 1 - 2**-53
+    sub = parse_substitution("1: 1112122\n2: 2221211")
+    gamma = eigenvector_for(matrix_of(sub), 1)
+    plan = time_expansion(sub, Fraction(5, 2))
+    assert plan.tau0 == 2
+    layers = layer_chains(sub, gamma, plan, 3)
+    init = initial_distribution(sub, gamma, plan.tau0)
+    probs = np.array([float(p) for _, p in sorted(initial_state_indices(layers[0], init).items())])
+    probs /= probs.sum()
+    assert np.cumsum(probs)[-1] < np.nextafter(1.0, 0.0)
+
+    class TopDraws:
+        def random(self, size):
+            return np.full(size, np.nextafter(1.0, 0.0))
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: TopDraws())
+    snaps = monte_carlo(layers, init, 3, 5, seed=0, checkpoints=(0, 3))
+    assert snaps[0].final_states.tolist() == [max(initial_state_indices(layers[0], init))] * 5
+    assert len(snaps[1]) == 5
 
 
 def test_engines_reject_layers_without_d_equal_edges(twist2):

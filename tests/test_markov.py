@@ -7,6 +7,7 @@ from subshift_lab.automata import build_simplified_automaton, build_tau_automato
 from subshift_lab.markov import (
     ChainEdge,
     ChainGraph,
+    _stationary,
     absorption_probabilities,
     asymptotic_variance,
     block_frequencies,
@@ -144,6 +145,13 @@ def test_single_state_stationary():
     )
     (cls,) = recurrent_classes(chain)
     assert cls.stationary == {0: Fraction(1)}
+
+
+def test_stationary_rejects_class_with_transient_state():
+    # state 0 leaves for the absorbing state 1, so its stationary mass is 0
+    chain = small_chain({0: [(1, 1, 0)], 1: [(1, 1, 0)]}, 2)
+    with pytest.raises(ValueError, match="positive"):
+        _stationary(chain, [0, 1])
 
 
 def test_variance_values(twist2):

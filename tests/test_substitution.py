@@ -70,6 +70,12 @@ def test_char_poly_examples(twist2):
     assert char_poly(matrix_of(twist2[0])) == [1, -4, 3]
 
 
+def test_char_poly_rejects_inexact_trace_division():
+    # -tr/2 = 1/4 at k = 2 is not an integer; flooring it would give 0
+    with pytest.raises(ValueError, match="exact"):
+        char_poly([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+
+
 def test_constant_length_right_perron():
     sub = parse_substitution("1: 112\n2: 221")
     m = matrix_of(sub)
