@@ -138,9 +138,23 @@ def liminf_probe(
     window = point.left[::-1] if reverse else point.right
     if len(window) < horizon:
         raise ValueError(f"window of length {len(window)} does not cover horizon {horizon}")
-    scaled, denom = gamma.scaled_integers()
-    table = np.array(scaled, dtype=np.int64)
-    letters = np.frombuffer(window[:horizon], dtype=np.uint8)
-    sums = np.cumsum(table[letters])
+    sums, denom = scaled_partial_sums(gamma, window[:horizon])
     best = int(np.abs(sums).min())
     return Fraction(best, denom)
+
+
+def scaled_partial_sums(gamma: WeightVector, w: Word) -> tuple[np.ndarray, int]:
+    """Running sums L*S_1, ..., L*S_n of gamma along w as int64, and L.
+
+    L is the lcm of gamma's denominators.  Raises ``ValueError`` unless
+    max|L*gamma| * |w| fits in int64, so no partial sum can wrap.
+    """
+    scaled, denom = gamma.scaled_integers()
+    bound = max(abs(v) for v in scaled) * len(w)
+    if bound > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"ergodic sums can reach {bound} units of 1/{denom}, beyond int64; "
+            "scale gamma down or shorten the horizon"
+        )
+    table = np.array(scaled, dtype=np.int64)
+    return np.cumsum(table[np.frombuffer(w, dtype=np.uint8)]), denom

@@ -153,6 +153,19 @@ def parse_time(args, sub: Substitution):
         raise CliError(f"cannot parse --t: {exc}")
 
 
+def parse_horizons(text: str, many: bool = False) -> list[int]:
+    """--n as one positive integer, or (with ``many``) a comma list of them."""
+    parts = text.split(",")
+    try:
+        values = [int(part) for part in parts]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1 or (len(values) > 1 and not many):
+        kind = "a positive integer or a comma list of them" if many else "a positive integer"
+        raise CliError(f"--n must be {kind}, got {text!r}")
+    return values
+
+
 def add_sub_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sub", help="substitution file (line format or JSON)")
     p.add_argument("--inline", help="inline substitution, e.g. '1: 112; 2: 221'")
@@ -271,8 +284,11 @@ def cmd_bounds(args) -> int:
     for k in range(args.points):
         seed = args.seed + k
         point = sample_point_with_coverage(sub, seed, min_right=horizon, min_left=horizon)
-        fwd = bounds_mod.liminf_probe(sub, gamma, point, horizon)
-        rev = bounds_mod.liminf_probe(sub, gamma, point, horizon, reverse=True)
+        try:
+            fwd = bounds_mod.liminf_probe(sub, gamma, point, horizon)
+            rev = bounds_mod.liminf_probe(sub, gamma, point, horizon, reverse=True)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         worst = max(worst, fwd, rev)
         probes.append({"seed": seed, "forward": str(fwd), "reverse": str(rev)})
     report = {
@@ -296,19 +312,20 @@ def _histogram_csv(pairs) -> str:
 def cmd_simulate(args) -> int:
     sub = load_substitution(args)
     gamma = select_gamma(sub, args.gamma)
+    (n,) = parse_horizons(args.n)
     plan = parse_time(args, sub)
-    layers = ld.layer_chains(sub, gamma, plan, args.n)
+    layers = ld.layer_chains(sub, gamma, plan, n)
     init = mk.initial_distribution(sub, gamma, plan.tau0)
     try:
         sample = ld.monte_carlo(
-            layers, init, args.n, args.samples, args.seed, t_digits=plan.describe()
+            layers, init, n, args.samples, args.seed, t_digits=plan.describe()
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     moments = ld.sample_moments(sample)
     report = {
         "t": plan.describe(),
-        "n": args.n,
+        "n": n,
         "samples": args.samples,
         "seed": args.seed,
         **moments,
@@ -324,8 +341,8 @@ def cmd_simulate(args) -> int:
 def cmd_dist(args) -> int:
     sub = load_substitution(args)
     gamma = select_gamma(sub, args.gamma)
+    n_values = sorted(parse_horizons(args.n, many=True))
     plan = parse_time(args, sub)
-    n_values = sorted(int(x) for x in str(args.n).split(","))
     n_max = n_values[-1]
     layers = ld.layer_chains(sub, gamma, plan, n_max)
     init = mk.initial_distribution(sub, gamma, plan.tau0)
@@ -464,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_sub_flags(p)
     add_out_flags(p)
     add_time_flags(p)
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", default="100", help="horizon (positive integer)")
     p.add_argument("--samples", type=int, default=10**4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_simulate)

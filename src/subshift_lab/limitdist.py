@@ -47,6 +47,8 @@ from .prefix_suffix import sample_point_with_coverage
 from .substitution import Substitution, WeightVector, gamma_of_word
 
 DEFAULT_SUPPORT_CAP = 10**6
+# steps of exact law behind the bounded window of a mixture's atom
+ATOM_WINDOW_HORIZON = 64
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +516,14 @@ def word_vs_chain_check(
     t,
     n: int,
     seed: int,
-    verify_window: bool = True,
 ) -> Fraction:
     """Compare the symbolic ergodic sum with the chain-accumulated sum.
 
     Builds the length floor(d^n t) window letter by letter alongside the
     automaton path and returns |word sum - chain sum|, which must be at most
-    3 max|gamma|; a broken identity raises ``ValueError``.  With ``verify_window`` the window is rebuilt a second
-    time from its closed-form decomposition and compared letter for letter.
+    3 max|gamma|; a broken identity raises ``ValueError``.  The window is
+    rebuilt a second time from its closed-form decomposition and compared
+    letter for letter.
     """
     plan = time_expansion(sub, t)
     d = plan.base
@@ -550,16 +552,15 @@ def word_vs_chain_check(
     if len(u_word) != count - 1:
         raise ValueError("window length must equal floor(d^n t) - 1")
     window = bytes([a]) + u_word
-    if verify_window:
-        # independent reconstruction: a_n, then the suffix tower, then the
-        # n-fold image of the rest of the initial window
-        parts = [bytes([a])]
-        for k in range(n, 0, -1):
-            parts.append(sub.apply_power(suffix_parts[k - 1], n - k))
-        parts.append(sub.apply_power(w[1:], n))
-        rebuilt = b"".join(parts)[:count]
-        if rebuilt != window:
-            raise ValueError("window reconstruction mismatch")
+    # independent reconstruction: a_n, then the suffix tower, then the
+    # n-fold image of the rest of the initial window
+    parts = [bytes([a])]
+    for k in range(n, 0, -1):
+        parts.append(sub.apply_power(suffix_parts[k - 1], n - k))
+    parts.append(sub.apply_power(w[1:], n))
+    rebuilt = b"".join(parts)[:count]
+    if rebuilt != window:
+        raise ValueError("window reconstruction mismatch")
     word_sum = gamma_of_word(gamma, window)
     if gamma_of_word(gamma, u_word) != chain_sum:
         raise ValueError("chain sum must equal the window sum")
@@ -580,8 +581,6 @@ class GrowthReport:
     variances: tuple[float, ...]
     slope: float
     method: str
-    in_band: bool
-    band: tuple[float, float]
 
 
 def variance_growth(
@@ -591,26 +590,28 @@ def variance_growth(
     n_values: Sequence[int],
     samples: int = 10**5,
     seed: int = 0,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-    band: tuple[float, float] = (0.8, 1.05),
     method: str = "auto",
 ) -> GrowthReport:
     """V_n over a range of horizons with the fitted log-log growth exponent.
 
-    ``method`` is "auto" (exact while the support stays under the cap, then
-    Monte Carlo), "exact" or "mc".
+    ``method`` is "auto" (exact while the support stays under
+    ``DEFAULT_SUPPORT_CAP``, then Monte Carlo), "exact" or "mc".  The slope
+    needs two distinct horizons >= 1 with positive variance; anything less
+    raises ``ValueError``.
     """
     plan = time_expansion(sub, t)
     n_values = tuple(sorted(set(int(x) for x in n_values)))
+    if len(n_values) < 2:
+        raise ValueError("variance growth needs at least two distinct horizons")
+    if n_values[0] < 1:
+        raise ValueError("horizons must be >= 1")
     n_max = n_values[-1]
     layers = layer_chains(sub, gamma, plan, n_max)
     init = initial_distribution(sub, gamma, plan.tau0)
     variances: tuple[float, ...] = ()
     if method in ("auto", "exact"):
         try:
-            snaps = exact_sum_distribution(
-                layers, init, n_max, support_cap=support_cap, checkpoints=n_values
-            )
+            snaps = exact_sum_distribution(layers, init, n_max, checkpoints=n_values)
             variances = tuple(float(s.variance()) for s in snaps)
             method = "exact"
         except SupportCapExceeded as exc:
@@ -629,13 +630,12 @@ def variance_growth(
         )
         variances = tuple(float(np.var(s.values)) for s in snaps)
     positive = [(n, v) for n, v in zip(n_values, variances) if v > 0]
-    if len(positive) >= 2:
-        xs = np.log([n for n, _ in positive])
-        ys = np.log([v for _, v in positive])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        slope = 0.0
-    return GrowthReport(n_values, variances, slope, method, band[0] <= slope <= band[1], band)
+    if len(positive) < 2:
+        raise ValueError("fewer than two horizons have positive variance; no slope to fit")
+    xs = np.log([n for n, _ in positive])
+    ys = np.log([v for _, v in positive])
+    slope = float(np.polyfit(xs, ys, 1)[0])
+    return GrowthReport(n_values, variances, slope, method)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +676,6 @@ def mixture_prediction(
     sub: Substitution,
     gamma: WeightVector,
     t,
-    window_horizon: int = 64,
 ) -> MixturePrediction:
     """Exact limit-law parameters for an eventually periodic digit stream.
 
@@ -684,7 +683,7 @@ def mixture_prediction(
     period-composed chain; coboundary classes pool into the atom at zero.
     Per-step variances divide the composed-class variance by the period
     length.  The bounded window of the atom part is measured from the exact
-    law at a moderate horizon.
+    law at a horizon of about ``ATOM_WINDOW_HORIZON`` steps.
     """
     plan = time_expansion(sub, t)
     if not plan.eventually_periodic:
@@ -722,7 +721,7 @@ def mixture_prediction(
             )
     window = None
     if dirac_states:
-        horizon = len(pre) + max(1, window_horizon // max(1, len(per))) * len(per)
+        horizon = len(pre) + max(1, ATOM_WINDOW_HORIZON // max(1, len(per))) * len(per)
         layers = layer_chains(sub, gamma, plan, horizon)
         dist = exact_sum_distribution(layers, init, horizon)
         bounded = dist.restricted_to_states(dirac_states)

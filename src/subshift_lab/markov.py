@@ -19,7 +19,13 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .automata import State, TauAutomaton, build_tau_automaton
-from .substitution import Substitution, WeightVector, Word, matrix_of
+from .substitution import (
+    Substitution,
+    WeightVector,
+    Word,
+    constant_length,
+    factor_blocks,
+)
 
 
 @dataclass(frozen=True)
@@ -536,66 +542,8 @@ def ergodic_coefficient(p: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# letter, pair and block statistics of the subshift
+# block statistics of the subshift (letters are its 1-blocks)
 # ---------------------------------------------------------------------------
-
-
-def letter_frequencies(sub: Substitution) -> list[Fraction]:
-    """Exact letter frequencies: the normalized left eigenvector at d."""
-    d = len(sub.images[0])
-    if set(sub.image_lengths()) != {d}:
-        raise ValueError("letter frequencies require constant length")
-    m = matrix_of(sub)
-    n = sub.alphabet_size
-    shifted = [
-        [Fraction(m[j][i]) - (d if i == j else 0) for j in range(n)] for i in range(n)
-    ]
-    v = linalg.kernel_vector(shifted)
-    assert v is not None, "d is always an eigenvalue for constant length d"
-    total = sum(v)
-    freqs = [x / total for x in v]
-    if any(f <= 0 for f in freqs):
-        raise ValueError("letter frequencies must be positive; is the substitution primitive?")
-    return freqs
-
-
-def factor_pairs(sub: Substitution) -> set[Word]:
-    """All length-2 factors of the subshift language (closure computation)."""
-    pairs: set[Word] = set()
-    frontier: list[Word] = [bytes([a]) for a in range(sub.alphabet_size)]
-    seen: set[Word] = set(frontier)
-    while frontier:
-        u = frontier.pop()
-        image = sub.apply(u)
-        for i in range(len(image) - 1):
-            p = image[i : i + 2]
-            if p not in pairs:
-                pairs.add(p)
-                if p not in seen:
-                    seen.add(p)
-                    frontier.append(p)
-    return pairs
-
-
-def factor_blocks(sub: Substitution, k: int) -> list[Word]:
-    """All length-k factors of the language, sorted."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return [bytes([a]) for a in range(sub.alphabet_size)]
-    if k == 2:
-        return sorted(factor_pairs(sub))
-    d = len(sub.images[0])
-    if set(sub.image_lengths()) != {d}:
-        raise ValueError("block enumeration implemented for constant length only")
-    m = (k + d - 2) // d + 1  # span of a k-window over source blocks
-    sources = factor_blocks(sub, m)
-    blocks: set[Word] = set()
-    for src in sources:
-        image = sub.apply(src)
-        for i in range(len(image) - k + 1):
-            blocks.add(image[i : i + k])
-    return sorted(blocks)
 
 
 def block_frequencies(sub: Substitution, k: int) -> dict[Word, Fraction]:
@@ -605,7 +553,9 @@ def block_frequencies(sub: Substitution, k: int) -> dict[Word, Fraction]:
     0..d-1; the chain restricted to language blocks is irreducible for a
     primitive substitution and its stationary law gives the frequencies.
     """
-    d = len(sub.images[0])
+    d = constant_length(sub)
+    if d is None:
+        raise ValueError("block frequencies require constant length")
     blocks = factor_blocks(sub, k)
     index = {b: i for i, b in enumerate(blocks)}
     p = Fraction(1, d)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .substitution import Substitution, Word
+from .substitution import Substitution, Word, factor_blocks
 
 
 @dataclass(frozen=True)
@@ -214,14 +214,14 @@ def periodic_tail_point(
     path,
     tail_letter: int,
     window: int,
-    verify: bool = True,
 ) -> SymbolicPoint:
     """A point whose suffixes vanish above the given path: periodic tail.
 
     The forward window is c_0 s_0 sigma(s_1) ... sigma^K(s_K) followed by
     the fixed point of sigma^q at ``tail_letter`` expanded through
-    sigma^{K+1}; q is the least power making the first letter return.  With
-    ``verify`` the seam is checked to be a factor of the language.
+    sigma^{K+1}; q is the least power making the first letter return.  The
+    seam (up to 8 letters on each side) must be a factor of the language,
+    checked exactly against ``factor_blocks``; else ``ValueError``.
     """
     path = tuple(path)
     _check_path(sub, path)
@@ -253,32 +253,12 @@ def periodic_tail_point(
             tail = new
         tail = tail[:need]
     right = (determined.right + tail)[:window]
-    if verify and len(right) > len(determined.right):
+    if len(right) > len(determined.right):
         seam_lo = max(0, len(determined.right) - 8)
         seam = right[seam_lo : len(determined.right) + 8]
-        if not _is_factor(sub, seam):
+        if seam not in set(factor_blocks(sub, len(seam))):
             raise ValueError("periodic tail seam is not a factor of the language")
     return SymbolicPoint(sub, path, determined.left, right, determined.depth, determined.base)
-
-
-def _is_factor(sub: Substitution, w: Word) -> bool:
-    """Substring search in a long one-sided fixed-point prefix."""
-    from .substitution import iterate_prefix
-
-    # a letter on a first-letter cycle generates the full language for a
-    # primitive substitution
-    letter = 0
-    seen = {}
-    while letter not in seen:
-        seen[letter] = True
-        letter = sub.image(letter)[0]
-    budget = max(4096, 64 * len(w))
-    for _ in range(6):
-        prefix = iterate_prefix(sub, letter, budget)
-        if w in prefix:
-            return True
-        budget *= 8
-    return False
 
 
 def sample_point_with_coverage(
@@ -286,16 +266,14 @@ def sample_point_with_coverage(
     seed: int,
     min_right: int,
     min_left: int = 0,
-    start_depth: int | None = None,
 ) -> SymbolicPoint:
     """Sample points of increasing depth until the window covers the request."""
     d = max(len(img) for img in sub.images)
-    if start_depth is None:
-        start_depth = 2
-        need = max(min_right, min_left, 1)
-        while d**start_depth < need:
-            start_depth += 1
+    start_depth = 2
+    need = max(min_right, min_left, 1)
+    while d**start_depth < need:
         start_depth += 1
+    start_depth += 1
     for attempt in range(64):
         pt = sample_point(
             sub, start_depth + 2 * attempt, seed * 1009 + attempt, window=max(min_right, min_left)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import liminf_constant
+from .bounds import liminf_constant, scaled_partial_sums
 from .linalg import poly_divmod, poly_eval
 from .prefix_suffix import SymbolicPoint
 from .substitution import Substitution, WeightVector, char_poly, matrix_of
@@ -153,21 +153,16 @@ def divergence_probe(
     c = liminf_constant(sub, gamma)
     if horizon == 0:
         return DivergenceProbe(0, 0.0, 0.0, 0, c, 0.0)
-    scaled, denom = gamma.scaled_integers()
-    table = np.array(scaled, dtype=np.int64)
 
     def sums_over(window: bytes) -> np.ndarray:
-        letters = np.frombuffer(window, dtype=np.uint8)
-        return np.cumsum(table[letters]) / denom
+        sums, denom = scaled_partial_sums(gamma, window)
+        return sums / denom
 
     right = sums_over(point.right[:horizon])
-    left_window = point.left[::-1][:horizon]
-    left = sums_over(left_window) if left_window else np.zeros(0)
+    left = sums_over(point.left[::-1][:horizon])
     forward = float(np.exp(-right).sum())
-    backward = float(np.exp(left).sum()) if len(left) else 0.0
-    count = int((np.abs(right) < float(c)).sum())
-    if len(left):
-        count += int((np.abs(left) < float(c)).sum())
+    backward = float(np.exp(left).sum())
+    count = int((np.abs(right) < float(c)).sum()) + int((np.abs(left) < float(c)).sum())
     return DivergenceProbe(
         horizon, forward, backward, count, c, count * math.exp(-float(c))
     )

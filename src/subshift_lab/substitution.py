@@ -186,11 +186,24 @@ def gamma_of_word(gamma: WeightVector, w: Word) -> Fraction:
 def iterate_prefix(sub: Substitution, a: int, length: int) -> Word:
     """First ``length`` letters of sigma^n(a) for the least adequate n.
 
-    Expansion is done level by level with truncation, so at most ``length``
-    symbols plus one image are ever materialized per level.
+    Every level expands a word shorter than ``length``, so at most
+    ``length`` symbols plus one image are ever materialized per level.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
+    w = _grown_image(sub, a, length)
+    if w is None:
+        raise ValueError(
+            f"letter {a} does not grow under iteration; cannot reach length {length}"
+        )
+    return w[:length]
+
+
+def _grown_image(sub: Substitution, a: int, length: int) -> Word | None:
+    """sigma^m(a) for the least m with |sigma^m(a)| >= length, or None.
+
+    None means the iterates of a stop growing before they reach ``length``.
+    """
     # letters reachable from a; used to detect non-growing degenerate cases
     reachable = {a}
     frontier = [a]
@@ -205,12 +218,38 @@ def iterate_prefix(sub: Substitution, a: int, length: int) -> Word:
     while len(w) < length:
         new_lengths = [sum(lengths[b] for b in img) for img in sub.images]
         if all(new_lengths[r] == lengths[r] for r in reachable):
-            raise ValueError(
-                f"letter {a} does not grow under iteration; cannot reach length {length}"
-            )
+            return None
         lengths = new_lengths
-        w = sub.apply(w)[:length]
-    return w[:length]
+        w = sub.apply(w)
+    return w
+
+
+def factor_blocks(sub: Substitution, k: int) -> list[Word]:
+    """The length-k factors of sigma^n(b) over all n >= 0 and letters b, sorted.
+
+    Seeds are the k-windows of sigma^m(b) for the least m with
+    |sigma^m(b)| >= k (a letter that never grows that long gives none); the
+    language is their closure under u -> the k-windows of sigma(u).  This is
+    exact: once |sigma^n(b)| >= k, every k-window of sigma^{n+1}(b) is
+    covered by the images of at most k consecutive letters, hence lies in
+    sigma(u) for some k-window u of sigma^n(b).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    blocks: set[Word] = set()
+    for b in range(sub.alphabet_size):
+        w = _grown_image(sub, b, k)
+        if w is not None:
+            blocks.update(w[i : i + k] for i in range(len(w) - k + 1))
+    frontier = list(blocks)
+    while frontier:
+        image = sub.apply(frontier.pop())
+        for i in range(len(image) - k + 1):
+            u = image[i : i + k]
+            if u not in blocks:
+                blocks.add(u)
+                frontier.append(u)
+    return sorted(blocks)
 
 
 # ---------------------------------------------------------------------------

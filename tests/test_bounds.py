@@ -8,6 +8,7 @@ from subshift_lab.bounds import (
     ergodic_sums,
     liminf_constant,
     liminf_probe,
+    scaled_partial_sums,
 )
 from subshift_lab.prefix_suffix import (
     build_ps_automaton,
@@ -153,6 +154,31 @@ def test_probe_matches_naive_cumsum(twist2):
         acc += g.values[letter]
         best = abs(acc) if best is None else min(best, abs(acc))
     assert liminf_probe(sub, g, point, horizon) == best
+
+
+def test_scaled_partial_sums_reject_int64_overflow(twist2):
+    sub, _ = twist2
+    big = WeightVector((Fraction(2**62), Fraction(-(2**62))), Fraction(1))
+    point = sample_point_with_coverage(sub, seed=0, min_right=729, min_left=729)
+    with pytest.raises(ValueError, match="int64"):
+        scaled_partial_sums(big, point.right[:2])
+    with pytest.raises(ValueError, match="int64"):
+        liminf_probe(sub, big, point, 729)
+    with pytest.raises(ValueError, match="int64"):
+        liminf_probe(sub, big, point, 729, reverse=True)
+    # one letter of 2**62 still fits
+    sums, denom = scaled_partial_sums(big, point.right[:1])
+    assert abs(int(sums[0])) == 2**62 and denom == 1
+
+
+def test_unit_gamma_probe_unchanged_by_int64_guard(twist2):
+    sub, _ = twist2
+    unit = WeightVector((Fraction(1), Fraction(-1)), Fraction(1))
+    point = sample_point_with_coverage(sub, seed=0, min_right=729, min_left=729)
+    assert liminf_probe(sub, unit, point, 729) == 0
+    sums, denom = scaled_partial_sums(unit, point.right[:729])
+    assert denom == 1
+    assert sums.tolist() == [int(s) for s in ergodic_sums(unit, point.right[:729]).partials[1:]]
 
 
 def test_bounded_orbit_when_chain_coboundary_everywhere():

@@ -69,6 +69,58 @@ def test_simulate_sums_beyond_int64_is_structured_error():
     assert "int64" in err["error"]
 
 
+def test_bounds_sums_beyond_int64_is_structured_error():
+    big = 2**62
+    proc = run_cli(
+        [
+            "bounds", "--inline", "1: 112; 2: 221", "--gamma", f"{big},{-big}",
+            "--points", "2", "--horizon", "729",
+        ]
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert "int64" in err["error"]
+
+
+def test_bounds_unit_gamma_probes_zero():
+    proc = run_cli(
+        [
+            "bounds", "--inline", "1: 112; 2: 221", "--gamma", "1,-1",
+            "--points", "2", "--horizon", "729",
+        ]
+    )
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert [p["forward"] for p in doc["probes"]] == ["0", "0"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dist", "--t", "1", "--n", "abc"],
+        ["dist", "--t", "1", "--n", "0", "--exact"],
+        ["dist", "--t", "3/2", "--n", "5,0"],
+        ["dist", "--t", "3/2", "--n", "5,,10"],
+        ["simulate", "--t", "1", "--n", "-3"],
+        ["simulate", "--t", "1", "--n", "abc"],
+        ["simulate", "--t", "1", "--n", "5,10"],
+    ],
+)
+def test_invalid_n_is_structured_error(args):
+    proc = run_cli([*args, "--inline", "1: 112; 2: 221"])
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"].startswith("--n must be")
+
+
+def test_dist_growth_with_one_distinct_horizon_is_structured_error():
+    proc = run_cli(["dist", "--inline", "1: 112; 2: 221", "--t", "3/2", "--n", "7,7"])
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert "two distinct horizons" in err["error"]
+
+
 def test_gallery_passes(tmp_path):
     proc = run_cli(["gallery", "--out", str(tmp_path)])
     assert proc.returncode == 0

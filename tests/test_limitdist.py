@@ -538,6 +538,20 @@ def test_variance_growth_coboundary(sync3):
     assert max(rep.variances) - min(rep.variances) < 0.1
 
 
+@pytest.mark.parametrize("n_values", [(7, 7), (40,), (0, 5), (-3, 5)])
+def test_variance_growth_rejects_bad_horizons(twist2, n_values):
+    sub, g = twist2
+    with pytest.raises(ValueError, match="horizon"):
+        variance_growth(sub, g, Fraction(3, 2), n_values=n_values)
+
+
+def test_variance_growth_rejects_unmeasured_slope(twist2):
+    # one Monte Carlo sample has variance 0 at every horizon: no slope to fit
+    sub, g = twist2
+    with pytest.raises(ValueError, match="positive variance"):
+        variance_growth(sub, g, Fraction(3, 2), n_values=(5, 10), samples=1, method="mc")
+
+
 def test_mixture_prediction_cases(twist2, sync3):
     sub, g = twist2
     mix = mixture_prediction(sub, g, Fraction(1))

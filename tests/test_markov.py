@@ -19,11 +19,9 @@ from subshift_lab.markov import (
     digit_chains,
     ergodic_coefficient,
     expected_payoff,
-    factor_blocks,
     initial_distribution,
     initial_state_indices,
     is_strongly_connected,
-    letter_frequencies,
     product_chain,
     recurrent_classes,
     transient_states,
@@ -32,6 +30,7 @@ from subshift_lab.markov import (
 from subshift_lab.substitution import (
     Substitution,
     eigenvector_for,
+    factor_blocks,
     gamma_of_word,
     iterate_prefix,
     matrix_of,
@@ -277,9 +276,36 @@ def test_product_chain_matches_power_substitution(twist2):
 
 
 def test_letter_frequencies(twist2, sync3):
-    assert letter_frequencies(twist2[0]) == [Fraction(1, 2), Fraction(1, 2)]
-    freqs = letter_frequencies(sync3[0])
+    half = Fraction(1, 2)
+    assert block_frequencies(twist2[0], 1) == {b"\x00": half, b"\x01": half}
+    freqs = block_frequencies(sync3[0], 1).values()
     assert sum(freqs) == 1 and all(f > 0 for f in freqs)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1: 112\n2: 221",
+        "1: 12\n2: 13\n3: 23",
+        "1: 1112122\n2: 2221211",
+        "1: 12\n2: 21",
+        "1: 11212\n2: 22121",
+    ],
+)
+def test_one_block_frequencies_are_the_left_perron_vector(text):
+    # letter frequencies: the left eigenvector of the occurrence matrix at d
+    sub = parse_substitution(text)
+    d = len(sub.images[0])
+    m = matrix_of(sub)
+    transpose = [[m[j][i] for j in range(len(m))] for i in range(len(m))]
+    v = eigenvector_for(transpose, d).values
+    freqs = block_frequencies(sub, 1)
+    assert [freqs[bytes([a])] for a in range(sub.alphabet_size)] == [x / sum(v) for x in v]
+
+
+def test_block_frequencies_reject_non_constant_length():
+    with pytest.raises(ValueError, match="constant length"):
+        block_frequencies(parse_substitution("1: 12\n2: 1"), 1)
 
 
 def test_block_frequencies_sum_to_one(twist2):

@@ -174,3 +174,14 @@ def test_periodic_tail_rejects_off_cycle_letter():
     path = [PSTriple(0, word([1]), 0, b"")]
     with pytest.raises(ValueError):
         periodic_tail_point(sub, path, tail_letter=0, window=10)
+
+
+def test_periodic_tail_rejects_illegal_seam(sync3):
+    from subshift_lab.prefix_suffix import periodic_tail_point
+
+    sub, _ = sync3
+    # sigma(1) = 12 split as ("1", 2, ""); the fixed point at 1 after the
+    # center gives the seam 2|12131223, which is not a factor of the language
+    path = [PSTriple(0, word([0]), 1, b"")]
+    with pytest.raises(ValueError, match="seam"):
+        periodic_tail_point(sub, path, tail_letter=0, window=100)

@@ -88,3 +88,13 @@ def test_divergence_probe_linear_growth_for_coboundary():
     point = sample_point_with_coverage(sub, seed=2, min_right=3**6, min_left=1)
     probe = divergence_probe(sub, g, point, 3**6)
     assert probe.count_below_c >= 3**6  # every forward index is below C
+
+
+def test_divergence_probe_rejects_int64_overflow(twist2):
+    from subshift_lab.substitution import WeightVector
+
+    sub, _ = twist2
+    big = WeightVector((Fraction(2**62), Fraction(-(2**62))), Fraction(1))
+    point = sample_point_with_coverage(sub, seed=5, min_right=3**5, min_left=3**5)
+    with pytest.raises(ValueError, match="int64"):
+        divergence_probe(sub, big, point, 3**5)

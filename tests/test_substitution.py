@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from subshift_lab.substitution import (
     char_poly,
     constant_length,
     eigenvector_for,
+    factor_blocks,
     gamma_of_word,
     is_primitive,
     iterate_prefix,
@@ -168,6 +170,60 @@ def test_iterate_prefix_consistency_across_lengths(twist2):
     long = iterate_prefix(sub, 0, 200)
     for length in (1, 3, 27, 100):
         assert iterate_prefix(sub, 0, length) == long[:length]
+
+
+def _window_oracle(sub, k, cap=2 * 10**4, levels=60):
+    """Every k-window of sigma^n(b) for each letter b while |sigma^n(b)| <= cap."""
+    found = set()
+    for b in range(sub.alphabet_size):
+        w = bytes([b])
+        for _ in range(levels):
+            if len(w) > cap:
+                break
+            found.update(w[i : i + k] for i in range(len(w) - k + 1))
+            w = sub.apply(w)
+    return sorted(found)
+
+
+def _shuffled_twists(count, seed):
+    """Two-letter substitutions whose images are shuffles and mirror images."""
+    rng = random.Random(seed)
+    subs = []
+    for _ in range(count):
+        j = rng.randint(1, 3)
+        image = [0] * (j + 1) + [1] * j
+        rng.shuffle(image)
+        subs.append(Substitution.from_words([image, [1 - x for x in image]]))
+    return subs
+
+
+FACTOR_CASES = [
+    "1: 112; 2: 221",  # twist2
+    "1: 12; 2: 13; 3: 23",  # sync3
+    "1: 12; 2: 21",  # Thue-Morse
+    "1: 11212; 2: 22121",
+    "1: 1112122; 2: 2221211",
+    "1: 12; 2: 1",  # Fibonacci, not constant length
+    "1: 14; 2: 14224; 3: 14232324; 4: 142324",  # Salem family member n = 1
+    "1: 12; 2: 2",  # letter 2 never grows
+    "1: 11; 2: 11",  # letter 2 occurs in no image
+]
+
+
+@pytest.mark.parametrize(
+    "sub",
+    [parse_substitution(text.replace(";", "\n")) for text in FACTOR_CASES]
+    + _shuffled_twists(3, seed=4),
+    ids=lambda sub: sub.describe(),
+)
+def test_factor_blocks_match_window_oracle(sub):
+    for k in range(1, 9):
+        assert factor_blocks(sub, k) == _window_oracle(sub, k)
+
+
+def test_factor_blocks_rejects_k_below_one(twist2):
+    with pytest.raises(ValueError):
+        factor_blocks(twist2[0], 0)
 
 
 # ---------------------------------------------------------------------------
