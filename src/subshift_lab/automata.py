@@ -11,7 +11,7 @@ letters; the edge with label m goes to
 
 carrying payoff gamma(S(a, m)) + gamma(P(V, m+tau)), where sigma acts on the
 pair V by concatenation (length 2d, so both target letters always exist --
-asserted, not assumed).  For tau = 0 the second letter of V is irrelevant
+checked, not assumed).  For tau = 0 the second letter of V is irrelevant
 and a simplified automaton on states (a, b) is available.
 
 The synchronization predicates classify which of these graphs can keep the
@@ -23,28 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .substitution import Substitution, WeightVector, Word, gamma_of_word, matrix_of
+from .substitution import Substitution, WeightVector, gamma_of_word
 
 State = tuple[int, tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class SplitDecomposition:
-    """sigma(word) split at 1-based position m into prefix, center, suffix."""
-
-    word: Word
-    position: int
-    prefix: Word
-    center: int
-    suffix: Word
-
-
-def split_image(sub: Substitution, w: Word, m: int) -> SplitDecomposition:
-    """Split sigma(w) at 1-based position m."""
-    image = sub.apply(w)
-    if not (1 <= m <= len(image)):
-        raise ValueError(f"position {m} outside sigma(word) of length {len(image)}")
-    return SplitDecomposition(w, m, image[: m - 1], image[m - 1], image[m:])
 
 
 @dataclass(frozen=True)
@@ -69,12 +50,6 @@ class TauAutomaton:
     @property
     def d(self) -> int:
         return len(self.sub.images[0])
-
-    def state_index(self, state: State) -> int:
-        return self._index[state]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
 
     def state_label(self, i: int) -> str:
         a, v = self.states[i]
@@ -138,7 +113,8 @@ def build_tau_automaton(sub: Substitution, gamma: WeightVector, tau: int) -> Tau
         out = []
         for m in range(1, d + 1):
             j = m + tau  # 1-based split of the pair image, j+1 <= 2d
-            assert j + 1 <= 2 * d, "pair-image index must exist"
+            if j + 1 > 2 * d:
+                raise ValueError("pair-image index must exist")
             target = (img_a[m - 1], (img_v[j - 1], img_v[j]))
             payoff = gamma_of_word(gamma, img_a[m:]) + gamma_of_word(gamma, img_v[: j - 1])
             out.append(AutomatonEdge(index[(a, v)], m, index[target], payoff))
@@ -183,41 +159,6 @@ def synchronizable_letters(sub: Substitution) -> set[int]:
     return found
 
 
-def is_synchronizable(sub: Substitution) -> bool:
-    """Every pair of distinct images shares a letter at some common position."""
-    d = _require_constant_length(sub)
-    n = sub.alphabet_size
-    for b in range(n):
-        for c in range(b + 1, n):
-            if not any(sub.images[b][j] == sub.images[c][j] for j in range(d)):
-                return False
-    return True
-
-
 def is_strongly_non_synchronizable(sub: Substitution) -> bool:
     """No letter ever repeats at a common position across distinct images."""
     return not synchronizable_letters(sub)
-
-
-def nonsync_two_letter(sub: Substitution) -> tuple[int, int] | None:
-    """Structure check for 2-letter strongly non-synchronizable substitutions.
-
-    When the occurrence matrix has eigenvalue 1 the image of the second
-    letter must be the letter-swapped image of the first and the matrix is
-    [[k+1, k], [k, k+1]] with d = 2k+1; returns (k, d) or None.
-    """
-    if sub.alphabet_size != 2:
-        return None
-    d = _require_constant_length(sub)
-    if not is_strongly_non_synchronizable(sub):
-        return None
-    img_a, img_b = sub.images
-    swapped = bytes(1 - x for x in img_a)
-    if img_b != swapped:
-        return None
-    k = img_a.count(1)
-    if img_a.count(0) != k + 1:
-        return None  # eigenvalue 1 forces one more fixed letter than swapped
-    assert d == 2 * k + 1
-    assert matrix_of(sub) == [[k + 1, k], [k, k + 1]]
-    return k, d

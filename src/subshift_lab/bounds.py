@@ -23,27 +23,6 @@ from .prefix_suffix import PSTriple, SymbolicPoint, build_ps_automaton
 from .substitution import Substitution, WeightVector, Word, gamma_of_word
 
 
-@dataclass(frozen=True)
-class SumTrace:
-    """Running ergodic sums S_0 = 0, S_1, ..., S_n over a word."""
-
-    word: Word
-    partials: tuple[Fraction, ...]
-
-    def __len__(self) -> int:
-        return len(self.partials)
-
-
-def ergodic_sums(gamma: WeightVector, w: Word) -> SumTrace:
-    """Exact running sums of gamma along w; length |w| + 1."""
-    partials = [Fraction(0)]
-    acc = Fraction(0)
-    for b in w:
-        acc += gamma.values[b]
-        partials.append(acc)
-    return SumTrace(w, tuple(partials))
-
-
 def _require_unit_eigenvalue(gamma: WeightVector) -> None:
     if abs(gamma.theta) != 1:
         raise ValueError("the weight vector must belong to an eigenvalue of modulus one")

@@ -274,11 +274,15 @@ def cmd_classify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.points < 1:
+        raise CliError(f"--points must be >= 1, got {args.points}")
+    if args.horizon is not None and args.horizon < 1:
+        raise CliError(f"--horizon must be >= 1, got {args.horizon}")
     sub = load_substitution(args)
     gamma = select_gamma(sub, args.gamma)
     c = bounds_mod.liminf_constant(sub, gamma)
     d = max(len(img) for img in sub.images)
-    horizon = args.horizon or d**8
+    horizon = args.horizon if args.horizon is not None else d**8
     probes = []
     worst = Fraction(0)
     for k in range(args.points):
@@ -343,9 +347,6 @@ def cmd_dist(args) -> int:
     gamma = select_gamma(sub, args.gamma)
     n_values = sorted(parse_horizons(args.n, many=True))
     plan = parse_time(args, sub)
-    n_max = n_values[-1]
-    layers = ld.layer_chains(sub, gamma, plan, n_max)
-    init = mk.initial_distribution(sub, gamma, plan.tau0)
     report: dict = {
         "t": plan.describe(),
         "n": n_values if len(n_values) > 1 else n_values[0],
@@ -358,10 +359,7 @@ def cmd_dist(args) -> int:
         report["prediction"] = prediction.density_description()
     if len(n_values) > 1:
         try:
-            growth = ld.variance_growth(
-                sub, gamma, plan, n_values, samples=args.samples, seed=args.seed,
-                method="exact" if args.exact else "auto",
-            )
+            growth = ld.variance_growth(sub, gamma, plan, n_values)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         report["variances"] = list(growth.variances)
@@ -370,6 +368,8 @@ def cmd_dist(args) -> int:
         emit_json(report, args.out, "dist.json")
         return 0
     n = n_values[0]
+    layers = ld.layer_chains(sub, gamma, plan, n)
+    init = mk.initial_distribution(sub, gamma, plan.tau0)
     if args.exact:
         dist = ld.exact_sum_distribution(layers, init, n)
         report["V_n"] = str(dist.variance())
@@ -402,6 +402,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_salem(args) -> int:
+    if args.n_max < 1:
+        raise CliError(f"--n-max must be >= 1, got {args.n_max}")
     reports = [salem_mod.salem_check(n) for n in range(1, args.n_max + 1)]
     doc = [r.to_json() for r in reports]
     if args.table:

@@ -71,7 +71,8 @@ def _diagonal_states(chain: ChainGraph) -> set[int]:
 def _entry(name: str, text: str, tau: int, simplified: bool, claims) -> GalleryEntry:
     sub = parse_substitution(text)
     gamma = eigenvector_for(matrix_of(sub), 1)
-    assert gamma is not None
+    if gamma is None:
+        raise ValueError(f"{name}: the occurrence matrix has no eigenvalue 1")
     automaton = (
         build_simplified_automaton(sub, gamma)
         if simplified

@@ -16,14 +16,15 @@ the initial denominator.  Monte Carlo flattens the tables into 1-D numpy
 arrays indexed by ``state * d + j``; the edge j of a uniform draw is the
 count of running float sums of edge probabilities at or below it, so each
 step is one flat gather per table, and sample values are exact lattice
-points too.
+points too.  Variance growth needs no law: it steps the mass and the first
+two moments of the sum per state through the same tables, exact at any
+horizon at a cost that does not depend on the support.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
@@ -583,6 +584,55 @@ class GrowthReport:
     method: str
 
 
+def _moment_variances(
+    layers: Sequence[ChainGraph],
+    init: InitialDistribution | Mapping,
+    checkpoints: Sequence[int],
+) -> list[Fraction]:
+    """Exact variance of the accumulated payoff at each sorted checkpoint >= 1.
+
+    The moment recursion for an additive functional of a finite Markov chain
+    (Kemeny-Snell): three integer vectors over the states hold the mass m0,
+    m1 = sum s * mass and m2 = sum s^2 * mass of the lattice sum s, over a
+    denominator multiplied by d per step.  An edge q -> r with lattice payoff
+    p adds (m0, m1 + p m0, m2 + 2 p m1 + p^2 m0) of q to r, so a step costs
+    one pass over the edges whatever the support of the law.
+    """
+    n = checkpoints[-1]
+    lattice, tables, order = _layer_tables(layers, n)
+    init_idx = _initial_indices(layers, init)
+    denom = math.lcm(*(p.denominator for p in init_idx.values()))
+    size = len(layers[0].states)
+    m0 = [0] * size
+    for q, p in init_idx.items():
+        m0[q] = int(p * denom)
+    m1 = [0] * size
+    m2 = [0] * size
+    want = set(checkpoints)
+    out: list[Fraction] = []
+    for k in range(1, n + 1):
+        targets, pays = tables[order[k - 1]]
+        n0, n1, n2 = [0] * size, [0] * size, [0] * size
+        for q, mass in enumerate(m0):
+            if not mass:
+                continue  # no mass, so no moments either
+            first, second = m1[q], m2[q]
+            moved: dict[int, tuple[int, int]] = {}  # per payoff, shared by its edges
+            for r, p in zip(targets[q], pays[q]):
+                if p not in moved:
+                    step = first + p * mass
+                    moved[p] = step, second + p * (first + step)
+                n0[r] += mass
+                n1[r] += moved[p][0]
+                n2[r] += moved[p][1]
+        m0, m1, m2 = n0, n1, n2
+        denom *= len(targets[0])
+        if k in want:
+            mean = Fraction(sum(m1), denom * lattice)
+            out.append(Fraction(sum(m2), denom * lattice**2) - mean**2)
+    return out
+
+
 def variance_growth(
     sub: Substitution,
     gamma: WeightVector,
@@ -590,15 +640,19 @@ def variance_growth(
     n_values: Sequence[int],
     samples: int = 10**5,
     seed: int = 0,
-    method: str = "auto",
+    method: str = "exact",
 ) -> GrowthReport:
     """V_n over a range of horizons with the fitted log-log growth exponent.
 
-    ``method`` is "auto" (exact while the support stays under
-    ``DEFAULT_SUPPORT_CAP``, then Monte Carlo), "exact" or "mc".  The slope
-    needs two distinct horizons >= 1 with positive variance; anything less
-    raises ``ValueError``.
+    ``method`` "exact" steps the first two moments of the sum through the
+    layers (``_moment_variances``), exact at any horizon; each variance is
+    ``float`` of the same ``Fraction`` as ``SumDistribution.variance``.
+    "mc" takes the variance of a Monte Carlo sample of ``samples`` paths.
+    The slope needs two distinct horizons >= 1 with positive variance;
+    anything less raises ``ValueError``.
     """
+    if method not in ("exact", "mc"):
+        raise ValueError(f"unknown method {method!r}; use 'exact' or 'mc'")
     plan = time_expansion(sub, t)
     n_values = tuple(sorted(set(int(x) for x in n_values)))
     if len(n_values) < 2:
@@ -608,22 +662,9 @@ def variance_growth(
     n_max = n_values[-1]
     layers = layer_chains(sub, gamma, plan, n_max)
     init = initial_distribution(sub, gamma, plan.tau0)
-    variances: tuple[float, ...] = ()
-    if method in ("auto", "exact"):
-        try:
-            snaps = exact_sum_distribution(layers, init, n_max, checkpoints=n_values)
-            variances = tuple(float(s.variance()) for s in snaps)
-            method = "exact"
-        except SupportCapExceeded as exc:
-            if method == "exact":
-                raise
-            warnings.warn(
-                f"exact support cap exceeded at step {exc.reached_n}; "
-                f"falling back to Monte Carlo",
-                stacklevel=2,
-            )
-            method = "mc"
-    if method == "mc":
+    if method == "exact":
+        variances = tuple(float(v) for v in _moment_variances(layers, init, n_values))
+    else:
         snaps = monte_carlo(
             layers, init, n_max, samples, seed, checkpoints=n_values,
             t_digits=plan.describe(),
@@ -744,17 +785,6 @@ def _push(chain: ChainGraph, mu: Mapping[int, Fraction]) -> dict[int, Fraction]:
 
 def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def ks_distance(values: np.ndarray, cdf) -> float:
-    """sup |empirical cdf - cdf| with correct handling of ties."""
-    values = np.sort(np.asarray(values, dtype=np.float64))
-    n = len(values)
-    uniq, counts = np.unique(values, return_counts=True)
-    after = np.cumsum(counts) / n
-    before = after - counts / n
-    model = np.array([cdf(v) for v in uniq])
-    return float(np.max(np.maximum(np.abs(after - model), np.abs(model - before))))
 
 
 def ks_lattice_vs_normal(scaled: np.ndarray, step: int, mean: float, sd: float) -> float:

@@ -156,6 +156,7 @@ def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[Fraction],
         out.append(lead)
         for i in range(dn):
             rem[i] -= lead * den[i]
-        assert rem[0] == 0
+        if rem[0] != 0:
+            raise ValueError("leading remainder coefficient must cancel")
         rem.pop(0)
     return out, rem

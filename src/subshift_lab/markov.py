@@ -374,7 +374,8 @@ def coboundary_on_class(chain: ChainGraph, states: Sequence[int]) -> tuple[bool,
                 parent[e.target] = (v, e)
                 order.append(e.target)
                 frontier.append(e.target)
-    assert len(h) == len(members), "class must be strongly connected"
+    if len(h) != len(members):
+        raise ValueError("class must be strongly connected")
     for v in states:
         for e in chain.edges[v]:
             if e.target not in members:
@@ -445,7 +446,8 @@ def _nonzero_cycle_through(
         return to_v + back, to_v_payoffs + [bad.payoff] + back_payoffs, total1
     to_t, to_t_payoffs = _tree_path(parent, root, bad.target)
     total2 = h[bad.target] + sum_back
-    assert total2 != 0, "one of the two candidate cycles must have nonzero sum"
+    if total2 == 0:
+        raise ValueError("one of the two candidate cycles must have nonzero sum")
     return to_t + back[1:], to_t_payoffs + back_payoffs, total2
 
 

@@ -45,9 +45,6 @@ class PSAutomaton:
     sub: Substitution
     edges: tuple[tuple[PSTriple, ...], ...]
 
-    def triples_from(self, parent: int) -> tuple[PSTriple, ...]:
-        return self.edges[parent]
-
     def all_triples(self) -> list[PSTriple]:
         return [t for group in self.edges for t in group]
 

@@ -90,7 +90,8 @@ def salem_check(n: int) -> SalemReport:
     sub = salem_substitution(n)
     m = matrix_of(sub)
     poly = char_poly(m)
-    assert poly == closed_form_poly(n), "characteristic polynomial must match the closed form"
+    if poly != closed_form_poly(n):
+        raise ValueError("characteristic polynomial must match the closed form")
     reciprocal = poly == poly[::-1]
     at_one = poly_eval(poly, 1)
     at_minus_one = poly_eval(poly, -1)
@@ -106,7 +107,8 @@ def salem_check(n: int) -> SalemReport:
     disc = n * n + 8 * n + 4
     s_low = disc < (10 + n) ** 2  # s > -2  <=>  sqrt(disc) < 10 + n
     s_high = disc > (2 + n) ** 2  # s < 2   <=>  sqrt(disc) > 2 + n
-    assert disc > 0
+    if disc <= 0:
+        raise ValueError("discriminant n^2 + 8n + 4 must be positive")
     t_above = True  # t > 2  <=>  sqrt(disc) > -(2+n), and disc > 0
     root = math.sqrt(disc)
     return SalemReport(

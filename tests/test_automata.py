@@ -7,9 +7,6 @@ from subshift_lab.automata import (
     build_simplified_automaton,
     build_tau_automaton,
     is_strongly_non_synchronizable,
-    is_synchronizable,
-    nonsync_two_letter,
-    split_image,
     synchronizable_letters,
 )
 from subshift_lab.substitution import (
@@ -17,7 +14,6 @@ from subshift_lab.substitution import (
     eigenvector_for,
     matrix_of,
     parse_substitution,
-    word,
 )
 
 
@@ -28,25 +24,15 @@ def random_nonsync_pair(rng) -> Substitution:
     return Substitution.from_words([img, [1 - x for x in img]])
 
 
-def test_split_image(twist2):
-    sub, _ = twist2
-    split = split_image(sub, word([0]), 2)
-    assert (split.prefix, split.center, split.suffix) == (word([0]), 0, word([1]))
-    pair = split_image(sub, word([0, 1]), 5)
-    assert len(pair.prefix) == 4 and len(pair.prefix) + 1 + len(pair.suffix) == 6
-    with pytest.raises(ValueError):
-        split_image(sub, word([0]), 4)
-
-
 def test_simplified_edges_match_contract(twist2):
     sub, g = twist2
     aut = build_simplified_automaton(sub, g)
-    idx = aut.state_index((0, (1,)))  # the state (1, 2) in 1-based symbols
+    idx = aut.states.index((0, (1,)))  # the state (1, 2) in 1-based symbols
     edges = {e.m: (aut.states[e.target], e.payoff) for e in aut.edges[idx]}
     assert edges[1] == ((0, (1,)), Fraction(0))
     assert edges[2] == ((0, (1,)), Fraction(-2))
     assert edges[3] == ((1, (0,)), Fraction(-2))
-    idx = aut.state_index((1, (0,)))
+    idx = aut.states.index((1, (0,)))
     edges = {e.m: (aut.states[e.target], e.payoff) for e in aut.edges[idx]}
     assert edges[1] == ((1, (0,)), Fraction(0))
     assert edges[2] == ((1, (0,)), Fraction(2))
@@ -102,7 +88,7 @@ def test_projection_consistency(twist2, sync3):
         full = build_tau_automaton(sub, g, 0)
         simple = build_simplified_automaton(sub, g)
         for i, (a, v) in enumerate(full.states):
-            j = simple.state_index((a, (v[0],)))
+            j = simple.states.index((a, (v[0],)))
             for ef, es in zip(full.edges[i], simple.edges[j]):
                 assert ef.m == es.m
                 assert ef.payoff == es.payoff
@@ -115,7 +101,6 @@ def test_synchronization_predicates(twist2, sync3):
     sub, _ = twist2
     assert is_strongly_non_synchronizable(sub)
     assert synchronizable_letters(sub) == set()
-    assert not is_synchronizable(sub)
 
     twin = parse_substitution("1: 11\n2: 11")
     assert synchronizable_letters(twin) == {0}
@@ -123,15 +108,6 @@ def test_synchronization_predicates(twist2, sync3):
     sub3, _ = sync3
     # images of 2 and 3 share letter 3 at the second position
     assert 2 in synchronizable_letters(sub3)
-    # the one-step definition fails for the pair (1, 3) even though the
-    # diagonal is behaviorally absorbing for this substitution
-    assert not is_synchronizable(sub3)
-
-
-def test_nonsync_two_letter(twist2):
-    assert nonsync_two_letter(twist2[0]) == (1, 3)
-    assert nonsync_two_letter(parse_substitution("1: 12\n2: 21")) is None
-    assert nonsync_two_letter(parse_substitution("1: 11212\n2: 22121")) == (2, 5)
 
 
 def test_tau_automaton_rejects_bad_input(twist2):
@@ -163,7 +139,11 @@ def test_one_step_synchronizable_has_unique_diagonal_class():
     from subshift_lab.substitution import WeightVector
 
     sub = parse_substitution("1: 12\n2: 13\n3: 13")
-    assert is_synchronizable(sub)
+    assert all(
+        any(x == y for x, y in zip(sub.images[b], sub.images[c]))
+        for b in range(3)
+        for c in range(b + 1, 3)
+    )
     gamma = WeightVector((F(1), F(0), F(-1)), F(1))  # structure is payoff-free
     chain = chain_of(build_simplified_automaton(sub, gamma))
     classes = recurrent_classes(chain)

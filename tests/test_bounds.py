@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from subshift_lab.bounds import (
     bounded_prefixes,
-    ergodic_sums,
     liminf_constant,
     liminf_probe,
     scaled_partial_sums,
@@ -24,6 +24,25 @@ from subshift_lab.substitution import (
     parse_substitution,
     word,
 )
+
+
+@dataclass(frozen=True)
+class SumTrace:
+    """Running ergodic sums S_0 = 0, S_1, ..., S_n over a word."""
+
+    word: bytes
+    partials: tuple[Fraction, ...]
+
+
+def ergodic_sums(gamma: WeightVector, w: bytes) -> SumTrace:
+    """Exact running sums of gamma along w, letter by letter: the oracle for
+    the scaled int64 sums of the probes."""
+    partials = [Fraction(0)]
+    acc = Fraction(0)
+    for b in w:
+        acc += gamma.values[b]
+        partials.append(acc)
+    return SumTrace(w, tuple(partials))
 
 
 def test_ergodic_sums(twist2, sync3):

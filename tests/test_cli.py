@@ -121,6 +121,34 @@ def test_dist_growth_with_one_distinct_horizon_is_structured_error():
     assert "two distinct horizons" in err["error"]
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # a negative horizon died with a traceback from point_from_path
+        (["bounds", "--points", "1", "--horizon", "-5"], "--horizon must be >= 1"),
+        # a zero horizon silently became d^8
+        (["bounds", "--points", "1", "--horizon", "0"], "--horizon must be >= 1"),
+        # no probe at all reported "all_below_C": true
+        (["bounds", "--points", "0"], "--points must be >= 1"),
+    ],
+)
+def test_bounds_invalid_options_are_structured_errors(args, message):
+    proc = run_cli([*args, "--inline", "1: 112; 2: 221"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"].startswith(message)
+
+
+def test_salem_n_max_zero_is_structured_error():
+    # no report at all used to pass as "all_salem": true
+    proc = run_cli(["salem", "--n-max", "0"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err == {"error": "--n-max must be >= 1, got 0"}
+
+
 def test_gallery_passes(tmp_path):
     proc = run_cli(["gallery", "--out", str(tmp_path)])
     assert proc.returncode == 0

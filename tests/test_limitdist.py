@@ -13,7 +13,6 @@ from subshift_lab.limitdist import (
     SupportCapExceeded,
     exact_sum_distribution,
     gof_test,
-    ks_distance,
     ks_exact_vs_sample,
     ks_lattice_vs_normal,
     layer_chains,
@@ -25,6 +24,7 @@ from subshift_lab.limitdist import (
     variance_growth,
     word_vs_chain_check,
 )
+from subshift_lab.limitdist import _moment_variances
 from subshift_lab.markov import compose, initial_distribution, initial_state_indices
 from subshift_lab.substitution import (
     WeightVector,
@@ -538,11 +538,65 @@ def test_variance_growth_coboundary(sync3):
     assert max(rep.variances) - min(rep.variances) < 0.1
 
 
+@pytest.mark.parametrize(
+    "name, t, n_values",
+    [
+        ("twist2", Fraction(3, 2), (25, 50, 100, 200)),
+        ("twist2", Fraction(1), (25, 50, 100, 200)),
+        ("twist2", RandomDigitStream(3, 5), (16, 32, 64, 128)),
+        ("twist2", RandomDigitStream(3, 5000), (25, 50, 100, 200)),
+        ("sync3", Fraction(3, 2), (10, 40, 100, 200)),
+        ("sync3", Fraction(1), (5, 10, 20, 40)),
+    ],
+)
+def test_moment_variances_match_exact_law(request, name, t, n_values):
+    # the moment recursion gives the very Fractions of the full (state, sum)
+    # law, so variance_growth reports the floats SumDistribution.variance gives
+    layers, init = _law_inputs(request, name, t, n_values[-1])
+    snaps = exact_sum_distribution(layers, init, n_values[-1], checkpoints=n_values)
+    law = [s.variance() for s in snaps]
+    assert _moment_variances(layers, init, n_values) == law
+    sub, g = request.getfixturevalue(name)
+    rep = variance_growth(sub, g, t, n_values=n_values, method="exact")
+    assert rep.method == "exact"
+    assert rep.variances == tuple(float(v) for v in law)
+
+
+@pytest.mark.parametrize(
+    "text, t, n_values",
+    [
+        ("1: 112\n2: 221", Fraction(3, 2), (10**3, 10**4)),
+        ("1: 112\n2: 221", Fraction(1), (10**3, 10**4)),
+        ("1: 1112122\n2: 2221211", Fraction(3, 2), (10**3, 2 * 10**3)),
+    ],
+    ids=["twist2-3/2", "twist2-1", "twist7-3/2"],
+)
+def test_variance_grows_at_the_mixture_rate(text, t, n_values):
+    # Theorem fluctuations-periodic: V_n = n sum_k p_k sigma_k^2 + O(1); the
+    # gap settles to a constant (not pinned here until it is identified)
+    sub = parse_substitution(text)
+    g = eigenvector_for(matrix_of(sub), 1)
+    mix = mixture_prediction(sub, g, t)
+    rate = float(sum(c.weight * c.variance_per_step for c in mix.components))
+    assert rate > 0
+    rep = variance_growth(sub, g, t, n_values=n_values)
+    assert rep.method == "exact"
+    gaps = [v - n * rate for n, v in zip(rep.n_values, rep.variances)]
+    assert abs(gaps[1] - gaps[0]) < 1e-9
+
+
 @pytest.mark.parametrize("n_values", [(7, 7), (40,), (0, 5), (-3, 5)])
 def test_variance_growth_rejects_bad_horizons(twist2, n_values):
     sub, g = twist2
     with pytest.raises(ValueError, match="horizon"):
         variance_growth(sub, g, Fraction(3, 2), n_values=n_values)
+
+
+def test_variance_growth_rejects_unknown_method(twist2):
+    # "auto" (exact law, then Monte Carlo past the support cap) is gone
+    sub, g = twist2
+    with pytest.raises(ValueError, match="unknown method 'auto'"):
+        variance_growth(sub, g, Fraction(3, 2), n_values=(5, 10), method="auto")
 
 
 def test_variance_growth_rejects_unmeasured_slope(twist2):
@@ -610,17 +664,6 @@ def test_moments(twist2):
 # ---------------------------------------------------------------------------
 # KS helpers
 # ---------------------------------------------------------------------------
-
-
-def test_ks_distance_exact_uniform():
-    values = np.array([0.125, 0.375, 0.625, 0.875])
-    assert ks_distance(values, lambda x: min(max(x, 0.0), 1.0)) == 0.125
-
-
-def test_ks_distance_with_ties():
-    values = np.array([0.5, 0.5, 0.5, 0.5])
-    # empirical jumps 0 -> 1 at 0.5; uniform cdf is 0.5 there
-    assert ks_distance(values, lambda x: min(max(x, 0.0), 1.0)) == 0.5
 
 
 def test_ks_lattice_vs_normal_on_binomial():

@@ -13,19 +13,19 @@ from subshift_lab.substitution import parse_substitution, word
 def test_ps_automaton_splits(twist2):
     sub, _ = twist2
     automaton = build_ps_automaton(sub)
-    triples = automaton.triples_from(0)
+    triples = automaton.edges[0]
     assert [(t.prefix, t.center, t.suffix) for t in triples] == [
         (b"", 0, word([0, 1])),
         (word([0]), 0, word([1])),
         (word([0, 0]), 1, b""),
     ]
-    assert all(len(automaton.triples_from(a)) == len(sub.image(a)) for a in range(2))
+    assert all(len(automaton.edges[a]) == len(sub.image(a)) for a in range(2))
 
 
 def test_ps_automaton_single_letter_image():
     sub = parse_substitution("1: 2\n2: 12")
     automaton = build_ps_automaton(sub)
-    (only,) = automaton.triples_from(0)
+    (only,) = automaton.edges[0]
     assert (only.prefix, only.center, only.suffix) == (b"", 1, b"")
 
 
