@@ -287,8 +287,8 @@ def cmd_bounds(args) -> int:
     worst = Fraction(0)
     for k in range(args.points):
         seed = args.seed + k
-        point = sample_point_with_coverage(sub, seed, min_right=horizon, min_left=horizon)
         try:
+            point = sample_point_with_coverage(sub, seed, min_right=horizon, min_left=horizon)
             fwd = bounds_mod.liminf_probe(sub, gamma, point, horizon)
             rev = bounds_mod.liminf_probe(sub, gamma, point, horizon, reverse=True)
         except ValueError as exc:
@@ -347,12 +347,11 @@ def cmd_dist(args) -> int:
     gamma = select_gamma(sub, args.gamma)
     n_values = sorted(parse_horizons(args.n, many=True))
     plan = parse_time(args, sub)
-    report: dict = {
-        "t": plan.describe(),
-        "n": n_values if len(n_values) > 1 else n_values[0],
-        "seed": args.seed,
-        "mode": "exact" if args.exact else "mc",
-    }
+    report: dict = {"t": plan.describe(), "n": n_values if len(n_values) > 1 else n_values[0]}
+    if len(n_values) == 1:
+        # the exact growth path reads neither the seed nor the mode
+        report["seed"] = args.seed
+        report["mode"] = "exact" if args.exact else "mc"
     prediction = None
     if plan.eventually_periodic:
         prediction = ld.mixture_prediction(sub, gamma, plan)

@@ -14,8 +14,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
-from .substitution import Substitution, Word, factor_blocks
+from .substitution import (
+    Substitution,
+    Word,
+    expand_prefix,
+    expand_suffix,
+    factor_blocks,
+    growth_depth,
+    letter_lengths,
+)
 
 
 @dataclass(frozen=True)
@@ -140,37 +149,19 @@ def point_from_path(sub: Substitution, path, window: int) -> SymbolicPoint:
         for k, s in enumerate(level_suffix):
             if need <= 0:
                 break
-            piece = _expand_prefix(sub, s, k, need)
+            piece = expand_prefix(sub, s, k, need)
             right_parts.append(piece)
             need -= len(piece)
         need = window
         for k, t in enumerate(path):
             if need <= 0:
                 break
-            piece = _expand_suffix(sub, t.prefix, k, need)
+            piece = expand_suffix(sub, t.prefix, k, need)
             left_parts.append(piece)
             need -= len(piece)
     right = b"".join(right_parts)
     left = b"".join(reversed(left_parts))
     return SymbolicPoint(sub, path, left, right, len(path), path[-1].parent)
-
-
-def _expand_prefix(sub: Substitution, w: Word, k: int, cap: int) -> Word:
-    """First min(cap, |sigma^k(w)|) letters of sigma^k(w)."""
-    for _ in range(k):
-        if not w:
-            return b""
-        w = sub.apply(w[:cap])[:cap]
-    return w[:cap]
-
-
-def _expand_suffix(sub: Substitution, w: Word, k: int, cap: int) -> Word:
-    """Last min(cap, |sigma^k(w)|) letters of sigma^k(w)."""
-    for _ in range(k):
-        if not w:
-            return b""
-        w = sub.apply(w[-cap:])[-cap:]
-    return w[-cap:]
 
 
 def sample_point(
@@ -182,10 +173,19 @@ def sample_point(
     uniform position, so for constant length all paths below a given top
     letter are equally likely.  Deterministic per seed.
     """
+    path = _random_path(sub, depth, seed)
+    if window is None:
+        # full determined length on the larger side
+        window = max(_determined_lengths(sub, path))
+    return point_from_path(sub, path, window)
+
+
+def _random_path(sub: Substitution, depth: int, seed: int) -> tuple[PSTriple, ...]:
+    """The path ``sample_point`` draws: top-down, a uniform top parent and
+    then a uniform split position per level."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     rng = random.Random(seed)
-    # top-down: uniform top parent, then a uniform split position per level
     path_rev: list[PSTriple] = []
     parent = rng.randrange(sub.alphabet_size)
     for _ in range(depth):
@@ -193,17 +193,17 @@ def sample_point(
         pos = rng.randrange(len(img))
         path_rev.append(PSTriple(parent, img[:pos], img[pos], img[pos + 1 :]))
         parent = path_rev[-1].center
-    path = tuple(reversed(path_rev))
-    if window is None:
-        # full determined length on the larger side, computed without expansion
-        lengths = [1] * sub.alphabet_size
-        avail_right, avail_left = 1, 0
-        for t in path:
-            avail_right += sum(lengths[b] for b in t.suffix)
-            avail_left += sum(lengths[b] for b in t.prefix)
-            lengths = [sum(lengths[b] for b in img) for img in sub.images]
-        window = max(avail_right, avail_left)
-    return point_from_path(sub, path, window)
+    return tuple(reversed(path_rev))
+
+
+def _determined_lengths(sub: Substitution, path) -> tuple[int, int]:
+    """(right, left): the letters the path determines on each side, computed
+    from the letter lengths |sigma^k(b)| without expanding any word."""
+    right, left = 1, 0
+    for t, lengths in zip(path, letter_lengths(sub)):
+        right += sum(lengths[b] for b in t.suffix)
+        left += sum(lengths[b] for b in t.prefix)
+    return right, left
 
 
 def periodic_tail_point(
@@ -238,17 +238,12 @@ def periodic_tail_point(
     need = window - len(determined.right)
     tail = b""
     if need > 0:
-        # prefix of lim sigma^{nq}(tail_letter): expand q levels per round so
-        # every intermediate word is a prefix of the limit
-        tail = bytes([tail_letter])
-        while len(tail) < need:
-            new = tail
-            for _ in range(q):
-                new = sub.apply(new[:need])[:need]
-            if len(new) == len(tail):
-                raise ValueError(f"letter {tail_letter} does not grow; tail is finite")
-            tail = new
-        tail = tail[:need]
+        # prefix of lim sigma^{jq}(tail_letter): each sigma^{jq}(tail_letter) is
+        # a prefix of the limit, so expand the least long enough j
+        m = growth_depth(sub, tail_letter, need)
+        if m is None:
+            raise ValueError(f"letter {tail_letter} does not grow; tail is finite")
+        tail = expand_prefix(sub, bytes([tail_letter]), -(-m // q) * q, need)
     right = (determined.right + tail)[:window]
     if len(right) > len(determined.right):
         seam_lo = max(0, len(determined.right) - 8)
@@ -264,17 +259,34 @@ def sample_point_with_coverage(
     min_right: int,
     min_left: int = 0,
 ) -> SymbolicPoint:
-    """Sample points of increasing depth until the window covers the request."""
+    """Sample points of increasing depth until the window covers the request.
+
+    Each attempt's path is drawn as ``sample_point`` draws it, and the
+    letters it determines are read from the letter lengths; only the first
+    path that covers the request is materialized.  Raises ``ValueError`` when
+    the letter lengths stop growing below ``min_right + min_left``, since no
+    path of any depth can then cover the request.
+    """
     d = max(len(img) for img in sub.images)
     start_depth = 2
     need = max(min_right, min_left, 1)
-    while d**start_depth < need:
+    while d > 1 and d**start_depth < need:  # d = 1 never grows: rejected below
         start_depth += 1
     start_depth += 1
-    for attempt in range(64):
-        pt = sample_point(
-            sub, start_depth + 2 * attempt, seed * 1009 + attempt, window=max(min_right, min_left)
-        )
-        if len(pt.right) >= min_right and len(pt.left) >= min_left:
-            return pt
+    attempts = 64
+    previous = None
+    for lengths in islice(letter_lengths(sub), start_depth + 2 * attempts):
+        if max(lengths) >= min_right + min_left:
+            break
+        if lengths == previous:
+            raise ValueError(
+                f"no point covers {min_left} letters left and {min_right} right: "
+                f"the letter lengths stop growing at {max(lengths)}"
+            )
+        previous = lengths
+    for attempt in range(attempts):
+        path = _random_path(sub, start_depth + 2 * attempt, seed * 1009 + attempt)
+        right, left = _determined_lengths(sub, path)
+        if right >= min_right and left >= min_left:
+            return point_from_path(sub, path, max(min_right, min_left))
     raise RuntimeError("could not sample a point covering the requested window")

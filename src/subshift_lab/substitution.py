@@ -16,12 +16,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import linalg
 
 Word = bytes
+
+# Words shorter than this are expanded by ``bytes.join``: below it, numpy's
+# per-call overhead costs more than the gather saves (measured crossover).
+GATHER_MIN_LETTERS = 64
+# Fills the short rows of the image table; never a letter (at most 255 letters).
+_PAD = 255
 
 
 def word(letters: Iterable[int]) -> Word:
@@ -63,8 +73,24 @@ class Substitution:
         return self.images[a]
 
     def apply(self, w: Word) -> Word:
-        """sigma(w) as a word."""
-        return b"".join(self.images[b] for b in w)
+        """sigma(w) as a word: one row gather of the image table for long words."""
+        if len(w) < GATHER_MIN_LETTERS:
+            return b"".join(self.images[b] for b in w)
+        table, padded = self._image_table
+        out = table.take(np.frombuffer(w, np.uint8), axis=0).ravel()
+        if padded:
+            out = out[out != _PAD]
+        return out.tobytes()
+
+    @cached_property
+    def _image_table(self) -> tuple[np.ndarray, bool]:
+        """(alphabet, longest image) uint8 rows of the images, short rows
+        padded with ``_PAD``, and whether any row is padded."""
+        width = max(len(img) for img in self.images)
+        table = np.full((self.alphabet_size, width), _PAD, np.uint8)
+        for a, img in enumerate(self.images):
+            table[a, : len(img)] = np.frombuffer(img, np.uint8)
+        return table, any(len(img) < width for img in self.images)
 
     def apply_power(self, w: Word, n: int) -> Word:
         for _ in range(n):
@@ -184,23 +210,52 @@ def gamma_of_word(gamma: WeightVector, w: Word) -> Fraction:
 
 
 def iterate_prefix(sub: Substitution, a: int, length: int) -> Word:
-    """First ``length`` letters of sigma^n(a) for the least adequate n.
-
-    Every level expands a word shorter than ``length``, so at most
-    ``length`` symbols plus one image are ever materialized per level.
-    """
+    """First ``length`` letters of sigma^n(a) for the least adequate n."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    w = _grown_image(sub, a, length)
-    if w is None:
+    m = growth_depth(sub, a, length)
+    if m is None:
         raise ValueError(
             f"letter {a} does not grow under iteration; cannot reach length {length}"
         )
-    return w[:length]
+    return expand_prefix(sub, bytes([a]), m, length)
 
 
-def _grown_image(sub: Substitution, a: int, length: int) -> Word | None:
-    """sigma^m(a) for the least m with |sigma^m(a)| >= length, or None.
+def expand_prefix(sub: Substitution, w: Word, k: int, cap: int) -> Word:
+    """First min(cap, |sigma^k(w)|) letters of sigma^k(w).
+
+    Each level expands only the letters that can reach the cap: with r levels
+    to go every letter grows to at least the shortest |sigma^r(b)| letters.
+    """
+    for shortest in _shortest_iterates(sub, k):
+        keep = -(-cap // shortest)
+        w = sub.apply(w[:keep])
+    return w[:cap]
+
+
+def expand_suffix(sub: Substitution, w: Word, k: int, cap: int) -> Word:
+    """Last min(cap, |sigma^k(w)|) letters of sigma^k(w); see ``expand_prefix``."""
+    for shortest in _shortest_iterates(sub, k):
+        keep = -(-cap // shortest)
+        w = sub.apply(w[max(len(w) - keep, 0) :])
+    return w[max(len(w) - cap, 0) :]
+
+
+def _shortest_iterates(sub: Substitution, k: int) -> list[int]:
+    """min_b |sigma^r(b)| for r = k, k-1, ..., 1."""
+    return [min(lengths) for lengths in islice(letter_lengths(sub), 1, k + 1)][::-1]
+
+
+def letter_lengths(sub: Substitution) -> Iterator[list[int]]:
+    """The exact lengths [|sigma^k(b)| for each letter b] for k = 0, 1, 2, ..."""
+    lengths = [1] * sub.alphabet_size
+    while True:
+        yield lengths
+        lengths = [sum(lengths[b] for b in img) for img in sub.images]
+
+
+def growth_depth(sub: Substitution, a: int, length: int) -> int | None:
+    """The least m with |sigma^m(a)| >= length, from the letter lengths alone.
 
     None means the iterates of a stop growing before they reach ``length``.
     """
@@ -213,15 +268,13 @@ def _grown_image(sub: Substitution, a: int, length: int) -> Word | None:
             if c not in reachable:
                 reachable.add(c)
                 frontier.append(c)
-    lengths = [1] * sub.alphabet_size  # |sigma^k(b)| tracked exactly
-    w = bytes([a])
-    while len(w) < length:
-        new_lengths = [sum(lengths[b] for b in img) for img in sub.images]
-        if all(new_lengths[r] == lengths[r] for r in reachable):
+    previous = None
+    for m, lengths in enumerate(letter_lengths(sub)):
+        if lengths[a] >= length:
+            return m
+        if previous is not None and all(lengths[r] == previous[r] for r in reachable):
             return None
-        lengths = new_lengths
-        w = sub.apply(w)
-    return w
+        previous = lengths
 
 
 def factor_blocks(sub: Substitution, k: int) -> list[Word]:
@@ -238,8 +291,9 @@ def factor_blocks(sub: Substitution, k: int) -> list[Word]:
         raise ValueError("k must be >= 1")
     blocks: set[Word] = set()
     for b in range(sub.alphabet_size):
-        w = _grown_image(sub, b, k)
-        if w is not None:
+        m = growth_depth(sub, b, k)
+        if m is not None:
+            w = sub.apply_power(bytes([b]), m)
             blocks.update(w[i : i + k] for i in range(len(w) - k + 1))
     frontier = list(blocks)
     while frontier:

@@ -140,6 +140,16 @@ def test_bounds_invalid_options_are_structured_errors(args, message):
     assert err["error"].startswith(message)
 
 
+@pytest.mark.parametrize("horizon", [[], ["--horizon", "5"]])
+def test_bounds_without_growth_is_structured_error(horizon):
+    # every image has length 1, so no point is ever longer than one letter
+    proc = run_cli(["bounds", "--inline", "1: 2; 2: 1", "--points", "1", *horizon])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert "stop growing" in err["error"]
+
+
 def test_salem_n_max_zero_is_structured_error():
     # no report at all used to pass as "all_salem": true
     proc = run_cli(["salem", "--n-max", "0"])
@@ -196,15 +206,17 @@ def test_dist_exact_mode(tmp_path):
 
 
 def test_dist_growth_mode():
-    proc = run_cli(
-        [
-            "dist", "--inline", "1: 112; 2: 221", "--t", "3/2",
-            "--n", "20,40,80", "--exact",
-        ]
-    )
-    doc = json.loads(proc.stdout)
-    assert len(doc["variances"]) == 3
-    assert 0.8 <= float(doc["slope"]) <= 1.1
+    # the growth path is exact with or without --exact and reads no seed, so
+    # its report names the method only
+    for extra in (["--exact"], []):
+        proc = run_cli(
+            ["dist", "--inline", "1: 112; 2: 221", "--t", "3/2", "--n", "20,40,80", *extra]
+        )
+        doc = json.loads(proc.stdout)
+        assert len(doc["variances"]) == 3
+        assert 0.8 <= float(doc["slope"]) <= 1.1
+        assert doc["method"] == "exact"
+        assert "mode" not in doc and "seed" not in doc
 
 
 def test_bounds_cli():

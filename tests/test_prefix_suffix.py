@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from subshift_lab.prefix_suffix import (
     PSTriple,
+    SymbolicPoint,
     build_ps_automaton,
     point_from_path,
     sample_point,
@@ -185,3 +188,106 @@ def test_periodic_tail_rejects_illegal_seam(sync3):
     path = [PSTriple(0, word([0]), 1, b"")]
     with pytest.raises(ValueError, match="seam"):
         periodic_tail_point(sub, path, tail_letter=0, window=100)
+
+
+# ---------------------------------------------------------------------------
+# sample_point_with_coverage against the code it replaced, which drew each
+# attempt's point in full through join-based expansion
+# ---------------------------------------------------------------------------
+
+
+def _reference_expand_prefix(sub, w, k, cap):
+    for _ in range(k):
+        if not w:
+            return b""
+        w = b"".join(sub.images[b] for b in w[:cap])[:cap]
+    return w[:cap]
+
+
+def _reference_expand_suffix(sub, w, k, cap):
+    for _ in range(k):
+        if not w:
+            return b""
+        w = b"".join(sub.images[b] for b in w[-cap:])[-cap:]
+    return w[-cap:]
+
+
+def _reference_sample_point(sub, depth, seed, window):
+    rng = random.Random(seed)
+    path_rev = []
+    parent = rng.randrange(sub.alphabet_size)
+    for _ in range(depth):
+        img = sub.image(parent)
+        pos = rng.randrange(len(img))
+        path_rev.append(PSTriple(parent, img[:pos], img[pos], img[pos + 1 :]))
+        parent = path_rev[-1].center
+    path = tuple(reversed(path_rev))
+    right_parts, left_parts = [], []
+    if window > 0:
+        right_parts.append(bytes([path[0].center]))
+        need = window - 1
+        for k, t in enumerate(path):
+            if need <= 0:
+                break
+            piece = _reference_expand_prefix(sub, t.suffix, k, need)
+            right_parts.append(piece)
+            need -= len(piece)
+        need = window
+        for k, t in enumerate(path):
+            if need <= 0:
+                break
+            piece = _reference_expand_suffix(sub, t.prefix, k, need)
+            left_parts.append(piece)
+            need -= len(piece)
+    left = b"".join(reversed(left_parts))
+    return SymbolicPoint(sub, path, left, b"".join(right_parts), depth, path[-1].parent)
+
+
+def _reference_coverage(sub, seed, min_right, min_left=0):
+    d = max(len(img) for img in sub.images)
+    start_depth = 2
+    need = max(min_right, min_left, 1)
+    while d**start_depth < need:
+        start_depth += 1
+    start_depth += 1
+    for attempt in range(64):
+        pt = _reference_sample_point(
+            sub, start_depth + 2 * attempt, seed * 1009 + attempt, max(min_right, min_left)
+        )
+        if len(pt.right) >= min_right and len(pt.left) >= min_left:
+            return pt
+    raise RuntimeError("could not sample a point covering the requested window")
+
+
+COVERAGE_SUBS = {
+    "twist2": "1: 112\n2: 221",
+    "sync3": "1: 12\n2: 13\n3: 23",
+    "fibonacci": "1: 12\n2: 1",
+    "mixed": "1: 1112\n2: 21\n3: 3123",
+}
+
+
+@pytest.mark.parametrize("name", COVERAGE_SUBS)
+@pytest.mark.parametrize(
+    "min_right,min_left", [(0, 0), (1, 0), (3, 3), (50, 50), (500, 7), (0, 300), (2187, 2187)]
+)
+def test_coverage_points_match_reference(name, min_right, min_left):
+    sub = parse_substitution(COVERAGE_SUBS[name])
+    for seed in range(4):
+        point = sample_point_with_coverage(sub, seed, min_right, min_left)
+        assert point == _reference_coverage(sub, seed, min_right, min_left)
+
+
+@pytest.mark.parametrize(
+    "text,min_right,min_left",
+    [
+        # a permutation: every point is one letter long
+        pytest.param("1: 2\n2: 1", 1, 1, id="permutation"),
+        # the lengths stop at |sigma(1)| = 2
+        pytest.param("1: 23\n2: 2\n3: 3", 2, 2, id="bounded"),
+    ],
+)
+def test_coverage_fails_fast_when_letters_stop_growing(text, min_right, min_left):
+    sub = parse_substitution(text)
+    with pytest.raises(ValueError, match="stop growing"):
+        sample_point_with_coverage(sub, 0, min_right, min_left)

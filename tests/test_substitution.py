@@ -7,11 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from subshift_lab.substitution import (
+    GATHER_MIN_LETTERS,
     Substitution,
     WeightVector,
     char_poly,
     constant_length,
     eigenvector_for,
+    expand_prefix,
+    expand_suffix,
     factor_blocks,
     gamma_of_word,
     is_primitive,
@@ -170,6 +173,136 @@ def test_iterate_prefix_consistency_across_lengths(twist2):
     long = iterate_prefix(sub, 0, 200)
     for length in (1, 3, 27, 100):
         assert iterate_prefix(sub, 0, length) == long[:length]
+
+
+# ---------------------------------------------------------------------------
+# word expansion against the join-based code it replaced
+# ---------------------------------------------------------------------------
+
+
+EXPANSION_SUBS = {
+    "twist2": "1: 112\n2: 221",
+    "sync3": "1: 12\n2: 13\n3: 23",
+    "fibonacci": "1: 12\n2: 1",
+    "mixed": "1: 1112\n2: 21\n3: 3123",
+}
+
+
+def _reference_apply(sub, w):
+    return b"".join(sub.images[b] for b in w)
+
+
+def _reference_expand_prefix(sub, w, k, cap):
+    for _ in range(k):
+        if not w:
+            return b""
+        w = _reference_apply(sub, w[:cap])[:cap]
+    return w[:cap]
+
+
+def _reference_expand_suffix(sub, w, k, cap):
+    for _ in range(k):
+        if not w:
+            return b""
+        w = _reference_apply(sub, w[-cap:])[-cap:]
+    return w[-cap:]
+
+
+def _reference_iterate_prefix(sub, a, length):
+    """Full iterates of a until one is long enough; None once no letter
+    reachable from a grows any more."""
+    reachable = {a}
+    frontier = [a]
+    while frontier:
+        for c in sub.images[frontier.pop()]:
+            if c not in reachable:
+                reachable.add(c)
+                frontier.append(c)
+    lengths = [1] * sub.alphabet_size
+    w = bytes([a])
+    while len(w) < length:
+        grown = [sum(lengths[b] for b in img) for img in sub.images]
+        if all(grown[r] == lengths[r] for r in reachable):
+            return None
+        lengths = grown
+        w = _reference_apply(sub, w)
+    return w[:length]
+
+
+@st.composite
+def _substitutions(draw, max_letters=6):
+    """Alphabets of 1-6 letters with mixed image lengths 1-7."""
+    n = draw(st.integers(1, max_letters))
+    images = [draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=7)) for _ in range(n)]
+    return Substitution.from_words(images)
+
+
+@st.composite
+def _substitution_and_word(draw):
+    sub = draw(_substitutions())
+    length = draw(st.integers(0, 3 * GATHER_MIN_LETTERS))
+    rnd = draw(st.randoms(use_true_random=False))
+    return sub, bytes(rnd.randrange(sub.alphabet_size) for _ in range(length))
+
+
+@given(_substitution_and_word())
+def test_apply_matches_join(case):
+    sub, w = case
+    assert sub.apply(w) == _reference_apply(sub, w)
+
+
+@pytest.mark.parametrize("name", EXPANSION_SUBS)
+@pytest.mark.parametrize("delta", [-1, 0, 1, 10**4])
+def test_apply_matches_join_around_the_crossover(name, delta):
+    sub = parse_substitution(EXPANSION_SUBS[name])
+    rng = random.Random(delta)
+    w = bytes(rng.randrange(sub.alphabet_size) for _ in range(GATHER_MIN_LETTERS + delta))
+    assert sub.apply(w) == _reference_apply(sub, w)
+
+
+def test_apply_full_alphabet_keeps_letter_254():
+    # 255 letters, the most a word of bytes allows: the table pads short
+    # rows with 255, which must never be taken for letter 254 or kept
+    images = [[254] * (1 + a % 3) + [a] for a in range(255)]
+    sub = Substitution.from_words(images)
+    w = bytes(range(255)) + bytes([254] * 100)
+    assert sub.apply(w) == _reference_apply(sub, w)
+    assert sub.apply(w).count(254) == sum(len(images[b]) - 1 for b in w) + w.count(254)
+
+
+@given(
+    _substitutions(),
+    st.lists(st.integers(0, 5), max_size=12),
+    st.integers(0, 6),
+    st.integers(1, 400),
+)
+def test_expansion_matches_reference(sub, letters, k, cap):
+    w = bytes(b % sub.alphabet_size for b in letters)
+    assert expand_prefix(sub, w, k, cap) == _reference_expand_prefix(sub, w, k, cap)
+    assert expand_suffix(sub, w, k, cap) == _reference_expand_suffix(sub, w, k, cap)
+
+
+@pytest.mark.parametrize("name", EXPANSION_SUBS)
+def test_expansion_cut_is_exact_at_every_cap(name):
+    # every cap from 1 to 199 lands on, before and after image boundaries: a
+    # cut that keeps one letter too few shows up as a short result
+    sub = parse_substitution(EXPANSION_SUBS[name])
+    w = bytes(range(sub.alphabet_size)) * 3
+    for k in range(1, 6):
+        for cap in range(1, 200):
+            assert expand_prefix(sub, w, k, cap) == _reference_expand_prefix(sub, w, k, cap)
+            assert expand_suffix(sub, w, k, cap) == _reference_expand_suffix(sub, w, k, cap)
+
+
+@given(_substitutions(max_letters=4), st.integers(0, 3), st.integers(1, 3000))
+def test_iterate_prefix_matches_reference(sub, letter, length):
+    a = letter % sub.alphabet_size
+    expected = _reference_iterate_prefix(sub, a, length)
+    if expected is None:
+        with pytest.raises(ValueError, match="does not grow"):
+            iterate_prefix(sub, a, length)
+    else:
+        assert iterate_prefix(sub, a, length) == expected
 
 
 def _window_oracle(sub, k, cap=2 * 10**4, levels=60):
