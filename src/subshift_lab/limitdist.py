@@ -11,23 +11,28 @@ built letter by letter.
 
 Both engines step through the same compiled layers: integer (states, d)
 tables of edge targets and of payoffs in lattice units.  Exact distributions
-evolve a (state, lattice sum) table with integer numerators over d^n times
-the initial denominator.  Monte Carlo flattens the tables into 1-D numpy
-arrays indexed by ``state * d + j``; the edge j of a uniform draw is the
-count of running float sums of edge probabilities at or below it, so each
-step is one flat gather per table, and sample values are exact lattice
-points too.  Variance growth needs no law: it steps the mass and the first
-two moments of the sum per state through the same tables, exact at any
-horizon at a cost that does not depend on the support.
+keep one Python int per state whose byte-aligned slots hold the integer
+numerators of its lattice sums over d^n times the initial denominator
+(Kronecker substitution), so a step is a few shifts and big-int adds; a
+snapshot decodes them into a (state, lattice sum) table.  Monte Carlo
+flattens the tables into 1-D numpy arrays indexed by ``state * d + j``; the
+edge j of a uniform draw is the count of running float sums of edge
+probabilities at or below it, so each step is one flat gather per table,
+and sample values are exact lattice points too.  Variance growth needs no
+law: it steps the mass and the first two moments of the sum per state
+through the same tables, exact at any horizon at a cost that does not depend
+on the support.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -283,7 +288,7 @@ def _initial_indices(
 
 class SupportCapExceeded(RuntimeError):
     def __init__(self, reached_n: int, size: int):
-        super().__init__(f"support cap exceeded at step {reached_n} with {size} pairs")
+        super().__init__(f"support cap exceeded at step {reached_n} with {size} slots")
         self.reached_n = reached_n
         self.size = size
 
@@ -306,16 +311,16 @@ class SumDistribution:
         return Fraction(sum(self.table.values()), self.denominator)
 
     def sum_marginal(self) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+        nums: dict[int, int] = {}
         for (_, s), num in self.table.items():
-            out[s] = out.get(s, Fraction(0)) + Fraction(num, self.denominator)
-        return dict(sorted(out.items()))
+            nums[s] = nums.get(s, 0) + num
+        return {s: Fraction(num, self.denominator) for s, num in sorted(nums.items())}
 
     def state_marginal(self) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+        nums: dict[int, int] = {}
         for (q, _), num in self.table.items():
-            out[q] = out.get(q, Fraction(0)) + Fraction(num, self.denominator)
-        return out
+            nums[q] = nums.get(q, 0) + num
+        return {q: Fraction(num, self.denominator) for q, num in nums.items()}
 
     def mean(self) -> Fraction:
         acc = 0
@@ -324,11 +329,17 @@ class SumDistribution:
         return Fraction(acc, self.denominator * self.lattice)
 
     def variance(self) -> Fraction:
-        mean = self.mean()
-        acc = Fraction(0)
+        """Sum of p (x - mean)^2 with p = num / D and x = s / L; the mass m0
+        need not be 1, so this is (m2 D^2 - 2 m1^2 D + m1^2 m0) / (D^3 L^2)."""
+        m0 = m1 = m2 = 0
         for (_, s), num in self.table.items():
-            acc += Fraction(num, self.denominator) * (Fraction(s, self.lattice) - mean) ** 2
-        return acc
+            m0 += num
+            m1 += s * num
+            m2 += s * s * num
+        den = self.denominator
+        return Fraction(
+            m2 * den * den - 2 * m1 * m1 * den + m1 * m1 * m0, den**3 * self.lattice**2
+        )
 
     def support_bounds(self) -> tuple[Fraction, Fraction]:
         lows = [s for (_, s) in self.table]
@@ -339,8 +350,8 @@ class SumDistribution:
         return hi - lo
 
     def mass_in(self, lo: Fraction, hi: Fraction) -> Fraction:
-        lo_s = lo * self.lattice
-        hi_s = hi * self.lattice
+        lo_s = math.ceil(lo * self.lattice)
+        hi_s = math.floor(hi * self.lattice)
         total = 0
         for (_, s), num in self.table.items():
             if lo_s <= s <= hi_s:
@@ -363,35 +374,91 @@ def exact_sum_distribution(
 
     Sums start at 0; the law after step k uses layer k.  When ``checkpoints``
     is given, a list of snapshots at those step counts is returned instead.
+
+    Each state's law over the sums is one Python int (Kronecker substitution;
+    Harvey, J. Symb. Comput. 2009): byte-aligned slot i of width W holds the
+    numerator of the sum ``base + i * spacing``, where ``spacing`` is the gcd
+    of every payoff's distance to its layer's least payoff.  W is the bit
+    length of the initial mass times the product of the per-step d, the
+    largest numerator any slot can reach, so slots never carry into each
+    other.  A step adds each state's int, shifted by (pay - least pay) /
+    spacing slots, into each edge target and moves ``base`` by the least
+    pay; the ints are then shifted down by their common count of empty low
+    slots, so a law of bounded support keeps ints of bounded length.
+    ``support_cap`` bounds the slot count, the sum over states of
+    ceil(bits / W), an upper bound on the (state, sum) pairs.
     """
     if n > len(layers):
         raise ValueError("not enough layers for the requested horizon")
     lattice, tables, order = _layer_tables(layers, n)
     init_idx = _initial_indices(layers, init)
+    if any(p < 0 for p in init_idx.values()):
+        raise ValueError("initial probabilities must be nonnegative")
     denom = math.lcm(*(p.denominator for p in init_idx.values()))
-    table: dict[tuple[int, int], int] = {
-        (q, 0): int(p * denom) for q, p in init_idx.items() if p
-    }
+    size = len(layers[0].states) if layers else max(init_idx, default=-1) + 1
+    packed = [0] * size
+    for q, p in init_idx.items():
+        packed[q] = int(p * denom)
+    lows = [min(min(row) for row in pays) for _, pays in tables]
+    spacing = math.gcd(
+        *(p - low for (_, pays), low in zip(tables, lows) for row in pays for p in row)
+    ) or 1
+    top = sum(packed)
+    for i in order:
+        top *= len(tables[i][0][0])
+    nbytes = max(1, -(-top.bit_length() // 8))  # bytes per slot
+    width = 8 * nbytes
+    pad = width - 1
+    # per distinct layer and state: (shift in bits, targets) per distinct payoff
+    steps = []
+    for (targets, pays), low in zip(tables, lows):
+        rows = []
+        for row_targets, row_pays in zip(targets, pays):
+            groups: dict[int, list[int]] = {}
+            for r, p in zip(row_targets, row_pays):
+                groups.setdefault((p - low) // spacing * width, []).append(r)
+            rows.append(list(groups.items()))
+        steps.append((low, len(targets[0]), rows))
+    base = 0
     want = sorted(set(checkpoints))
     snaps: list[SumDistribution] = []
     labels = layers[0].state_labels if layers else ()
 
     def snapshot(step: int) -> SumDistribution:
-        return SumDistribution(step, lattice, denom, dict(table), labels)
+        table: dict[tuple[int, int], int] = {}
+        for q, v in enumerate(packed):
+            count = -(-v.bit_length() // width)
+            raw = v.to_bytes(count * nbytes, "little")
+            for i in range(count):
+                num = int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
+                if num:
+                    table[q, base + i * spacing] = num
+        return SumDistribution(step, lattice, denom, table, labels)
 
     if 0 in want:
         snaps.append(snapshot(0))
     for k in range(1, n + 1):
-        targets, pays = tables[order[k - 1]]
-        new: dict[tuple[int, int], int] = {}
-        for (q, s), num in table.items():
-            for target, pay in zip(targets[q], pays[q]):
-                key = (target, s + pay)
-                new[key] = new.get(key, 0) + num
-        denom *= len(targets[0])
-        table = new
-        if len(table) > support_cap:
-            raise SupportCapExceeded(k, len(table))
+        low, d, rows = steps[order[k - 1]]
+        new = [0] * size
+        for v, row in zip(packed, rows):
+            if v:
+                for shift, targets in row:
+                    moved = v << shift
+                    for r in targets:
+                        new[r] += moved
+        denom *= d
+        base += low
+        union = reduce(operator.or_, new)  # its lowest set bit is the ints' lowest
+        empty = ((union & -union).bit_length() - 1) // width if union else 0
+        if empty:
+            new = [v >> (empty * width) for v in new]
+            base += empty * spacing
+        packed = new
+        # the sum over states of ceil(bits / width), mapped without a Python frame
+        bits = map(pad.__add__, map(int.bit_length, packed))
+        slots = sum(map(operator.floordiv, bits, repeat(width)))
+        if slots > support_cap:
+            raise SupportCapExceeded(k, slots)
         if k in want:
             snaps.append(snapshot(k))
     if checkpoints:

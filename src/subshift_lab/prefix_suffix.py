@@ -263,9 +263,11 @@ def sample_point_with_coverage(
 
     Each attempt's path is drawn as ``sample_point`` draws it, and the
     letters it determines are read from the letter lengths; only the first
-    path that covers the request is materialized.  Raises ``ValueError`` when
-    the letter lengths stop growing below ``min_right + min_left``, since no
-    path of any depth can then cover the request.
+    path that covers the request is materialized.  Raises ``ValueError``
+    before sampling when the letter lengths stop growing below
+    ``min_right + min_left`` or are still below it at the deepest attempt's
+    depth, since no path drawn can then cover the request, and after the
+    last attempt when none covered it.
     """
     d = max(len(img) for img in sub.images)
     start_depth = 2
@@ -274,19 +276,25 @@ def sample_point_with_coverage(
         start_depth += 1
     start_depth += 1
     attempts = 64
+    deepest = start_depth + 2 * (attempts - 1)
+    request = f"no point covers {min_left} letters left and {min_right} right"
     previous = None
-    for lengths in islice(letter_lengths(sub), start_depth + 2 * attempts):
+    for lengths in islice(letter_lengths(sub), deepest + 1):
         if max(lengths) >= min_right + min_left:
             break
         if lengths == previous:
             raise ValueError(
-                f"no point covers {min_left} letters left and {min_right} right: "
-                f"the letter lengths stop growing at {max(lengths)}"
+                f"{request}: the letter lengths stop growing at {max(lengths)}"
             )
         previous = lengths
+    else:
+        raise ValueError(
+            f"{request}: the letter lengths reach only {max(lengths)} "
+            f"at depth {deepest}, the deepest of {attempts} attempts"
+        )
     for attempt in range(attempts):
         path = _random_path(sub, start_depth + 2 * attempt, seed * 1009 + attempt)
         right, left = _determined_lengths(sub, path)
         if right >= min_right and left >= min_left:
             return point_from_path(sub, path, max(min_right, min_left))
-    raise RuntimeError("could not sample a point covering the requested window")
+    raise ValueError(f"{request} in {attempts} sampled paths of depth up to {deepest}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -150,6 +151,15 @@ def test_bounds_without_growth_is_structured_error(horizon):
     assert "stop growing" in err["error"]
 
 
+def test_bounds_with_slow_growth_is_structured_error():
+    # |sigma^n(1)| = n + 1 never reaches 2 * 2^8 letters at the depths tried
+    proc = run_cli(["bounds", "--inline", "1: 12; 2: 2", "--points", "1"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"].startswith("no point covers 256 letters left and 256 right")
+
+
 def test_salem_n_max_zero_is_structured_error():
     # no report at all used to pass as "all_salem": true
     proc = run_cli(["salem", "--n-max", "0"])
@@ -203,6 +213,32 @@ def test_dist_exact_mode(tmp_path):
     assert abs(sum(masses) - 1.0) < 1e-9
     doc = json.loads((tmp_path / "dist.json").read_text())
     assert doc["mode"] == "exact"
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["--inline", "1: 112; 2: 221", "--t", "3/2", "--n", "64", "--exact"],
+            "68805e3bc98422ba2290e0b169601d1d60aa79d8b37369e7ac69a24be5651b62",
+        ),
+        (
+            ["--inline", "1: 112; 2: 221", "--t", "3/2", "--n", "64", "--exact",
+             "--format", "csv"],
+            "21be054e5bdb8291405d4c6eefea67a73fde1e04abefc2da1e8c59c86d8b2478",
+        ),
+        (
+            ["--inline", "1: 12; 2: 13; 3: 23", "--t", "1", "--n", "400", "--exact"],
+            "35f98da8a5bca91a321e0fd74ba2ae1f62b7e9ee220929bfdec476c0ac8810e1",
+        ),
+    ],
+    ids=["twist2-json", "twist2-csv", "sync3-json"],
+)
+def test_dist_exact_stdout_is_pinned(args, digest):
+    # the exact V_n as a fraction and the float histogram, byte for byte
+    proc = run_cli(["dist", *args])
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_dist_growth_mode():

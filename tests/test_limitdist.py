@@ -195,14 +195,17 @@ def test_exact_checkpoints_are_prefixes(twist2):
     assert snaps[0].sum_marginal() == direct2.sum_marginal()
 
 
+def _diagonal_start(layers):
+    """The synchronized states only: the class where the payoff is a potential
+    difference, so the law keeps a bounded support."""
+    return {i: Fraction(1, 4) for i, (a, v) in enumerate(layers[0].states) if v[0] == a}
+
+
 def test_coboundary_only_start_has_bounded_support(twist2):
     sub, g = twist2
     plan = time_expansion(sub, Fraction(1))
     layers = layer_chains(sub, g, plan, 40)
-    chain = layers[0]
-    # start on the synchronized states only: the class where the payoff is a
-    # potential difference
-    diag = {i: Fraction(1, 4) for i, (a, v) in enumerate(chain.states) if v[0] == a}
+    diag = _diagonal_start(layers)
     diameters = set()
     for n in (10, 20, 40):
         dist = exact_sum_distribution(layers, diag, n)
@@ -267,12 +270,15 @@ def _reference_lattice(layers):
 def _reference_exact(layers, init, n, checkpoints):
     """(n, lattice, denominator, table) at each checkpoint."""
     lattice = _reference_lattice(layers[:n])
-    init_idx = initial_state_indices(layers[0], init)
+    if isinstance(init, dict):
+        init_idx = init  # state index -> probability
+    else:
+        init_idx = initial_state_indices(layers[0], init)
     denom = 1
     for p in init_idx.values():
         denom = denom * p.denominator // math.gcd(denom, p.denominator)
     table = {(q, 0): int(p * denom) for q, p in init_idx.items() if p}
-    snaps = []
+    snaps = [(0, lattice, denom, dict(table))] if 0 in checkpoints else []
     for k in range(1, n + 1):
         chain = layers[k - 1]
         step_denom = 1
@@ -337,19 +343,49 @@ def _reference_monte_carlo(layers, init, n, samples, seed):
 
 
 def _law_inputs(request, name, t, n):
+    """Layers and start of a case; ``<fixture>:diagonal`` starts on the
+    synchronized states of that fixture's substitution."""
+    name, _, start = name.partition(":")
     sub, g = request.getfixturevalue(name)
     plan = time_expansion(sub, t)
-    return layer_chains(sub, g, plan, n), initial_distribution(sub, g, plan.tau0)
+    layers = layer_chains(sub, g, plan, n)
+    if start == "diagonal":
+        return layers, _diagonal_start(layers)
+    return layers, initial_distribution(sub, g, plan.tau0)
 
 
-@pytest.mark.parametrize(
-    "name, t, n, checkpoints",
-    [
-        ("twist2", RandomDigitStream(3, 5), 64, (16, 32, 64)),
-        ("twist2", RandomDigitStream(3, 2024), 64, (16, 32, 64)),
-        ("sync3", Fraction(3, 2), 100, ()),
-    ],
-)
+@pytest.fixture(scope="module")
+def twist5():
+    """1 -> 11212, 2 -> 22121: d = 5, so a step compares against 4 thresholds."""
+    sub = parse_substitution("1: 11212\n2: 22121")
+    return sub, eigenvector_for(matrix_of(sub), 1)
+
+
+@pytest.fixture(scope="module")
+def twist7():
+    """1 -> 1112122, 2 -> 2221211: d = 7, with seven distinct layers."""
+    sub = parse_substitution("1: 1112122\n2: 2221211")
+    return sub, eigenvector_for(matrix_of(sub), 1)
+
+
+ORACLE_CASES = [
+    ("twist2", RandomDigitStream(3, 5), 64, (16, 32, 64)),
+    ("twist2", RandomDigitStream(3, 2024), 64, (16, 32, 64)),
+    ("sync3", Fraction(3, 2), 100, ()),
+    # the bench's narrow exact-law ops, plus a step-0 snapshot
+    ("sync3", Fraction(1), 400, (0, 100, 200, 400)),
+    ("sync3", Fraction(3, 2), 400, (0, 100, 200, 400)),
+    # the horizons of mixture_prediction's atom window at t = 1 and 7/3
+    ("twist2", Fraction(1), 64, ()),
+    ("twist2", Fraction(7, 3), 65, ()),
+    ("twist5", Fraction(3, 2), 60, (0, 30, 60)),
+    ("twist7", RandomDigitStream(7, 3), 30, (1, 15, 30)),
+    # bounded support, so the packed ints are trimmed at every step
+    ("twist2:diagonal", Fraction(1), 200, (0, 100, 200)),
+]
+
+
+@pytest.mark.parametrize("name, t, n, checkpoints", ORACLE_CASES)
 def test_exact_matches_reference(request, name, t, n, checkpoints):
     layers, init = _law_inputs(request, name, t, n)
     got = exact_sum_distribution(layers, init, n, checkpoints=checkpoints)
@@ -359,11 +395,71 @@ def test_exact_matches_reference(request, name, t, n, checkpoints):
     )
 
 
-@pytest.fixture(scope="module")
-def twist5():
-    """1 -> 11212, 2 -> 22121: d = 5, so a step compares against 4 thresholds."""
-    sub = parse_substitution("1: 11212\n2: 22121")
-    return sub, eigenvector_for(matrix_of(sub), 1)
+# the SumDistribution accessors as one Fraction per table entry
+
+
+def _reference_sum_marginal(dist):
+    out = {}
+    for (_, s), num in dist.table.items():
+        out[s] = out.get(s, Fraction(0)) + Fraction(num, dist.denominator)
+    return dict(sorted(out.items()))
+
+
+def _reference_state_marginal(dist):
+    out = {}
+    for (q, _), num in dist.table.items():
+        out[q] = out.get(q, Fraction(0)) + Fraction(num, dist.denominator)
+    return out
+
+
+def _reference_mean(dist):
+    acc = Fraction(0)
+    for (_, s), num in dist.table.items():
+        acc += Fraction(num, dist.denominator) * Fraction(s, dist.lattice)
+    return acc
+
+
+def _reference_variance(dist):
+    mean = _reference_mean(dist)
+    acc = Fraction(0)
+    for (_, s), num in dist.table.items():
+        acc += Fraction(num, dist.denominator) * (Fraction(s, dist.lattice) - mean) ** 2
+    return acc
+
+
+def _reference_mass_in(dist, lo, hi):
+    acc = Fraction(0)
+    for (_, s), num in dist.table.items():
+        if lo <= Fraction(s, dist.lattice) <= hi:
+            acc += Fraction(num, dist.denominator)
+    return acc
+
+
+@pytest.mark.parametrize("name, t, n, checkpoints", ORACLE_CASES)
+def test_accessors_match_fraction_loops(request, name, t, n, checkpoints):
+    layers, init = _law_inputs(request, name, t, n)
+    got = exact_sum_distribution(layers, init, n, checkpoints=checkpoints)
+    windows = [(-2, 2), (Fraction(-7, 3), Fraction(1, 2)), (Fraction(1, 3), 0)]
+    for full in got if checkpoints else [got]:
+        # a restriction has mass below 1, which the variance must account for
+        half = full.restricted_to_states(set(range(0, len(layers[0].states), 2)))
+        for dist in (full, half):
+            assert dist.sum_marginal() == _reference_sum_marginal(dist)
+            marginal = dist.state_marginal()
+            assert list(marginal.items()) == list(_reference_state_marginal(dist).items())
+            assert dist.mean() == _reference_mean(dist)
+            assert dist.variance() == _reference_variance(dist)
+            for lo, hi in windows:
+                lo, hi = Fraction(lo), Fraction(hi)
+                assert dist.mass_in(lo, hi) == _reference_mass_in(dist, lo, hi)
+
+
+def test_exact_rejects_negative_initial_mass(twist2):
+    # a negative numerator would borrow across the packed slots
+    sub, g = twist2
+    layers = layer_chains(sub, g, time_expansion(sub, Fraction(1)), 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        exact_sum_distribution(layers, {0: Fraction(3, 2), 1: Fraction(-1, 2)}, 2)
 
 
 @pytest.mark.parametrize(
