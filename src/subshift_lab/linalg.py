@@ -1,10 +1,13 @@
 """Exact rational linear algebra over small dense matrices.
 
-Everything in this module works with ``fractions.Fraction`` (or plain ints)
-and is meant for the small systems that show up in this package: kernels of
+Inputs and results are ``fractions.Fraction`` (or plain ints), and the
+functions serve the small systems that show up in this package: kernels of
 ``M - theta*I``, stationary distributions, absorption probabilities and
-Poisson equations on chains with at most a few hundred states.  No floating
-point anywhere; results are bit-for-bit reproducible.
+Poisson equations on chains with at most a few hundred states.  Inside the
+elimination everything is a Python int: ``rref`` clears each row's
+denominators, runs fraction-free Gauss-Jordan elimination and builds
+``Fraction``s only for its result.  No floating point anywhere; results are
+bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -14,10 +17,6 @@ from math import gcd, lcm
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
-
-
-def frac_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
@@ -35,29 +34,51 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     return out
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    m = [row[:] for row in m]
+def rref(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (rref matrix, pivot column list).
+
+    Each row is scaled to integers by the lcm of its denominators, then
+    eliminated fraction-free (Bareiss, Math. Comp. 1968): with pivot p and
+    previous pivot prev, every other row becomes (p*row - f*pivot_row) //
+    prev, f being its entry in the pivot column (f = 0 still rescales the
+    row by p/prev).  By Sylvester's identity each division is exact and
+    every pivot row ends with the last pivot in its pivot column, so the
+    result is each pivot row over that one pivot.  The RREF is unique: the
+    ``Fraction``s equal those of any exact Gauss-Jordan elimination.
+    """
     rows = len(m)
     cols = len(m[0]) if rows else 0
+    a: list[list[int]] = []
+    for row in m:
+        scale = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (scale // x.denominator) for x in row])
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if a[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        a[r], a[pivot] = a[pivot], a[r]
+        pr = a[r]
+        p = pr[c]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            if i == r:
+                continue
+            f = a[i][c]
+            if f:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pr)]
+            elif p != prev:
+                a[i] = [p * x // prev for x in a[i]]
         pivots.append(c)
+        prev = p
         r += 1
         if r == rows:
             break
-    return m, pivots
+    zero = Fraction(0)
+    red = [[Fraction(x, prev) for x in row] for row in a[:r]]
+    red += [[zero] * cols for _ in range(rows - r)]
+    return red, pivots
 
 
 def kernel_vector(m: Sequence[Sequence]) -> list[Fraction] | None:
@@ -67,7 +88,7 @@ def kernel_vector(m: Sequence[Sequence]) -> list[Fraction] | None:
     free columns 0, pivot variables are back-substituted.
     """
     n = len(m)
-    red, pivots = rref(frac_matrix(m))
+    red, pivots = rref(m)
     free = [c for c in range(n) if c not in pivots]
     if not free:
         return None
@@ -98,10 +119,8 @@ def solve_consistent(a: Sequence[Sequence], b: Sequence) -> list[Fraction]:
 
     Free variables are set to 0.  Raises ValueError on inconsistency.
     """
-    rows = len(a)
     cols = len(a[0])
-    aug = [[Fraction(x) for x in a[i]] + [Fraction(b[i])] for i in range(rows)]
-    red, pivots = rref(aug)
+    red, pivots = rref([[*row, y] for row, y in zip(a, b)])
     if cols in pivots:
         raise ValueError("inconsistent linear system")
     x = [Fraction(0)] * cols

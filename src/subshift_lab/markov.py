@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -462,7 +462,18 @@ def asymptotic_variance(chain: ChainGraph, cls: RecurrentClass) -> Fraction:
     mean = expected_payoff(chain, cls)
     if mean != 0:
         raise ValueError(f"class has nonzero stationary mean {mean}")
-    states = cls.states
+    h = _poisson_solution(chain, cls.states)
+    total = Fraction(0)
+    for s in cls.states:
+        pi = cls.stationary[s]
+        for e in chain.edges[s]:
+            incr = e.payoff + h[e.target] - h[s]
+            total += pi * e.prob * incr * incr
+    return total
+
+
+def _poisson_solution(chain: ChainGraph, states: Sequence[int]) -> dict[int, Fraction]:
+    """h with (I - P) h = mean payoff per state on a class, h(root) = 0."""
     local = {s: i for i, s in enumerate(states)}
     k = len(states)
     gbar = [Fraction(0)] * k
@@ -479,13 +490,7 @@ def asymptotic_variance(chain: ChainGraph, cls: RecurrentClass) -> Fraction:
     a[k][0] = Fraction(1)
     b = gbar + [Fraction(0)]
     h = linalg.solve_consistent(a, b)
-    total = Fraction(0)
-    for s in states:
-        pi = cls.stationary[s]
-        for e in chain.edges[s]:
-            incr = e.payoff + h[local[e.target]] - h[local[s]]
-            total += pi * e.prob * incr * incr
-    return total
+    return {s: h[local[s]] for s in states}
 
 
 def absorption_probabilities(
@@ -501,23 +506,20 @@ def absorption_probabilities(
     trans = transient_states(chain, classes)
     t_index = {s: i for i, s in enumerate(trans)}
     nt = len(trans)
-    absorb: list[list[Fraction]] = [[Fraction(0)] * len(classes) for _ in range(nt)]
-    if nt:
-        # (I - Q) B = R, solved exactly column by column
-        a = [[Fraction(0)] * nt for _ in range(nt)]
-        r = [[Fraction(0)] * len(classes) for _ in range(nt)]
-        for s in trans:
-            i = t_index[s]
-            a[i][i] += 1
-            for e in chain.edges[s]:
-                if e.target in t_index:
-                    a[i][t_index[e.target]] -= e.prob
-                else:
-                    r[i][class_of[e.target]] += e.prob
-        for k in range(len(classes)):
-            col = linalg.solve_consistent(a, [row[k] for row in r])
-            for i in range(nt):
-                absorb[i][k] = col[i]
+    # (I - Q) B = R for every class at once: one elimination of [I - Q | R]
+    aug = [[Fraction(0)] * (nt + len(classes)) for _ in range(nt)]
+    for s in trans:
+        i = t_index[s]
+        aug[i][i] += 1
+        for e in chain.edges[s]:
+            if e.target in t_index:
+                aug[i][t_index[e.target]] -= e.prob
+            else:
+                aug[i][nt + class_of[e.target]] += e.prob
+    red, pivots = linalg.rref(aug)
+    if pivots[:nt] != list(range(nt)):
+        raise ValueError("I - Q must be invertible on the transient states")
+    absorb = [row[nt:] for row in red]
     out = [Fraction(0)] * len(classes)
     for s, p in initial.items():
         if p == 0:
@@ -531,16 +533,12 @@ def absorption_probabilities(
 
 
 def ergodic_coefficient(p: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Dobrushin coefficient 1 - max_{a,b,c} |p(a,c) - p(b,c)|, exact."""
-    n = len(p)
-    delta = Fraction(0)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(n):
-                diff = abs(p[a][c] - p[b][c])
-                if diff > delta:
-                    delta = diff
-    return 1 - delta
+    """Dobrushin coefficient 1 - max_{a,b,c} |p(a,c) - p(b,c)|, exact.
+
+    The inner maximum over row pairs is the range max_a p(a,c) - min_a
+    p(a,c) of column c, so one pass over the columns suffices.
+    """
+    return 1 - max((max(col) - min(col) for col in zip(*p)), default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -549,15 +547,34 @@ def ergodic_coefficient(p: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def block_frequencies(sub: Substitution, k: int) -> dict[Word, Fraction]:
-    """Exact k-block frequencies via the induced block chain.
+    """Exact k-block frequencies, keyed in sorted ``factor_blocks`` order.
 
-    Each block B moves to the d windows of sigma(B) starting at offsets
-    0..d-1; the chain restricted to language blocks is irreducible for a
-    primitive substitution and its stationary law gives the frequencies.
+    Only the 2-block chain is solved: each block B moves to the d windows of
+    sigma(B) starting at offsets 0..d-1, and the chain restricted to
+    language blocks is irreducible for a primitive substitution, so its
+    stationary law gives the frequencies (k = 1 solves the letter chain the
+    same way).  Longer laws are pushed through sigma: with m =
+    ceil((k-1)/d) + 1, every k-window at offset 0..d-1 of sigma(y) lies in
+    sigma(B) for the m-block B of y there, so each m-block B adds
+    freq(B)/d to the window sigma(B)[j:j+k] for every j in 0..d-1
+    (Queffelec, Substitution Dynamical Systems, ch. 5).
     """
     d = constant_length(sub)
     if d is None:
         raise ValueError("block frequencies require constant length")
+    if k > 2:
+        # m < k for d >= 2; d = 1 has no 2-blocks, so it recurses to a rejection
+        m = min(k - 1, -(-(k - 1) // d) + 1)
+        shorter = block_frequencies(sub, m)
+        den = lcm(*(q.denominator for q in shorter.values()))
+        nums: dict[Word, int] = {}
+        for b, q in shorter.items():
+            num = q.numerator * (den // q.denominator)
+            image = sub.apply(b)
+            for j in range(d):
+                window = image[j : j + k]
+                nums[window] = nums.get(window, 0) + num
+        return {w: Fraction(nums[w], den * d) for w in sorted(nums)}
     blocks = factor_blocks(sub, k)
     index = {b: i for i, b in enumerate(blocks)}
     p = Fraction(1, d)
@@ -587,7 +604,6 @@ class InitialDistribution:
 
     tau0: int
     probs: dict[State, Fraction]
-    block_probs: dict[Word, Fraction]
 
     def __post_init__(self):
         total = sum(self.probs.values(), Fraction(0))
@@ -602,12 +618,11 @@ def initial_distribution(sub: Substitution, gamma: WeightVector, tau0: int) -> I
         raise ValueError("initial distribution requires constant length")
     if not 1 <= tau0 <= d - 1:
         raise ValueError("leading digit must lie in 1..d-1")
-    freqs = block_frequencies(sub, d + 1)
     probs: dict[State, Fraction] = {}
-    for w, q in freqs.items():
+    for w, q in block_frequencies(sub, d + 1).items():
         state: State = (w[0], (w[tau0], w[tau0 + 1]))
         probs[state] = probs.get(state, Fraction(0)) + q
-    return InitialDistribution(tau0, probs, freqs)
+    return InitialDistribution(tau0, probs)
 
 
 def initial_state_indices(

@@ -241,6 +241,42 @@ def test_dist_exact_stdout_is_pinned(args, digest):
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["classify", "--inline", "1: 112; 2: 221", "--tau", "1", "--t", "3/2"],
+            "23626eb804b09692faf584626278f779eae82b11976dfef953cd0a6e4eae77da",
+        ),
+        (
+            ["classify", "--inline", "1: 12; 2: 13; 3: 23", "--block", "0,1,0", "--t", "1/2"],
+            "05ba40653f641bd41def227c5ba65b404ff6647f560ac9b6855354365cb650eb",
+        ),
+        (
+            ["classify", "--inline", "1: 1221121; 2: 2112212", "--block", "4,0,5",
+             "--t", "19/3"],
+            "91a648690d0a0760b90de8212a7571877f480806d1e29b80596b085bc6a1e067",
+        ),
+        (
+            ["analyze", "--inline", "1: 112; 2: 221"],
+            "1de872dacef9c46bde33ae59c0aba19cbb6d4516ff57770fe7c004a4ff3e4c28",
+        ),
+        (
+            ["analyze", "--inline", "1: 12; 2: 13; 3: 23"],
+            "b1598172dbd5041f345a64b85ffb22582747141be1ad6cdea8f99ff23cea2f62",
+        ),
+    ],
+    ids=["classify-twist2-tau", "classify-sync3-block", "classify-twist7-block",
+         "analyze-twist2", "analyze-sync3"],
+)
+def test_exact_solve_stdout_is_pinned(args, digest):
+    # stationary laws, variances, absorption weights, Dobrushin coefficients,
+    # eigenvectors and liminf constants, byte for byte
+    proc = run_cli(args)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 def test_dist_growth_mode():
     # the growth path is exact with or without --exact and reads no seed, so
     # its report names the method only

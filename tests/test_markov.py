@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from subshift_lab import linalg
 from subshift_lab.automata import build_simplified_automaton, build_tau_automaton
 from subshift_lab.markov import (
     ChainEdge,
@@ -36,6 +39,33 @@ from subshift_lab.substitution import (
     matrix_of,
     parse_substitution,
 )
+
+SYNC3 = "1: 12\n2: 13\n3: 23"
+
+
+@st.composite
+def hypothesis_digit_chains(draw):
+    """Composed chains of 1-3 digit automata with a unit eigenvalue.
+
+    Either sync3, or two letters over length d whose images hold a and
+    a - theta zeros: the occurrence matrix then has the eigenvalues d and
+    theta = +-1.
+    """
+    if draw(st.booleans()):
+        sub = parse_substitution(SYNC3)
+        theta, d = 1, 2
+    else:
+        d = draw(st.integers(2, 5))
+        theta = draw(st.sampled_from([1, -1]))
+        a = draw(st.integers(0, d))
+        assume(0 <= a - theta <= d)
+        images = [
+            draw(st.permutations([0] * zeros + [1] * (d - zeros))) for zeros in (a, a - theta)
+        ]
+        sub = Substitution.from_words(images)
+    gamma = eigenvector_for(matrix_of(sub), theta)
+    digits = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=3))
+    return product_chain(sub, gamma, len(digits), digits)
 
 
 def small_chain(edges, n):
@@ -418,3 +448,156 @@ def test_dot_export_colors_classes(twist2):
     chain = chain_of(build_simplified_automaton(sub, g))
     dot = chain.to_dot(recurrent_classes(chain))
     assert "fillcolor" in dot and dot.count("->") == 12
+
+
+# ---------------------------------------------------------------------------
+# the exact solves against the code they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_block_frequencies(sub, k):
+    """The stationary law of the k-block chain, which was solved for every k."""
+    d = len(sub.images[0])
+    blocks = factor_blocks(sub, k)
+    index = {b: i for i, b in enumerate(blocks)}
+    p = Fraction(1, d)
+    groups = []
+    for b in blocks:
+        image = sub.apply(b)
+        group = []
+        for off in range(d):
+            window = image[off : off + k]
+            group.append(ChainEdge(index[window], p, Fraction(0), str(off)))
+        groups.append(tuple(group))
+    chain = ChainGraph(tuple(blocks), tuple(sub.render(b) for b in blocks), tuple(groups))
+    classes = recurrent_classes(chain)
+    if len(classes) != 1 or len(classes[0].states) != len(blocks):
+        raise ValueError("block chain is not irreducible; substitution must be primitive")
+    return {blocks[s]: q for s, q in classes[0].stationary.items()}
+
+
+def _a3_substitutions(count):
+    """The two-letter substitutions with eigenvalue 1 of acceptance test A3."""
+    rng = random.Random(20240)
+    out = []
+    for _ in range(count):
+        k = rng.randint(1, 3)
+        image = [0] * (k + 1) + [1] * k
+        rng.shuffle(image)
+        out.append(Substitution.from_words([image, [1 - x for x in image]]))
+    return out
+
+
+BLOCK_SUBS = {
+    "twist2": parse_substitution("1: 112\n2: 221"),
+    "sync3": parse_substitution(SYNC3),
+    "twist5": parse_substitution("1: 11212\n2: 22121"),
+    "twist7": parse_substitution("1: 1112122\n2: 2221211"),
+    **{f"a3-{i}": sub for i, sub in enumerate(_a3_substitutions(6))},
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_SUBS)
+def test_block_frequencies_match_the_block_chain(name):
+    sub = BLOCK_SUBS[name]
+    d = len(sub.images[0])
+    for k in range(1, d + 3):
+        # equal values in the same key order
+        assert list(block_frequencies(sub, k).items()) == list(
+            _reference_block_frequencies(sub, k).items()
+        )
+
+
+@pytest.mark.parametrize("text", ["1: 12\n2: 22", "1: 11\n2: 22"])
+def test_block_frequencies_reject_non_primitive_at_d_plus_one(text):
+    with pytest.raises(ValueError, match="primitive"):
+        block_frequencies(parse_substitution(text), 3)
+
+
+def _reference_ergodic_coefficient(p):
+    n = len(p)
+    delta = Fraction(0)
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(n):
+                diff = abs(p[a][c] - p[b][c])
+                if diff > delta:
+                    delta = diff
+    return 1 - delta
+
+
+@given(hypothesis_digit_chains())
+def test_ergodic_coefficient_matches_triple_loop(chain):
+    p = chain.transition_matrix()
+    assert ergodic_coefficient(p) == _reference_ergodic_coefficient(p)
+
+
+def _reference_absorption_probabilities(chain, classes, initial):
+    """One ``solve_consistent`` per class column of (I - Q) B = R."""
+    class_of = {s: k for k, cls in enumerate(classes) for s in cls.states}
+    trans = transient_states(chain, classes)
+    t_index = {s: i for i, s in enumerate(trans)}
+    nt = len(trans)
+    absorb = [[Fraction(0)] * len(classes) for _ in range(nt)]
+    if nt:
+        a = [[Fraction(0)] * nt for _ in range(nt)]
+        r = [[Fraction(0)] * len(classes) for _ in range(nt)]
+        for s in trans:
+            i = t_index[s]
+            a[i][i] += 1
+            for e in chain.edges[s]:
+                if e.target in t_index:
+                    a[i][t_index[e.target]] -= e.prob
+                else:
+                    r[i][class_of[e.target]] += e.prob
+        for k in range(len(classes)):
+            col = linalg.solve_consistent(a, [row[k] for row in r])
+            for i in range(nt):
+                absorb[i][k] = col[i]
+    out = [Fraction(0)] * len(classes)
+    for s, p in initial.items():
+        if s in class_of:
+            out[class_of[s]] += p
+        else:
+            for k in range(len(classes)):
+                out[k] += p * absorb[t_index[s]][k]
+    return out
+
+
+def _assert_absorption_matches_per_column_solve(chain):
+    classes = recurrent_classes(chain)
+    mixed = {s: Fraction(s + 1, chain.n * (chain.n + 1) // 2) for s in range(chain.n)}
+    for initial in [{s: Fraction(1)} for s in transient_states(chain, classes)] + [mixed]:
+        assert absorption_probabilities(chain, classes, initial) == (
+            _reference_absorption_probabilities(chain, classes, initial)
+        )
+
+
+def test_absorption_matches_per_column_solve_on_small_chains():
+    chains = [
+        small_chain(
+            {0: [(1, Fraction(2, 3), 0), (2, Fraction(1, 3), 0)], 1: [(1, 1, 0)], 2: [(2, 1, 0)]},
+            3,
+        ),
+        small_chain(
+            {
+                0: [(1, Fraction(1, 2), 0), (3, Fraction(1, 2), 0)],
+                1: [(0, Fraction(1, 2), 0), (2, Fraction(1, 2), 0)],
+                2: [(2, 1, 0)],
+                3: [(3, 1, 0)],
+            },
+            4,
+        ),
+        small_chain({0: [(1, 1, 0)], 1: [(1, 1, 0)]}, 2),
+        small_chain({0: [(1, 1, 1)], 1: [(0, 1, -1)]}, 2),
+    ]
+    sub = parse_substitution(SYNC3)
+    gamma = eigenvector_for(matrix_of(sub), 1)
+    chains.append(product_chain(sub, gamma, 3, [0, 1, 0]))
+    for chain in chains:
+        _assert_absorption_matches_per_column_solve(chain)
+
+
+@given(hypothesis_digit_chains())
+def test_absorption_matches_per_column_solve_on_digit_chains(chain):
+    _assert_absorption_matches_per_column_solve(chain)

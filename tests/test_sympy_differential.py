@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from subshift_lab.markov import _poisson_solution, expected_payoff, recurrent_classes
 from subshift_lab.substitution import (
     Substitution,
     char_poly,
@@ -17,6 +18,7 @@ from subshift_lab.substitution import (
     is_primitive,
     matrix_of,
 )
+from test_markov import hypothesis_digit_chains
 
 sympy = pytest.importorskip("sympy")
 
@@ -59,3 +61,49 @@ def test_eigenvector_spans_sympy_nullspace(sub):
         assert shifted * column == sympy.zeros(len(m), 1)
         # v lies in the nullspace, and spans it when it is one-dimensional
         assert sympy.Matrix.hstack(*basis, column).rank() == len(basis)
+
+
+def _rational(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _class_matrix(chain, states):
+    """The transition matrix of a closed class as a sympy matrix."""
+    local = {s: i for i, s in enumerate(states)}
+    p = sympy.zeros(len(states), len(states))
+    for s in states:
+        for e in chain.edges[s]:
+            p[local[s], local[e.target]] += _rational(e.prob)
+    return p
+
+
+@given(hypothesis_digit_chains())
+def test_stationary_law_spans_sympy_nullspace(chain):
+    for cls in recurrent_classes(chain):
+        p = _class_matrix(chain, cls.states)
+        basis = (p.T - sympy.eye(len(cls.states))).nullspace()
+        pi = sympy.Matrix([_rational(cls.stationary[s]) for s in cls.states])
+        # a closed class is irreducible: its stationary line is the nullspace
+        assert len(basis) == 1
+        assert sympy.Matrix.hstack(basis[0], pi).rank() == 1
+        assert sum(pi) == 1
+
+
+@given(hypothesis_digit_chains())
+def test_poisson_solution_solves_sympy_system(chain):
+    for cls in recurrent_classes(chain):
+        if expected_payoff(chain, cls) != 0:
+            continue
+        k = len(cls.states)
+        p = _class_matrix(chain, cls.states)
+        gbar = sympy.Matrix(
+            [sum(_rational(e.prob * e.payoff) for e in chain.edges[s]) for s in cls.states]
+        )
+        # (I - P) h = gbar with h(root) = 0; unique, as the class is irreducible
+        pin = sympy.zeros(1, k)
+        pin[0, 0] = 1
+        system = (sympy.eye(k) - p).col_join(pin)
+        expected, params = system.gauss_jordan_solve(gbar.col_join(sympy.zeros(1, 1)))
+        assert params.shape[0] == 0
+        h = _poisson_solution(chain, cls.states)
+        assert sympy.Matrix([_rational(h[s]) for s in cls.states]) == expected
