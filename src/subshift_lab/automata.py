@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .substitution import Substitution, WeightVector, gamma_of_word
+from .substitution import Substitution, WeightVector
 
 State = tuple[int, tuple[int, ...]]
 
@@ -93,6 +94,12 @@ def _require_constant_length(sub: Substitution) -> int:
     return lengths.pop()
 
 
+def _prefix_sums(ints: list[int], w: bytes) -> list[int]:
+    """Entry i is gamma of the first i letters of w, for i in 0..|w|, with
+    gamma given as integer numerators over one scale."""
+    return list(accumulate((ints[b] for b in w), initial=0))
+
+
 def build_tau_automaton(sub: Substitution, gamma: WeightVector, tau: int) -> TauAutomaton:
     """The automaton on states A x A^2 for shift digit tau in {0..d-1}."""
     d = _require_constant_length(sub)
@@ -103,20 +110,25 @@ def build_tau_automaton(sub: Substitution, gamma: WeightVector, tau: int) -> Tau
         (a, (v1, v2)) for a in range(n) for v1 in range(n) for v2 in range(n)
     ]
     index = {s: i for i, s in enumerate(states)}
-    groups = []
+    ints, scale = gamma.scaled_integers()
+    prefix = [_prefix_sums(ints, img) for img in sub.images]
     pair_images = {
         (v1, v2): sub.images[v1] + sub.images[v2] for v1 in range(n) for v2 in range(n)
     }
+    pair_prefix = {v: _prefix_sums(ints, img) for v, img in pair_images.items()}
+    groups = []
     for a, v in states:
         img_a = sub.images[a]
         img_v = pair_images[v]
+        pre_v = pair_prefix[v]
         out = []
         for m in range(1, d + 1):
             j = m + tau  # 1-based split of the pair image, j+1 <= 2d
             if j + 1 > 2 * d:
                 raise ValueError("pair-image index must exist")
             target = (img_a[m - 1], (img_v[j - 1], img_v[j]))
-            payoff = gamma_of_word(gamma, img_a[m:]) + gamma_of_word(gamma, img_v[: j - 1])
+            # gamma(img_a[m:]) + gamma(img_v[:j-1])
+            payoff = Fraction(prefix[a][d] - prefix[a][m] + pre_v[j - 1], scale)
             out.append(AutomatonEdge(index[(a, v)], m, index[target], payoff))
         groups.append(tuple(out))
     return TauAutomaton(sub, gamma, tau, False, tuple(states), tuple(groups))
@@ -128,6 +140,8 @@ def build_simplified_automaton(sub: Substitution, gamma: WeightVector) -> TauAut
     n = sub.alphabet_size
     states: list[State] = [(a, (b,)) for a in range(n) for b in range(n)]
     index = {s: i for i, s in enumerate(states)}
+    ints, scale = gamma.scaled_integers()
+    prefix = [_prefix_sums(ints, img) for img in sub.images]
     groups = []
     for a, (b,) in states:
         img_a = sub.images[a]
@@ -135,7 +149,8 @@ def build_simplified_automaton(sub: Substitution, gamma: WeightVector) -> TauAut
         out = []
         for m in range(1, d + 1):
             target = (img_a[m - 1], (img_b[m - 1],))
-            payoff = gamma_of_word(gamma, img_a[m:]) + gamma_of_word(gamma, img_b[: m - 1])
+            # gamma(img_a[m:]) + gamma(img_b[:m-1])
+            payoff = Fraction(prefix[a][d] - prefix[a][m] + prefix[b][m - 1], scale)
             out.append(AutomatonEdge(index[(a, (b,))], m, index[target], payoff))
         groups.append(tuple(out))
     return TauAutomaton(sub, gamma, 0, True, tuple(states), tuple(groups))

@@ -9,6 +9,7 @@ graphs, CSV only for histograms.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -437,7 +438,10 @@ def cmd_gallery(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, so in-process callers of ``main`` share it."""
     parser = argparse.ArgumentParser(
         prog="subshift-lab",
         description="exact and stochastic analysis of substitution ergodic sums",

@@ -229,9 +229,7 @@ def layer_chains(
 
 def payoff_lattice(layers: Sequence[ChainGraph]) -> int:
     """lcm of payoff denominators across layers."""
-    return math.lcm(
-        *(e.payoff.denominator for chain in layers for group in chain.edges for e in group)
-    )
+    return math.lcm(*(chain.integer_form.lattice for chain in layers))
 
 
 _Tables = tuple[list[list[int]], list[list[int]]]
@@ -258,12 +256,16 @@ def _layer_tables(
     lattice = payoff_lattice(distinct)
     tables = []
     for chain in distinct:
-        d = len(chain.edges[0])
-        p = Fraction(1, d)
-        if any(len(group) != d or any(e.prob != p for e in group) for group in chain.edges):
+        form = chain.integer_form
+        d = len(form.rows[0])
+        # probability 1/d on every edge: denominator d, every numerator 1
+        if form.denominator != d or any(
+            len(row) != d or any(p != 1 for _, p, _ in row) for row in form.rows
+        ):
             raise ValueError("every state of a layer needs d edges of probability 1/d")
-        targets = [[e.target for e in group] for group in chain.edges]
-        pays = [[int(e.payoff * lattice) for e in group] for group in chain.edges]
+        scale = lattice // form.lattice
+        targets = [[t for t, _, _ in row] for row in form.rows]
+        pays = [[v * scale for _, _, v in row] for row in form.rows]
         tables.append((targets, pays))
     return lattice, tables, order
 
@@ -802,7 +804,7 @@ def mixture_prediction(
     chains = digit_chains(sub, gamma, pre + per)
     pre_layers, per_layers = chains[: len(pre)], chains[len(pre) :]
     # composed chain over one period, aligned to start after the preperiod
-    block = reduce(compose, per_layers)
+    block = compose(*per_layers)
     classes = recurrent_classes(block)
     mu = _initial_indices(chains, init)
     for chain in pre_layers:
@@ -818,10 +820,10 @@ def mixture_prediction(
             dirac_states.update(cls.states)
         else:
             sigma2_block = asymptotic_variance(block, cls)
-            step = 0
-            for s in cls.states:
-                for e in block.edges[s]:
-                    step = math.gcd(step, int(e.payoff * lattice))
+            # block payoffs are sums of layer payoffs, so L_block divides lattice
+            form = block.integer_form
+            scale = lattice // form.lattice
+            step = math.gcd(*(v * scale for s in cls.states for _, _, v in form.rows[s]))
             comps.append(
                 MixtureComponent(
                     p, sigma2_block / len(per), frozenset(cls.states), max(step, 1)
@@ -829,9 +831,9 @@ def mixture_prediction(
             )
     window = None
     if dirac_states:
-        horizon = len(pre) + max(1, ATOM_WINDOW_HORIZON // max(1, len(per))) * len(per)
-        layers = layer_chains(sub, gamma, plan, horizon)
-        dist = exact_sum_distribution(layers, init, horizon)
+        # the digits of the first horizon steps: the preperiod, then whole periods
+        layers = pre_layers + per_layers * max(1, ATOM_WINDOW_HORIZON // len(per))
+        dist = exact_sum_distribution(layers, init, len(layers))
         bounded = dist.restricted_to_states(dirac_states)
         if bounded.table:
             window = bounded.support_bounds()

@@ -46,6 +46,18 @@ def rref(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     result is each pivot row over that one pivot.  The RREF is unique: the
     ``Fraction``s equal those of any exact Gauss-Jordan elimination.
     """
+    a, pivots, last = _eliminate(m)
+    cols = len(m[0]) if m else 0
+    zero = Fraction(0)
+    red = [[Fraction(x, last) for x in row] for row in a[: len(pivots)]]
+    red += [[zero] * cols for _ in range(len(m) - len(pivots))]
+    return red, pivots
+
+
+def _eliminate(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
+    """The integer core of ``rref``: the eliminated integer rows, the pivot
+    columns and the last pivot, which every pivot row holds in its pivot
+    column (the RREF is pivot row r over it)."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a: list[list[int]] = []
@@ -75,10 +87,7 @@ def rref(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
         r += 1
         if r == rows:
             break
-    zero = Fraction(0)
-    red = [[Fraction(x, prev) for x in row] for row in a[:r]]
-    red += [[zero] * cols for _ in range(rows - r)]
-    return red, pivots
+    return a, pivots, prev
 
 
 def kernel_vector(m: Sequence[Sequence]) -> list[Fraction] | None:
@@ -120,12 +129,12 @@ def solve_consistent(a: Sequence[Sequence], b: Sequence) -> list[Fraction]:
     Free variables are set to 0.  Raises ValueError on inconsistency.
     """
     cols = len(a[0])
-    red, pivots = rref([[*row, y] for row, y in zip(a, b)])
+    red, pivots, last = _eliminate([[*row, y] for row, y in zip(a, b)])
     if cols in pivots:
         raise ValueError("inconsistent linear system")
     x = [Fraction(0)] * cols
     for row, pc in zip(red, pivots):
-        x[pc] = row[cols]
+        x[pc] = Fraction(row[cols], last)
     return x
 
 
@@ -161,21 +170,24 @@ def poly_eval(coeffs: Sequence, x) -> object:
     return acc
 
 
-def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[Fraction], list[Fraction]]:
-    """Polynomial division, leading-first coefficient lists."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
+def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Division of integer polynomials by one with leading coefficient +-1.
+
+    Leading-first coefficient lists.  With a unit leading coefficient the
+    quotient and remainder are integer polynomials, so the division runs on
+    ints; any other divisor raises ``ValueError``.
+    """
     if all(c == 0 for c in den):
         raise ZeroDivisionError("polynomial division by zero")
-    out: list[Fraction] = []
-    rem = num[:]
+    if den[0] not in (1, -1):
+        raise ValueError("the divisor's leading coefficient must be 1 or -1")
+    out: list[int] = []
+    rem = list(num)
     dn = len(den)
     while len(rem) >= dn:
-        lead = rem[0] / den[0]
+        lead = rem[0] * den[0]  # rem[0] / den[0], as den[0] is +-1
         out.append(lead)
-        for i in range(dn):
+        for i in range(1, dn):
             rem[i] -= lead * den[i]
-        if rem[0] != 0:
-            raise ValueError("leading remainder coefficient must cancel")
         rem.pop(0)
     return out, rem

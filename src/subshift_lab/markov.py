@@ -7,13 +7,22 @@ distributions, the coboundary decision (spanning-tree potential plus cycle
 verification), per-step asymptotic variances via the Poisson equation, the
 composed multi-digit chains, absorption probabilities and the Dobrushin
 ergodic coefficient.
+
+Edges carry ``Fraction``s, but the arithmetic runs on integers: each chain
+has one ``IntegerForm``, built once, with every probability a numerator
+over one common denominator D and every payoff a numerator over one payoff
+lattice L (the lcm of the payoff denominators).  Composition multiplies and
+adds numerators, the linear systems of stationary laws and Poisson
+equations are integer rows for ``linalg``, and expectations and variances
+sum integer products, so each reported value is the one ``Fraction`` built
+at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, cached_property, partial
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
@@ -37,6 +46,30 @@ class ChainEdge:
 
 
 @dataclass(frozen=True)
+class IntegerForm:
+    """A chain's edges as integers: probabilities over one denominator,
+    payoffs over one lattice.
+
+    ``rows[s]`` holds one (target, probability numerator, payoff numerator)
+    triple per edge out of state s, in edge order: the edge has probability
+    ``prob / denominator`` and payoff ``pay / lattice``.
+    """
+
+    denominator: int
+    lattice: int
+    rows: tuple[tuple[tuple[int, int, int], ...], ...]
+
+    def transition_numerators(self) -> list[list[int]]:
+        """The transition matrix times the denominator."""
+        n = len(self.rows)
+        nums = [[0] * n for _ in range(n)]
+        for i, row in enumerate(self.rows):
+            for t, p, _ in row:
+                nums[i][t] += p
+        return nums
+
+
+@dataclass(frozen=True)
 class ChainGraph:
     """A finite payoff-labelled stochastic digraph."""
 
@@ -45,10 +78,31 @@ class ChainGraph:
     edges: tuple[tuple[ChainEdge, ...], ...]
 
     def __post_init__(self):
-        for i, group in enumerate(self.edges):
-            total = sum((e.prob for e in group), Fraction(0))
-            if total != 1:
+        form = self.integer_form
+        for i, row in enumerate(form.rows):
+            total = sum(p for _, p, _ in row)
+            if total != form.denominator:
+                total = Fraction(total, form.denominator)
                 raise ValueError(f"outgoing probabilities at state {i} sum to {total} != 1")
+
+    @cached_property
+    def integer_form(self) -> IntegerForm:
+        """The least common denominators of the probabilities (D) and of the
+        payoffs (L), and every edge's numerators over them."""
+        den = lcm(*(e.prob.denominator for group in self.edges for e in group))
+        lattice = lcm(*(e.payoff.denominator for group in self.edges for e in group))
+        rows = tuple(
+            tuple(
+                (
+                    e.target,
+                    e.prob.numerator * (den // e.prob.denominator),
+                    e.payoff.numerator * (lattice // e.payoff.denominator),
+                )
+                for e in group
+            )
+            for group in self.edges
+        )
+        return IntegerForm(den, lattice, rows)
 
     @property
     def n(self) -> int:
@@ -66,11 +120,11 @@ class ChainGraph:
         return tuple(out)
 
     def transition_matrix(self) -> list[list[Fraction]]:
-        p = [[Fraction(0)] * self.n for _ in range(self.n)]
-        for i, group in enumerate(self.edges):
-            for e in group:
-                p[i][e.target] += e.prob
-        return p
+        form = self.integer_form
+        return [
+            [Fraction(x, form.denominator) for x in row]
+            for row in form.transition_numerators()
+        ]
 
     def to_dot(self, classes: Sequence["RecurrentClass"] = ()) -> str:
         palette = ["lightblue", "palegreen", "lightsalmon", "plum", "khaki", "lightpink"]
@@ -118,24 +172,46 @@ def chain_of(automaton: TauAutomaton) -> ChainGraph:
     return ChainGraph(tuple(automaton.states), labels, groups)
 
 
-def compose(first: ChainGraph, second: ChainGraph) -> ChainGraph:
-    """Two-layer composition; parallel edges merged by (target, payoff)."""
-    if first.states != second.states:
+def compose(*layers: ChainGraph) -> ChainGraph:
+    """Composition of one or more layers, outermost first.
+
+    Parallel edges are merged by (target, payoff) and sorted that way.  The
+    composition runs on the integer forms: probability numerators multiply
+    over the product of the denominators and payoff numerators add over the
+    lcm of the lattices, so the ``Fraction``s are built once, for the result.
+    One layer is returned as it is.
+    """
+    if not layers:
+        raise ValueError("a composition needs at least one layer")
+    first = layers[0]
+    if any(layer.states != first.states for layer in layers[1:]):
         raise ValueError("layer composition requires identical state spaces")
-    groups = []
-    for i in range(first.n):
-        merged: dict[tuple[int, Fraction], Fraction] = {}
-        for e1 in first.edges[i]:
-            for e2 in second.edges[e1.target]:
-                key = (e2.target, e1.payoff + e2.payoff)
-                merged[key] = merged.get(key, Fraction(0)) + e1.prob * e2.prob
-        groups.append(
-            tuple(
-                ChainEdge(t, prob, payoff)
-                for (t, payoff), prob in sorted(merged.items())
-            )
-        )
-    return ChainGraph(first.states, first.state_labels, tuple(groups))
+    if len(layers) == 1:
+        return first
+    form = first.integer_form
+    den, lattice = form.denominator, form.lattice
+    rows = [[((t, v), p) for t, p, v in row] for row in form.rows]
+    for layer in layers[1:]:
+        nxt = layer.integer_form
+        joint = lcm(lattice, nxt.lattice)
+        up, up_next = joint // lattice, joint // nxt.lattice
+        next_rows = [[(t, p, v * up_next) for t, p, v in row] for row in nxt.rows]
+        merged_rows = []
+        for row in rows:
+            merged: dict[tuple[int, int], int] = {}
+            for (t1, v1), p1 in row:
+                v1 *= up
+                for t2, p2, v2 in next_rows[t1]:
+                    key = (t2, v1 + v2)
+                    merged[key] = merged.get(key, 0) + p1 * p2
+            merged_rows.append(merged.items())
+        rows, den, lattice = merged_rows, den * nxt.denominator, joint
+    prob = cache(partial(Fraction, denominator=den))
+    pay = cache(partial(Fraction, denominator=lattice))
+    groups = tuple(
+        tuple(ChainEdge(t, prob(p), pay(v)) for (t, v), p in sorted(row)) for row in rows
+    )
+    return ChainGraph(first.states, first.state_labels, groups)
 
 
 def digit_chains(
@@ -178,7 +254,7 @@ def product_chain(
             raise ValueError("digit block length must equal the number of layers")
     if not digits:
         raise ValueError("a product chain needs at least one layer")
-    return reduce(compose, digit_chains(sub, gamma, digits))
+    return compose(*digit_chains(sub, gamma, digits))
 
 
 # ---------------------------------------------------------------------------
@@ -323,21 +399,27 @@ def transient_states(chain: ChainGraph, classes: Sequence[RecurrentClass]) -> li
     return [s for s in range(chain.n) if s not in recurrent]
 
 
+def _numerators(values: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
+    """Integer numerators of rationals over their least common denominator."""
+    den = lcm(*(q.denominator for q in values.values()))
+    return {s: q.numerator * (den // q.denominator) for s, q in values.items()}, den
+
+
 def _stationary(chain: ChainGraph, states: Sequence[int]) -> dict[int, Fraction]:
     """Unique stationary distribution of a closed class, exact solve."""
+    form = chain.integer_form
     local = {s: i for i, s in enumerate(states)}
     k = len(states)
-    # rows: (P^T - I) pi = 0 plus normalization sum(pi) = 1
-    a = [[Fraction(0)] * k for _ in range(k + 1)]
+    # rows: D (P^T - I) pi = 0 plus normalization sum(pi) = 1, all integers
+    a = [[0] * k for _ in range(k + 1)]
     for s in states:
-        for e in chain.edges[s]:
-            a[local[e.target]][local[s]] += e.prob
+        j = local[s]
+        for t, p, _ in form.rows[s]:
+            a[local[t]][j] += p
     for i in range(k):
-        a[i][i] -= 1
-    b = [Fraction(0)] * k
-    a[k] = [Fraction(1)] * k
-    b.append(Fraction(1))
-    x = linalg.solve_consistent(a, b)
+        a[i][i] -= form.denominator
+    a[k] = [1] * k
+    x = linalg.solve_consistent(a, [0] * k + [1])
     if not all(v > 0 for v in x):
         raise ValueError("stationary distribution of a class must be positive")
     return {s: x[local[s]] for s in states}
@@ -345,12 +427,10 @@ def _stationary(chain: ChainGraph, states: Sequence[int]) -> dict[int, Fraction]
 
 def expected_payoff(chain: ChainGraph, cls: RecurrentClass) -> Fraction:
     """Stationary expectation of the edge payoff, exact."""
-    total = Fraction(0)
-    for s in cls.states:
-        pi = cls.stationary[s]
-        for e in chain.edges[s]:
-            total += pi * e.prob * e.payoff
-    return total
+    form = chain.integer_form
+    pi, den = _numerators(cls.stationary)
+    total = sum(pi[s] * sum(p * v for _, p, v in form.rows[s]) for s in cls.states)
+    return Fraction(total, den * form.denominator * form.lattice)
 
 
 def coboundary_on_class(chain: ChainGraph, states: Sequence[int]) -> tuple[bool, dict]:
@@ -360,30 +440,31 @@ def coboundary_on_class(chain: ChainGraph, states: Sequence[int]) -> tuple[bool,
     class edge; on failure returns a directed cycle with nonzero payoff sum
     (such a cycle can be iterated, so path sums are unbounded).
     """
+    form = chain.integer_form
+    rows = form.rows
     members = set(states)
     root = min(states)
-    h: dict[int, Fraction] = {root: Fraction(0)}
+    h: dict[int, int] = {root: 0}  # potentials in payoff lattice units
     parent: dict[int, tuple[int, ChainEdge]] = {}
-    order = [root]
     frontier = [root]
     while frontier:
         v = frontier.pop()
-        for e in chain.edges[v]:
-            if e.target in members and e.target not in h:
-                h[e.target] = h[v] + e.payoff
-                parent[e.target] = (v, e)
-                order.append(e.target)
-                frontier.append(e.target)
+        for e, (t, _, pay) in zip(chain.edges[v], rows[v]):
+            if t in members and t not in h:
+                h[t] = h[v] + pay
+                parent[t] = (v, e)
+                frontier.append(t)
     if len(h) != len(members):
         raise ValueError("class must be strongly connected")
+    potential = {s: Fraction(x, form.lattice) for s, x in h.items()}
     for v in states:
-        for e in chain.edges[v]:
-            if e.target not in members:
-                continue
-            if h[e.target] - h[v] != e.payoff:
-                cycle, payoffs, total = _nonzero_cycle_through(chain, members, h, parent, v, e)
+        for e, (t, _, pay) in zip(chain.edges[v], rows[v]):
+            if t in members and h[t] - h[v] != pay:
+                cycle, payoffs, total = _nonzero_cycle_through(
+                    chain, members, potential, parent, v, e
+                )
                 return False, {"cycle": cycle, "payoffs": payoffs, "sum": total}
-    return True, {"potential": h}
+    return True, {"potential": potential}
 
 
 def _tree_path(
@@ -462,33 +543,38 @@ def asymptotic_variance(chain: ChainGraph, cls: RecurrentClass) -> Fraction:
     mean = expected_payoff(chain, cls)
     if mean != 0:
         raise ValueError(f"class has nonzero stationary mean {mean}")
-    h = _poisson_solution(chain, cls.states)
-    total = Fraction(0)
+    form = chain.integer_form
+    lattice = form.lattice
+    h, h_den = _numerators(_poisson_solution(chain, cls.states))
+    pi, pi_den = _numerators(cls.stationary)
+    # an increment is (v h_den + (h(t) - h(s)) L) / (L h_den)
+    total = 0
     for s in cls.states:
-        pi = cls.stationary[s]
-        for e in chain.edges[s]:
-            incr = e.payoff + h[e.target] - h[s]
-            total += pi * e.prob * incr * incr
-    return total
+        hs = h[s]
+        acc = 0
+        for t, p, v in form.rows[s]:
+            incr = v * h_den + (h[t] - hs) * lattice
+            acc += p * incr * incr
+        total += pi[s] * acc
+    return Fraction(total, pi_den * form.denominator * (lattice * h_den) ** 2)
 
 
 def _poisson_solution(chain: ChainGraph, states: Sequence[int]) -> dict[int, Fraction]:
     """h with (I - P) h = mean payoff per state on a class, h(root) = 0."""
+    form = chain.integer_form
     local = {s: i for i, s in enumerate(states)}
     k = len(states)
-    gbar = [Fraction(0)] * k
-    for s in states:
-        for e in chain.edges[s]:
-            gbar[local[s]] += e.prob * e.payoff
-    # (I - P) h = gbar with h(root) = 0 pinned; consistent since pi.gbar = 0
-    a = [[Fraction(0)] * k for _ in range(k + 1)]
+    # D L (I - P) h = D L gbar with h(root) = 0 pinned; consistent since
+    # pi.gbar = 0
+    a = [[0] * k for _ in range(k + 1)]
+    b = [0] * (k + 1)
     for s in states:
         i = local[s]
-        a[i][i] += 1
-        for e in chain.edges[s]:
-            a[i][local[e.target]] -= e.prob
-    a[k][0] = Fraction(1)
-    b = gbar + [Fraction(0)]
+        a[i][i] += form.denominator * form.lattice
+        for t, p, v in form.rows[s]:
+            a[i][local[t]] -= p * form.lattice
+            b[i] += p * v
+    a[k][0] = 1
     h = linalg.solve_consistent(a, b)
     return {s: h[local[s]] for s in states}
 
@@ -506,16 +592,18 @@ def absorption_probabilities(
     trans = transient_states(chain, classes)
     t_index = {s: i for i, s in enumerate(trans)}
     nt = len(trans)
-    # (I - Q) B = R for every class at once: one elimination of [I - Q | R]
-    aug = [[Fraction(0)] * (nt + len(classes)) for _ in range(nt)]
+    # D (I - Q) B = D R for every class at once: one elimination of
+    # [D (I - Q) | D R], on integers
+    form = chain.integer_form
+    aug = [[0] * (nt + len(classes)) for _ in range(nt)]
     for s in trans:
         i = t_index[s]
-        aug[i][i] += 1
-        for e in chain.edges[s]:
-            if e.target in t_index:
-                aug[i][t_index[e.target]] -= e.prob
+        aug[i][i] += form.denominator
+        for t, p, _ in form.rows[s]:
+            if t in t_index:
+                aug[i][t_index[t]] -= p
             else:
-                aug[i][nt + class_of[e.target]] += e.prob
+                aug[i][nt + class_of[t]] += p
     red, pivots = linalg.rref(aug)
     if pivots[:nt] != list(range(nt)):
         raise ValueError("I - Q must be invertible on the transient states")
@@ -532,13 +620,15 @@ def absorption_probabilities(
     return out
 
 
-def ergodic_coefficient(p: Sequence[Sequence[Fraction]]) -> Fraction:
+def ergodic_coefficient(p: Sequence[Sequence], denominator: int = 1) -> Fraction:
     """Dobrushin coefficient 1 - max_{a,b,c} |p(a,c) - p(b,c)|, exact.
 
-    The inner maximum over row pairs is the range max_a p(a,c) - min_a
-    p(a,c) of column c, so one pass over the columns suffices.
+    ``p`` holds the transition probabilities, or integer numerators over
+    ``denominator``.  The inner maximum over row pairs is the range max_a
+    p(a,c) - min_a p(a,c) of column c, so one pass over the columns suffices.
     """
-    return 1 - max((max(col) - min(col) for col in zip(*p)), default=Fraction(0))
+    spread = max((max(col) - min(col) for col in zip(*p)), default=0)
+    return 1 - Fraction(spread, denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +733,7 @@ def chain_report(
     initial: Mapping[int, Fraction] | None = None,
 ) -> dict:
     """Full JSON-ready classification of a chain."""
+    form = chain.integer_form
     classes = recurrent_classes(chain)
     report_classes = []
     for cls in classes:
@@ -663,7 +754,9 @@ def chain_report(
         "weak_components": len(weakly_connected_components(chain)),
         "classes": report_classes,
         "transient": [chain.state_labels[s] for s in transient_states(chain, classes)],
-        "ergodic_coefficient": str(ergodic_coefficient(chain.transition_matrix())),
+        "ergodic_coefficient": str(
+            ergodic_coefficient(form.transition_numerators(), form.denominator)
+        ),
     }
     if initial is not None:
         probs = absorption_probabilities(chain, classes, initial)

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subshift_lab.automata import (
+    AutomatonEdge,
     build_simplified_automaton,
     build_tau_automaton,
     is_strongly_non_synchronizable,
@@ -11,7 +14,9 @@ from subshift_lab.automata import (
 )
 from subshift_lab.substitution import (
     Substitution,
+    WeightVector,
     eigenvector_for,
+    gamma_of_word,
     matrix_of,
     parse_substitution,
 )
@@ -168,3 +173,59 @@ def test_strongly_nonsync_diagonal_is_disconnected(twist2):
             for e in chain.edges[i]:
                 ta, tv = chain.states[e.target]
                 assert tv[0] != ta
+
+
+# ---------------------------------------------------------------------------
+# integer prefix-sum payoffs against the gamma_of_word sums they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_edges(sub, gamma, tau, simplified):
+    """Edge groups with payoffs from two ``gamma_of_word`` sums per edge."""
+    d = len(sub.images[0])
+    n = sub.alphabet_size
+    if simplified:
+        states = [(a, (b,)) for a in range(n) for b in range(n)]
+    else:
+        states = [(a, (v1, v2)) for a in range(n) for v1 in range(n) for v2 in range(n)]
+    index = {s: i for i, s in enumerate(states)}
+    groups = []
+    for a, v in states:
+        img_a = sub.images[a]
+        img_v = b"".join(sub.images[b] for b in v)
+        out = []
+        for m in range(1, d + 1):
+            j = m + tau
+            if simplified:
+                target = (img_a[m - 1], (img_v[j - 1],))
+            else:
+                target = (img_a[m - 1], (img_v[j - 1], img_v[j]))
+            payoff = gamma_of_word(gamma, img_a[m:]) + gamma_of_word(gamma, img_v[: j - 1])
+            out.append(AutomatonEdge(index[(a, v)], m, index[target], payoff))
+        groups.append(tuple(out))
+    return tuple(groups)
+
+
+@st.composite
+def weighted_substitutions(draw):
+    """Constant-length substitutions on 1-3 letters with a rational weight
+    vector; the automata do not need it to be an eigenvector."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 5))
+    images = [draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d)) for _ in range(n)]
+    values = draw(
+        st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=12), min_size=n, max_size=n
+        ).filter(any)
+    )
+    return Substitution.from_words(images), WeightVector(tuple(values), Fraction(1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_substitutions(), st.data())
+def test_automaton_payoffs_match_gamma_of_word(sub_gamma, data):
+    sub, gamma = sub_gamma
+    d = len(sub.images[0])
+    tau = data.draw(st.integers(0, d - 1))
+    assert build_tau_automaton(sub, gamma, tau).edges == _reference_edges(sub, gamma, tau, False)
+    assert build_simplified_automaton(sub, gamma).edges == _reference_edges(sub, gamma, 0, True)

@@ -1,11 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from subshift_lab.cli import main
+from subshift_lab.cli import build_parser, main
 
 
 def run_cli(args):
@@ -265,9 +267,24 @@ def test_dist_exact_stdout_is_pinned(args, digest):
             ["analyze", "--inline", "1: 12; 2: 13; 3: 23"],
             "b1598172dbd5041f345a64b85ffb22582747141be1ad6cdea8f99ff23cea2f62",
         ),
+        (
+            ["classify", "--inline", "1: 112; 2: 221", "--block", "1,0,2", "--t", "3/2"],
+            "21a13a8bad11f6538256da8c77c950d22e70e7689c290908294aca711835ff00",
+        ),
+        (
+            ["classify", "--inline", "1: 12; 2: 13; 3: 23", "--block", "1,0,1,1", "--t", "1"],
+            "399ce8c9e58efbb1c5f8d9d573130463322bd8f4d00a070cc27c68b932c22ede",
+        ),
+        (
+            # Monte Carlo law with the mixture prediction and its atom window
+            ["dist", "--inline", "1: 112; 2: 221", "--t", "7/3", "--n", "200",
+             "--samples", "20000", "--seed", "5"],
+            "05189f89f958bc3c60bd646bdddf2cd5abdbf98560747580ddf9a38ee50a53c6",
+        ),
     ],
     ids=["classify-twist2-tau", "classify-sync3-block", "classify-twist7-block",
-         "analyze-twist2", "analyze-sync3"],
+         "analyze-twist2", "analyze-sync3", "classify-twist2-block", "classify-sync3-block4",
+         "dist-mc-mixture"],
 )
 def test_exact_solve_stdout_is_pinned(args, digest):
     # stationary laws, variances, absorption weights, Dobrushin coefficients,
@@ -335,3 +352,35 @@ def test_main_entry_point(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out)["constant_length"] == 3
+
+
+IN_PROCESS_SEQUENCE = [
+    ["classify", "--inline", "1: 112; 2: 221", "--block", "1,0,2", "--t", "3/2"],
+    ["analyze", "--inline", "1: 12; 2: 13; 3: 23"],
+    ["classify", "--inline", "1: 112; 2: 221", "--block", "1,x"],  # exit 2, JSON error
+    ["dist", "--inline", "1: 112; 2: 221", "--t", "7/3", "--n", "60", "--samples", "3000"],
+    ["classify", "--inline", "1: 112; 2: 221", "--tau", "x"],  # exit 2, argparse usage
+]
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_in_process_calls_match_subprocesses():
+    # one parser serves every call of the process; no call may leave state
+    # in it that changes a later one
+    assert build_parser() is build_parser()
+    expected = []
+    for argv in IN_PROCESS_SEQUENCE:
+        proc = run_cli(argv)
+        expected.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in expected] == [0, 0, 2, 0, 2]
+    for _ in range(2):
+        assert [_run_in_process(argv) for argv in IN_PROCESS_SEQUENCE] == expected

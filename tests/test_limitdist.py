@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from subshift_lab.limitdist import (
+    ATOM_WINDOW_HORIZON,
     DigitStream,
     RandomDigitStream,
     SupportCapExceeded,
@@ -362,6 +363,14 @@ def twist5():
 
 
 @pytest.fixture(scope="module")
+def twist2half():
+    """twist2 with gamma = (1/2, -1/2): digit 1 layers pay halves, digits 0
+    and 2 integers, so the layer lattices differ."""
+    sub = parse_substitution("1: 112\n2: 221")
+    return sub, WeightVector((Fraction(1, 2), Fraction(-1, 2)), Fraction(1))
+
+
+@pytest.fixture(scope="module")
 def twist7():
     """1 -> 1112122, 2 -> 2221211: d = 7, with seven distinct layers."""
     sub = parse_substitution("1: 1112122\n2: 2221211")
@@ -382,6 +391,7 @@ ORACLE_CASES = [
     ("twist7", RandomDigitStream(7, 3), 30, (1, 15, 30)),
     # bounded support, so the packed ints are trimmed at every step
     ("twist2:diagonal", Fraction(1), 200, (0, 100, 200)),
+    ("twist2half", RandomDigitStream(3, 7), 40, (1, 20, 40)),
 ]
 
 
@@ -732,6 +742,55 @@ def test_mixture_prediction_multi_digit_period(twist2):
     assert mix.p0 + sum(c.weight for c in mix.components) == 1
     for comp in mix.components:
         assert comp.variance_per_step > 0
+
+
+HALF = (Fraction(1, 2), Fraction(-1, 2))
+# twist2's mixture laws as the code that built the atom window from a second
+# set of digit automata gave them: (gamma, t, p0, components as (weight,
+# variance per step, states, lattice step), atom states, window, lattice)
+MIXTURE_PINS = {
+    "t1": (None, Fraction(1), Fraction(1, 2), [(Fraction(1, 2), Fraction(8, 3), {2, 3, 4, 5}, 2)],
+           {0, 1, 6, 7}, (-2, 2), 1),
+    "t3/2": (None, Fraction(3, 2), 0, [(1, Fraction(4, 3), set(range(8)), 1)], set(), None, 1),
+    "t7/3": (None, Fraction(7, 3), Fraction(1, 2),
+             [(Fraction(1, 2), Fraction(8, 3), {2, 3, 4, 5}, 2)], {0, 1, 6, 7}, (-3, 3), 1),
+    "t4/3": (None, Fraction(4, 3), Fraction(5, 9),
+             [(Fraction(4, 9), Fraction(8, 3), {2, 3, 4, 5}, 2)], {0, 1, 6, 7}, (-3, 3), 1),
+    "half-t7/3": (HALF, Fraction(7, 3), Fraction(1, 2),
+                  [(Fraction(1, 2), Fraction(2, 3), {2, 3, 4, 5}, 1)], {0, 1, 6, 7},
+                  (Fraction(-3, 2), Fraction(3, 2)), 1),
+    "half-pre12-per001": (HALF, DigitStream(3, (1, 2), (0, 0, 1), tau0=2), 0,
+                          [(1, Fraction(1, 3), set(range(8)), 1)], set(), None, 2),
+    # layers on halves whose composed payoffs are integers: the lattice step
+    # counts in halves
+    "half-per11": (HALF, DigitStream(3, (), (1, 1), tau0=1), 0,
+                   [(1, Fraction(1, 3), set(range(8)), 2)], set(), None, 2),
+}
+
+
+@pytest.mark.parametrize("case", MIXTURE_PINS)
+def test_mixture_prediction_is_pinned(twist2, case):
+    sub, g = twist2
+    values, t, p0, comps, atoms, window, lattice = MIXTURE_PINS[case]
+    gamma = g if values is None else WeightVector(values, Fraction(1))
+    mix = mixture_prediction(sub, gamma, t)
+    assert mix.p0 == p0
+    assert [
+        (c.weight, c.variance_per_step, set(c.states), c.lattice_step) for c in mix.components
+    ] == comps
+    assert mix.dirac_states == atoms
+    assert mix.dirac_window == window
+    assert mix.lattice == lattice
+    if atoms:
+        # the window from layers built afresh for the first horizon steps
+        plan = mix.plan
+        horizon = len(plan.preperiod) + (ATOM_WINDOW_HORIZON // len(plan.period)) * len(
+            plan.period
+        )
+        layers = layer_chains(sub, gamma, plan, horizon)
+        init = initial_distribution(sub, gamma, plan.tau0)
+        dist = exact_sum_distribution(layers, init, horizon)
+        assert dist.restricted_to_states(atoms).support_bounds() == window
 
 
 def test_gof_small(twist2):

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subshift_lab import linalg
@@ -10,6 +11,7 @@ from subshift_lab.automata import build_simplified_automaton, build_tau_automato
 from subshift_lab.markov import (
     ChainEdge,
     ChainGraph,
+    _poisson_solution,
     _stationary,
     absorption_probabilities,
     asymptotic_variance,
@@ -44,16 +46,13 @@ SYNC3 = "1: 12\n2: 13\n3: 23"
 
 
 @st.composite
-def hypothesis_digit_chains(draw):
-    """Composed chains of 1-3 digit automata with a unit eigenvalue.
-
-    Either sync3, or two letters over length d whose images hold a and
-    a - theta zeros: the occurrence matrix then has the eigenvalues d and
-    theta = +-1.
-    """
+def unit_eigenvalue_substitutions(draw):
+    """sync3, or two letters over length d whose images hold a and a - theta
+    zeros: the occurrence matrix then has the eigenvalues d and theta = +-1.
+    Returns the substitution and its theta-eigenvector."""
     if draw(st.booleans()):
         sub = parse_substitution(SYNC3)
-        theta, d = 1, 2
+        theta = 1
     else:
         d = draw(st.integers(2, 5))
         theta = draw(st.sampled_from([1, -1]))
@@ -63,7 +62,14 @@ def hypothesis_digit_chains(draw):
             draw(st.permutations([0] * zeros + [1] * (d - zeros))) for zeros in (a, a - theta)
         ]
         sub = Substitution.from_words(images)
-    gamma = eigenvector_for(matrix_of(sub), theta)
+    return sub, eigenvector_for(matrix_of(sub), theta)
+
+
+@st.composite
+def hypothesis_digit_chains(draw):
+    """Composed chains of 1-3 digit automata with a unit eigenvalue."""
+    sub, gamma = draw(unit_eigenvalue_substitutions())
+    d = len(sub.images[0])
     digits = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=3))
     return product_chain(sub, gamma, len(digits), digits)
 
@@ -89,6 +95,17 @@ def test_chain_probabilities(twist2):
 def test_chain_rejects_bad_rows():
     with pytest.raises(ValueError):
         small_chain({0: [(0, Fraction(1, 2), 0)]}, 1)
+
+
+def test_chain_row_sum_message_names_state_and_sum():
+    edges = {
+        0: [(1, 1, 0)],
+        1: [(0, Fraction(1, 2), Fraction(1, 3)), (1, Fraction(1, 3), 0)],
+    }
+    with pytest.raises(ValueError, match=r"^outgoing probabilities at state 1 sum to 5/6 != 1$"):
+        small_chain(edges, 2)
+    with pytest.raises(ValueError, match=r"^outgoing probabilities at state 0 sum to 0 != 1$"):
+        small_chain({0: []}, 1)
 
 
 def test_single_state_chain():
@@ -601,3 +618,219 @@ def test_absorption_matches_per_column_solve_on_small_chains():
 @given(hypothesis_digit_chains())
 def test_absorption_matches_per_column_solve_on_digit_chains(chain):
     _assert_absorption_matches_per_column_solve(chain)
+
+
+# ---------------------------------------------------------------------------
+# the integer chain layer against the Fraction code it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_compose(first, second):
+    """Two-layer composition with one Fraction product and sum per edge."""
+    groups = []
+    for i in range(first.n):
+        merged = {}
+        for e1 in first.edges[i]:
+            for e2 in second.edges[e1.target]:
+                key = (e2.target, e1.payoff + e2.payoff)
+                merged[key] = merged.get(key, Fraction(0)) + e1.prob * e2.prob
+        groups.append(
+            tuple(ChainEdge(t, prob, payoff) for (t, payoff), prob in sorted(merged.items()))
+        )
+    return ChainGraph(first.states, first.state_labels, tuple(groups))
+
+
+def _reference_transition_matrix(chain):
+    p = [[Fraction(0)] * chain.n for _ in range(chain.n)]
+    for i, group in enumerate(chain.edges):
+        for e in group:
+            p[i][e.target] += e.prob
+    return p
+
+
+def _reference_stationary(chain, states):
+    local = {s: i for i, s in enumerate(states)}
+    k = len(states)
+    a = [[Fraction(0)] * k for _ in range(k + 1)]
+    for s in states:
+        for e in chain.edges[s]:
+            a[local[e.target]][local[s]] += e.prob
+    for i in range(k):
+        a[i][i] -= 1
+    a[k] = [Fraction(1)] * k
+    x = linalg.solve_consistent(a, [Fraction(0)] * k + [Fraction(1)])
+    return {s: x[local[s]] for s in states}
+
+
+def _reference_expected_payoff(chain, cls):
+    total = Fraction(0)
+    for s in cls.states:
+        pi = cls.stationary[s]
+        for e in chain.edges[s]:
+            total += pi * e.prob * e.payoff
+    return total
+
+
+def _reference_poisson_solution(chain, states):
+    local = {s: i for i, s in enumerate(states)}
+    k = len(states)
+    gbar = [Fraction(0)] * k
+    for s in states:
+        for e in chain.edges[s]:
+            gbar[local[s]] += e.prob * e.payoff
+    a = [[Fraction(0)] * k for _ in range(k + 1)]
+    for s in states:
+        i = local[s]
+        a[i][i] += 1
+        for e in chain.edges[s]:
+            a[i][local[e.target]] -= e.prob
+    a[k][0] = Fraction(1)
+    h = linalg.solve_consistent(a, gbar + [Fraction(0)])
+    return {s: h[local[s]] for s in states}
+
+
+def _reference_asymptotic_variance(chain, cls):
+    assert _reference_expected_payoff(chain, cls) == 0
+    h = _reference_poisson_solution(chain, cls.states)
+    total = Fraction(0)
+    for s in cls.states:
+        pi = cls.stationary[s]
+        for e in chain.edges[s]:
+            incr = e.payoff + h[e.target] - h[s]
+            total += pi * e.prob * incr * incr
+    return total
+
+
+def _centered(chain, classes):
+    """The chain with each class's stationary mean taken off its payoffs."""
+    shift = {s: expected_payoff(chain, cls) for cls in classes for s in cls.states}
+    groups = tuple(
+        tuple(ChainEdge(e.target, e.prob, e.payoff - shift.get(s, 0), e.label) for e in group)
+        for s, group in enumerate(chain.edges)
+    )
+    return ChainGraph(chain.states, chain.state_labels, groups)
+
+
+def _assert_class_analysis_matches_reference(chain):
+    assert chain.transition_matrix() == _reference_transition_matrix(chain)
+    form = chain.integer_form
+    assert ergodic_coefficient(form.transition_numerators(), form.denominator) == (
+        ergodic_coefficient(_reference_transition_matrix(chain))
+    )
+    classes = recurrent_classes(chain)
+    for cls in classes:
+        # equal values in the same state order
+        assert list(cls.stationary.items()) == list(
+            _reference_stationary(chain, cls.states).items()
+        )
+        assert expected_payoff(chain, cls) == _reference_expected_payoff(chain, cls)
+    centered = _centered(chain, classes)
+    for cls in recurrent_classes(centered):
+        assert list(_poisson_solution(centered, cls.states).items()) == list(
+            _reference_poisson_solution(centered, cls.states).items()
+        )
+        assert asymptotic_variance(centered, cls) == _reference_asymptotic_variance(centered, cls)
+
+
+@st.composite
+def digit_layer_lists(draw):
+    """The chains of 1-4 digit automata of one unit-eigenvalue substitution."""
+    sub, gamma = draw(unit_eigenvalue_substitutions())
+    d = len(sub.images[0])
+    digits = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=4))
+    return digit_chains(sub, gamma, digits)
+
+
+@st.composite
+def hand_built_layers(draw):
+    """Two or three layers on 1-4 shared states, with non-uniform
+    probabilities (so D is no power of a digit count) and payoffs over
+    halves in the first layer and over thirds after it (so the lattices of
+    composed layers differ and L != 1)."""
+    n = draw(st.integers(1, 4))
+
+    def layer(denominators):
+        groups = []
+        for _ in range(n):
+            k = draw(st.integers(1, 3))
+            weights = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+            targets = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+            pays = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+            den = draw(st.sampled_from(denominators))
+            groups.append(
+                tuple(
+                    ChainEdge(t, Fraction(w, sum(weights)), Fraction(v, den))
+                    for t, w, v in zip(targets, weights, pays)
+                )
+            )
+        return ChainGraph(tuple(range(n)), tuple(map(str, range(n))), tuple(groups))
+
+    count = draw(st.integers(2, 3))
+    return [layer([1, 2, 4])] + [layer([1, 3, 9]) for _ in range(count - 1)]
+
+
+def _assert_compose_matches_reference(layers):
+    composed = compose(*layers)
+    # the same ChainEdges (prob, payoff, empty label) in the same order
+    assert composed.edges == reduce(_reference_compose, layers).edges
+    if len(layers) == 2:
+        assert composed.edges == _reference_compose(*layers).edges
+
+
+@settings(max_examples=30, deadline=None)
+@given(digit_layer_lists())
+def test_compose_matches_reference_on_digit_layers(layers):
+    if len(layers) == 1:
+        assert compose(*layers) is layers[0]
+    else:
+        _assert_compose_matches_reference(layers)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hand_built_layers())
+def test_compose_matches_reference_on_hand_built_layers(layers):
+    _assert_compose_matches_reference(layers)
+    _assert_compose_matches_reference(layers[:2])
+
+
+@settings(max_examples=30, deadline=None)
+@given(digit_layer_lists())
+def test_class_analysis_matches_reference_on_digit_chains(layers):
+    _assert_class_analysis_matches_reference(compose(*layers))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hand_built_layers())
+def test_class_analysis_matches_reference_on_hand_built_chains(layers):
+    _assert_class_analysis_matches_reference(layers[0])
+    _assert_class_analysis_matches_reference(compose(*layers))
+
+
+def test_hand_built_composition_has_a_mixed_lattice():
+    # the case the hypothesis properties exercise: D != d**N and L != 1
+    first = small_chain(
+        {0: [(0, Fraction(1, 3), Fraction(1, 2)), (1, Fraction(2, 3), 0)], 1: [(0, 1, -1)]}, 2
+    )
+    second = small_chain(
+        {0: [(1, Fraction(3, 4), Fraction(1, 3)), (0, Fraction(1, 4), 0)], 1: [(1, 1, 0)]}, 2
+    )
+    composed = compose(first, second)
+    assert composed.edges == _reference_compose(first, second).edges
+    form = composed.integer_form
+    assert (form.denominator, form.lattice) == (12, 6)
+    assert [(e.target, e.prob, e.payoff) for e in composed.edges[0]] == [
+        (0, Fraction(1, 12), Fraction(1, 2)),
+        (1, Fraction(2, 3), 0),
+        (1, Fraction(1, 4), Fraction(5, 6)),
+    ]
+    _assert_class_analysis_matches_reference(composed)
+
+
+def test_compose_rejects_mismatched_states_and_no_layers(twist2):
+    sub, g = twist2
+    tau = chain_of(build_tau_automaton(sub, g, 1))
+    simple = chain_of(build_simplified_automaton(sub, g))
+    with pytest.raises(ValueError, match="identical state spaces"):
+        compose(tau, simple)
+    with pytest.raises(ValueError, match="at least one layer"):
+        compose()
