@@ -23,7 +23,7 @@ from . import limitdist as ld
 from . import markov as mk
 from . import salem as salem_mod
 from .automata import build_simplified_automaton, build_tau_automaton
-from .prefix_suffix import build_ps_automaton, sample_point_with_coverage
+from .prefix_suffix import build_ps_automaton, sample_path_with_coverage
 from .substitution import (
     Substitution,
     WeightVector,
@@ -289,9 +289,9 @@ def cmd_bounds(args) -> int:
     for k in range(args.points):
         seed = args.seed + k
         try:
-            point = sample_point_with_coverage(sub, seed, min_right=horizon, min_left=horizon)
-            fwd = bounds_mod.liminf_probe(sub, gamma, point, horizon)
-            rev = bounds_mod.liminf_probe(sub, gamma, point, horizon, reverse=True)
+            path = sample_path_with_coverage(sub, seed, min_right=horizon, min_left=horizon)
+            fwd = bounds_mod.census_probe(sub, gamma, path, horizon)
+            rev = bounds_mod.census_probe(sub, gamma, path, horizon, reverse=True)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         worst = max(worst, fwd, rev)

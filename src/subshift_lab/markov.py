@@ -20,7 +20,7 @@ at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import gcd, lcm
@@ -76,6 +76,8 @@ class ChainGraph:
     states: tuple
     state_labels: tuple[str, ...]
     edges: tuple[tuple[ChainEdge, ...], ...]
+    # the integer form when the builder already holds it (``compose``)
+    _form: IntegerForm | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         form = self.integer_form
@@ -89,6 +91,8 @@ class ChainGraph:
     def integer_form(self) -> IntegerForm:
         """The least common denominators of the probabilities (D) and of the
         payoffs (L), and every edge's numerators over them."""
+        if self._form is not None:
+            return self._form
         den = lcm(*(e.prob.denominator for group in self.edges for e in group))
         lattice = lcm(*(e.payoff.denominator for group in self.edges for e in group))
         rows = tuple(
@@ -206,12 +210,20 @@ def compose(*layers: ChainGraph) -> ChainGraph:
                     merged[key] = merged.get(key, 0) + p1 * p2
             merged_rows.append(merged.items())
         rows, den, lattice = merged_rows, den * nxt.denominator, joint
+    rows = [sorted(row) for row in rows]
+    # reduce to the least denominators, as ``integer_form`` would build them
+    p_gcd = gcd(den, *(p for row in rows for _, p in row))
+    v_gcd = gcd(lattice, *(v for row in rows for (_, v), _ in row))
+    den, lattice = den // p_gcd, lattice // v_gcd
+    form = IntegerForm(
+        den,
+        lattice,
+        tuple(tuple((t, p // p_gcd, v // v_gcd) for (t, v), p in row) for row in rows),
+    )
     prob = cache(partial(Fraction, denominator=den))
     pay = cache(partial(Fraction, denominator=lattice))
-    groups = tuple(
-        tuple(ChainEdge(t, prob(p), pay(v)) for (t, v), p in sorted(row)) for row in rows
-    )
-    return ChainGraph(first.states, first.state_labels, groups)
+    groups = tuple(tuple(ChainEdge(t, prob(p), pay(v)) for t, p, v in row) for row in form.rows)
+    return ChainGraph(first.states, first.state_labels, groups, form)
 
 
 def digit_chains(
@@ -543,6 +555,11 @@ def asymptotic_variance(chain: ChainGraph, cls: RecurrentClass) -> Fraction:
     mean = expected_payoff(chain, cls)
     if mean != 0:
         raise ValueError(f"class has nonzero stationary mean {mean}")
+    return _poisson_variance(chain, cls)
+
+
+def _poisson_variance(chain: ChainGraph, cls: RecurrentClass) -> Fraction:
+    """``asymptotic_variance`` of a class already known to have mean zero."""
     form = chain.integer_form
     lattice = form.lattice
     h, h_den = _numerators(_poisson_solution(chain, cls.states))
@@ -746,7 +763,7 @@ def chain_report(
             "expected_payoff": str(mean),
         }
         if mean == 0:
-            entry["variance"] = str(asymptotic_variance(chain, cls))
+            entry["variance"] = str(_poisson_variance(chain, cls))
         report_classes.append(entry)
     report = {
         "n_states": chain.n,

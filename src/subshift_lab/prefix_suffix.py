@@ -120,7 +120,9 @@ class SymbolicPoint:
     base: int
 
 
-def _check_path(sub: Substitution, path: tuple[PSTriple, ...]) -> None:
+def check_path(sub: Substitution, path: tuple[PSTriple, ...]) -> None:
+    """Raise ``ValueError`` unless the path is nonempty, each triple splits
+    its parent's image and each level's parent is the next level's center."""
     if not path:
         raise ValueError("path must contain at least one triple")
     for t in path:
@@ -137,7 +139,7 @@ def point_from_path(sub: Substitution, path, window: int) -> SymbolicPoint:
     left by lazy truncated expansion; never expands beyond the cap.
     """
     path = tuple(path)
-    _check_path(sub, path)
+    check_path(sub, path)
     if window < 0:
         raise ValueError("window must be >= 0")
     right_parts: list[Word] = []
@@ -176,7 +178,7 @@ def sample_point(
     path = _random_path(sub, depth, seed)
     if window is None:
         # full determined length on the larger side
-        window = max(_determined_lengths(sub, path))
+        window = max(determined_lengths(sub, path))
     return point_from_path(sub, path, window)
 
 
@@ -196,7 +198,7 @@ def _random_path(sub: Substitution, depth: int, seed: int) -> tuple[PSTriple, ..
     return tuple(reversed(path_rev))
 
 
-def _determined_lengths(sub: Substitution, path) -> tuple[int, int]:
+def determined_lengths(sub: Substitution, path) -> tuple[int, int]:
     """(right, left): the letters the path determines on each side, computed
     from the letter lengths |sigma^k(b)| without expanding any word."""
     right, left = 1, 0
@@ -221,7 +223,7 @@ def periodic_tail_point(
     checked exactly against ``factor_blocks``; else ``ValueError``.
     """
     path = tuple(path)
-    _check_path(sub, path)
+    check_path(sub, path)
     # least q with sigma^q(tail_letter) starting at tail_letter again
     first = tail_letter
     q = 0
@@ -253,21 +255,20 @@ def periodic_tail_point(
     return SymbolicPoint(sub, path, determined.left, right, determined.depth, determined.base)
 
 
-def sample_point_with_coverage(
+def sample_path_with_coverage(
     sub: Substitution,
     seed: int,
     min_right: int,
     min_left: int = 0,
-) -> SymbolicPoint:
-    """Sample points of increasing depth until the window covers the request.
+) -> tuple[PSTriple, ...]:
+    """Sample paths of increasing depth until one determines the request.
 
     Each attempt's path is drawn as ``sample_point`` draws it, and the
-    letters it determines are read from the letter lengths; only the first
-    path that covers the request is materialized.  Raises ``ValueError``
-    before sampling when the letter lengths stop growing below
-    ``min_right + min_left`` or are still below it at the deepest attempt's
-    depth, since no path drawn can then cover the request, and after the
-    last attempt when none covered it.
+    letters it determines are read from the letter lengths; no word is
+    expanded.  Raises ``ValueError`` before sampling when the letter lengths
+    stop growing below ``min_right + min_left`` or are still below it at the
+    deepest attempt's depth, since no path drawn can then cover the request,
+    and after the last attempt when none covered it.
     """
     d = max(len(img) for img in sub.images)
     start_depth = 2
@@ -294,7 +295,19 @@ def sample_point_with_coverage(
         )
     for attempt in range(attempts):
         path = _random_path(sub, start_depth + 2 * attempt, seed * 1009 + attempt)
-        right, left = _determined_lengths(sub, path)
+        right, left = determined_lengths(sub, path)
         if right >= min_right and left >= min_left:
-            return point_from_path(sub, path, max(min_right, min_left))
+            return path
     raise ValueError(f"{request} in {attempts} sampled paths of depth up to {deepest}")
+
+
+def sample_point_with_coverage(
+    sub: Substitution,
+    seed: int,
+    min_right: int,
+    min_left: int = 0,
+) -> SymbolicPoint:
+    """The point of ``sample_path_with_coverage``'s path, its window capped
+    at the larger request; raises the same ``ValueError``s."""
+    path = sample_path_with_coverage(sub, seed, min_right, min_left)
+    return point_from_path(sub, path, max(min_right, min_left))

@@ -18,14 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-import numpy as np
-
-from .bounds import liminf_constant, scaled_partial_sums
 from .linalg import poly_divmod, poly_eval
-from .prefix_suffix import SymbolicPoint
-from .substitution import Substitution, WeightVector, char_poly, matrix_of
+from .substitution import Substitution, char_poly, matrix_of
 
 
 def salem_substitution(n: int) -> Substitution:
@@ -124,47 +119,4 @@ def salem_check(n: int) -> SalemReport:
         s_value=(6 + n - root) / 2,
         t_value=(6 + n + root) / 2,
         salem=reciprocal and irreducible and s_low and s_high and t_above,
-    )
-
-
-@dataclass(frozen=True)
-class DivergenceProbe:
-    """Partial sums of exp(+-ergodic sums) with a certified lower bound."""
-
-    horizon: int
-    forward_sum: float  # sum of exp(-S_n) over the right window
-    backward_sum: float  # sum of exp(+S_n) over the left window
-    count_below_c: int
-    bound_c: Fraction
-    certified_lower_bound: float  # count * exp(-C) <= forward + backward
-
-
-def divergence_probe(
-    sub: Substitution, gamma: WeightVector, point: SymbolicPoint, horizon: int
-) -> DivergenceProbe:
-    """Partial sums of exp(-S_n(right)) and exp(S_n(left)) up to the horizon.
-
-    Every index with |S_n| < C contributes a term of at least exp(-C), so
-    ``count_below_c * exp(-C)`` certifies growth of the series; boundedness
-    of the returned sums over growing horizons would be required for a
-    semi-conjugacy with wandering intervals, and the liminf bound rules that
-    out.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    c = liminf_constant(sub, gamma)
-    if horizon == 0:
-        return DivergenceProbe(0, 0.0, 0.0, 0, c, 0.0)
-
-    def sums_over(window: bytes) -> np.ndarray:
-        sums, denom = scaled_partial_sums(gamma, window)
-        return sums / denom
-
-    right = sums_over(point.right[:horizon])
-    left = sums_over(point.left[::-1][:horizon])
-    forward = float(np.exp(-right).sum())
-    backward = float(np.exp(left).sum())
-    count = int((np.abs(right) < float(c)).sum()) + int((np.abs(left) < float(c)).sum())
-    return DivergenceProbe(
-        horizon, forward, backward, count, c, count * math.exp(-float(c))
     )

@@ -3,20 +3,28 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subshift_lab.bounds import (
+    _nearest_bit,
     bounded_prefixes,
+    census_probe,
     liminf_constant,
     liminf_probe,
-    scaled_partial_sums,
 )
 from subshift_lab.prefix_suffix import (
+    PSTriple,
     build_ps_automaton,
+    determined_lengths,
+    periodic_tail_point,
     point_from_path,
+    sample_path_with_coverage,
     sample_point,
     sample_point_with_coverage,
 )
 from subshift_lab.substitution import (
+    Substitution,
     WeightVector,
     eigenvector_for,
     gamma_of_word,
@@ -24,6 +32,33 @@ from subshift_lab.substitution import (
     parse_substitution,
     word,
 )
+
+
+def scaled_partial_sums(gamma: WeightVector, w: bytes) -> tuple[np.ndarray, int]:
+    """Running sums L*S_1, ..., L*S_n of gamma along w as int64, and L.
+
+    L is the lcm of gamma's denominators.  Raises ``ValueError`` unless
+    max|L*gamma| * |w| fits in int64, so no partial sum can wrap.
+    """
+    scaled, denom = gamma.scaled_integers()
+    bound = max(abs(v) for v in scaled) * len(w)
+    if bound > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"ergodic sums can reach {bound} units of 1/{denom}, beyond int64; "
+            "scale gamma down or shorten the horizon"
+        )
+    table = np.array(scaled, dtype=np.int64)
+    return np.cumsum(table[np.frombuffer(w, dtype=np.uint8)]), denom
+
+
+def window_probe(gamma: WeightVector, point, horizon: int, reverse: bool = False) -> Fraction:
+    """The probe the census replaced, as its oracle: min |S_n| over
+    n <= horizon by one int64 cumsum over the materialised window."""
+    window = point.left[::-1] if reverse else point.right
+    if len(window) < horizon:
+        raise ValueError(f"window of length {len(window)} does not cover horizon {horizon}")
+    sums, denom = scaled_partial_sums(gamma, window[:horizon])
+    return Fraction(int(np.abs(sums).min()), denom)
 
 
 @dataclass(frozen=True)
@@ -178,13 +213,18 @@ def test_probe_matches_naive_cumsum(twist2):
 def test_scaled_partial_sums_reject_int64_overflow(twist2):
     sub, _ = twist2
     big = WeightVector((Fraction(2**62), Fraction(-(2**62))), Fraction(1))
+    unit = WeightVector((Fraction(1), Fraction(-1)), Fraction(1))
     point = sample_point_with_coverage(sub, seed=0, min_right=729, min_left=729)
     with pytest.raises(ValueError, match="int64"):
         scaled_partial_sums(big, point.right[:2])
-    with pytest.raises(ValueError, match="int64"):
-        liminf_probe(sub, big, point, 729)
-    with pytest.raises(ValueError, match="int64"):
-        liminf_probe(sub, big, point, 729, reverse=True)
+    # the census sums Python ints: the probes are exact, 2**62 times the
+    # unit-gamma probes, where the window oracle can only refuse
+    for horizon in (1, 2, 100, 729):
+        for reverse in (False, True):
+            assert liminf_probe(sub, big, point, horizon, reverse) == 2**62 * liminf_probe(
+                sub, unit, point, horizon, reverse
+            )
+    assert liminf_probe(sub, big, point, 1) == 2**62
     # one letter of 2**62 still fits
     sums, denom = scaled_partial_sums(big, point.right[:1])
     assert abs(int(sums[0])) == 2**62 and denom == 1
@@ -219,3 +259,140 @@ def test_bounded_orbit_when_chain_coboundary_everywhere():
     sums = np.cumsum(table[letters])
     maxima = [np.abs(sums[: 3**k]).max() for k in range(3, 8)]
     assert len(set(int(m) for m in maxima)) == 1  # horizon independent
+
+
+# ---------------------------------------------------------------------------
+# the prefix-sum census against the window oracle
+# ---------------------------------------------------------------------------
+
+# (letter counts of each image, theta): occurrence matrices with an
+# eigenvalue of modulus one; any order of each image keeps the matrix, so
+# the substitution stays primitive and gamma stays its eigenvector.  In the
+# last four gamma's two values differ in size, so reading a block's
+# letters in the wrong order changes the sums; gamma = (3, -1) leaves gaps
+# of two values in the prefix-sum sets.
+_COUNT_SHAPES = [
+    ([[2, 1], [1, 2]], 1),  # constant length 3 (twist2)
+    ([[1, 2], [2, 1]], -1),  # constant length 3 (1: 122; 2: 211)
+    ([[2, 1], [2, 3]], 1),  # lengths 3 and 5 (1: 112; 2: 12212)
+    ([[1, 2], [3, 2]], -1),  # lengths 3 and 5 (1: 122; 2: 11122)
+    ([[1, 1, 0], [1, 0, 1], [0, 1, 1]], 1),  # constant length 2 (sync3)
+    ([[2, 2], [1, 3]], 1),  # constant length 4
+    ([[3, 1], [4, 3]], 1),  # lengths 4 and 7
+    ([[1, 4], [1, 1]], -1),  # lengths 5 and 2
+    ([[2, 3], [1, 4]], 1),  # constant length 5, gamma = (3, -1)
+]
+
+
+@st.composite
+def census_cases(draw):
+    """A unit-eigenvalue substitution, a rational multiple of its gamma, a
+    consistent path of depth 1-6, drawn level by level from the top, and
+    one horizon per side that the path determines (None for an empty side)."""
+    counts, theta = draw(st.sampled_from(_COUNT_SHAPES))
+    images = [
+        draw(st.permutations([b for b, k in enumerate(row) for _ in range(k)]))
+        for row in counts
+    ]
+    sub = Substitution.from_words(images)
+    base = eigenvector_for(matrix_of(sub), theta)
+    scale = draw(st.sampled_from([Fraction(1), Fraction(3, 7), Fraction(-5, 2)]))
+    gamma = WeightVector(tuple(v * scale for v in base.values), base.theta)
+    parent = draw(st.integers(0, sub.alphabet_size - 1))
+    top_down = []
+    for _ in range(draw(st.integers(1, 6))):
+        img = sub.image(parent)
+        pos = draw(st.integers(0, len(img) - 1))
+        top_down.append(PSTriple(parent, img[:pos], img[pos], img[pos + 1 :]))
+        parent = img[pos]
+    path = tuple(reversed(top_down))
+    cuts = [draw(st.integers(1, n)) if n else None for n in determined_lengths(sub, path)]
+    return sub, gamma, path, cuts
+
+
+@settings(max_examples=80, deadline=None)
+@given(census_cases())
+def test_census_probe_matches_window_oracle(case):
+    sub, gamma, path, (cut_right, cut_left) = case
+    right, left = determined_lengths(sub, path)
+    point = point_from_path(sub, path, max(right, left))
+    for reverse, determined, cut in ((False, right, cut_right), (True, left, cut_left)):
+        if determined == 0:
+            continue
+        # the first letter, a horizon that (mostly) cuts a block, all letters
+        for horizon in (1, cut, determined):
+            expected = window_probe(gamma, point, horizon, reverse)
+            assert census_probe(sub, gamma, path, horizon, reverse) == expected
+            assert liminf_probe(sub, gamma, point, horizon, reverse) == expected
+
+
+def test_nearest_bit_matches_brute_force():
+    for bits in range(1, 1 << 9):
+        for target in range(-3, 13):
+            expected = min(abs(i - target) for i in range(9) if bits >> i & 1)
+            assert _nearest_bit(bits, target) == expected
+
+
+def test_census_probe_cuts_blocks_at_every_horizon():
+    # every horizon of one point, so every block is cut at every position
+    sub = parse_substitution("1: 112\n2: 12212")
+    g = eigenvector_for(matrix_of(sub), 1)
+    path = sample_path_with_coverage(sub, seed=3, min_right=400, min_left=400)
+    point = point_from_path(sub, path, 400)
+    for reverse in (False, True):
+        for horizon in range(1, 401):
+            assert census_probe(sub, g, path, horizon, reverse) == window_probe(
+                g, point, horizon, reverse
+            )
+
+
+def test_census_probe_rejects_non_eigenvector(twist2):
+    # checked without assert, so python -O keeps it
+    sub, _ = twist2
+    g = WeightVector((Fraction(1), Fraction(0)), Fraction(1))
+    path = sample_path_with_coverage(sub, seed=0, min_right=50, min_left=50)
+    with pytest.raises(ValueError, match="not an eigenvector"):
+        census_probe(sub, g, path, 50)
+    with pytest.raises(ValueError, match="not an eigenvector"):
+        liminf_probe(sub, g, point_from_path(sub, path, 50), 50, reverse=True)
+
+
+def test_census_probe_rejects_eigenvalue_three(twist2):
+    sub, _ = twist2
+    g3 = eigenvector_for(matrix_of(sub), 3)
+    assert g3 is not None
+    path = sample_path_with_coverage(sub, seed=0, min_right=50)
+    with pytest.raises(ValueError, match="modulus one"):
+        census_probe(sub, g3, path, 50)
+
+
+def test_census_probe_rejects_horizon_past_the_path(twist2):
+    sub, g = twist2
+    path = sample_path_with_coverage(sub, seed=0, min_right=50, min_left=50)
+    right, left = determined_lengths(sub, path)
+    assert census_probe(sub, g, path, right) <= liminf_constant(sub, g)
+    with pytest.raises(ValueError, match=f"horizon {right + 1} runs past the {right} letters"):
+        census_probe(sub, g, path, right + 1)
+    with pytest.raises(ValueError, match=f"horizon {left + 1} runs past the {left} letters"):
+        census_probe(sub, g, path, left + 1, reverse=True)
+
+
+def test_liminf_probe_rejects_window_past_the_path(twist2):
+    # a periodic tail point's window runs past the one letter its path
+    # determines; the census reads only the path, so it refuses the point
+    sub, g = twist2
+    point = periodic_tail_point(sub, [PSTriple(0, word([0, 0]), 1, b"")], 0, window=100)
+    assert len(point.right) == 100
+    with pytest.raises(ValueError, match="window of length 100 runs past the 1 letters"):
+        liminf_probe(sub, g, point, 1)
+
+
+def test_census_probe_far_horizon(twist2, sync3):
+    # d**150 letters: the cost follows the path's depth, not the horizon
+    for sub, g in (twist2, sync3):
+        d = len(sub.images[0])
+        horizon = d**150
+        path = sample_path_with_coverage(sub, seed=1, min_right=horizon, min_left=horizon)
+        c = liminf_constant(sub, g)
+        assert census_probe(sub, g, path, horizon) < c
+        assert census_probe(sub, g, path, horizon, reverse=True) < c

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -72,18 +73,23 @@ def test_simulate_sums_beyond_int64_is_structured_error():
     assert "int64" in err["error"]
 
 
-def test_bounds_sums_beyond_int64_is_structured_error():
+def test_bounds_sums_beyond_int64_are_exact():
+    # the census sums Python ints, so a gamma whose sums leave int64 probes
+    # exactly: 2**62 times the unit-gamma probes
     big = 2**62
-    proc = run_cli(
-        [
-            "bounds", "--inline", "1: 112; 2: 221", "--gamma", f"{big},{-big}",
-            "--points", "2", "--horizon", "729",
-        ]
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    err = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert "int64" in err["error"]
+    probes = {}
+    for scale in (big, 1):
+        code, out, err = _run_in_process(
+            [
+                "bounds", "--inline", "1: 112; 2: 221", "--gamma", f"{scale},{-scale}",
+                "--points", "2", "--horizon", "729",
+            ]
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["all_below_C"] is True
+        probes[scale] = [(int(p["forward"]), int(p["reverse"])) for p in doc["probes"]]
+    assert probes[big] == [(big * f, big * r) for f, r in probes[1]]
 
 
 def test_bounds_unit_gamma_probes_zero():
@@ -317,6 +323,85 @@ def test_bounds_cli():
     assert doc["C"] == "4"
     assert doc["all_below_C"] is True
     assert len(doc["probes"]) == 3
+
+
+def test_bounds_far_horizon_reads_only_the_path():
+    # 3**150 letters: no window is built, so the probes take milliseconds
+    horizon = 3**150
+    code, out, err = _run_in_process(
+        ["bounds", "--inline", "1: 112; 2: 221", "--points", "2", "--horizon", str(horizon)]
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["horizon"] == horizon
+    assert len(doc["probes"]) == 2
+    c = Fraction(doc["C"])
+    assert all(Fraction(p[side]) < c for p in doc["probes"] for side in ("forward", "reverse"))
+    assert doc["all_below_C"] is True
+
+
+# stdout of the window-cumsum probes that the census replaced, byte for byte
+_BOUNDS_500 = "c1ad34d930a801c9689756b802968f9b5a485d6a35a7a4fdb8d40dc84f9ce484"
+_BOUNDS_6561 = "e76fbc63b61752938fb0a3cac093d8498501074f6cc2497ee18f834d13c35ae9"
+
+
+@pytest.mark.parametrize(
+    "inline, horizon, digest",
+    [
+        ("1: 112; 2: 221", ["--horizon", "500"], _BOUNDS_500),
+        ("1: 112; 2: 221", ["--horizon", "6561"], _BOUNDS_6561),
+        ("1: 112; 2: 221", [], _BOUNDS_6561),
+        (
+            "1: 12; 2: 13; 3: 23", ["--horizon", "500"],
+            "21d83440292e4c651e07b0c039a77a0277deac135ba233b45c464a5e21c6ef00",
+        ),
+        (
+            "1: 12; 2: 13; 3: 23", ["--horizon", "6561"],
+            "70c14cbea70fb3bab65acd26822b8a52688f73f9c82935952bacd63b02ae1a06",
+        ),
+        (
+            "1: 12; 2: 13; 3: 23", [],
+            "6e6d20579ba1011a730ddad15bbea9ec9a3dab04cb6cce440a50a8ff0640d906",
+        ),
+        ("1: 122; 2: 211", ["--horizon", "500"], _BOUNDS_500),
+        ("1: 122; 2: 211", ["--horizon", "6561"], _BOUNDS_6561),
+        ("1: 122; 2: 211", [], _BOUNDS_6561),
+    ],
+)
+def test_bounds_stdout_is_pinned(inline, horizon, digest):
+    code, out, err = _run_in_process(["bounds", "--inline", inline, *horizon])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["--inline", "1: 112; 2: 221", "--block", "0,1,2", "--t", "3/2"],
+            "0c10239a88ab388d3d82e04752c0e341f28113c0504c145bce84609ffe33b2c2",
+        ),
+        (
+            ["--inline", "1: 112; 2: 221", "--block", "2,2,0,1", "--t", "1"],
+            "c88c1064769d8207c3b09cfc57f97c8de6b3dd77e45fc06bb67e9e00a0fc0cd6",
+        ),
+        (
+            ["--inline", "1: 12; 2: 13; 3: 23", "--block", "1,0,1", "--t", "1"],
+            "a816a72a77096793a20a237bfd0d67df117ee081737ca8f74c4fb6e75edc320a",
+        ),
+        (
+            ["--inline", "1: 12; 2: 13; 3: 23", "--block", "0,1,1,0", "--t", "1/3"],
+            "572e979c4f225e83a5ac66bae74b80e2f09ae27e82c6350eeff14a98f0816cb5",
+        ),
+    ],
+)
+def test_classify_block_report_is_pinned(args, digest):
+    # chain_report's variances skip the mean that asymptotic_variance checks
+    # again; each zero-mean class keeps its variance, byte for byte
+    code, out, err = _run_in_process(["classify", *args])
+    assert code == 0, err
+    assert '"variance"' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_simulate_cli(tmp_path):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ from subshift_lab.automata import build_simplified_automaton, build_tau_automato
 from subshift_lab.markov import (
     ChainEdge,
     ChainGraph,
+    IntegerForm,
     _poisson_solution,
     _stationary,
     absorption_probabilities,
@@ -769,12 +771,18 @@ def hand_built_layers(draw):
     return [layer([1, 2, 4])] + [layer([1, 3, 9]) for _ in range(count - 1)]
 
 
+def _fresh_integer_form(chain):
+    """The integer form a chain built from the same edges computes itself."""
+    return ChainGraph(chain.states, chain.state_labels, chain.edges).integer_form
+
+
 def _assert_compose_matches_reference(layers):
     composed = compose(*layers)
     # the same ChainEdges (prob, payoff, empty label) in the same order
     assert composed.edges == reduce(_reference_compose, layers).edges
     if len(layers) == 2:
         assert composed.edges == _reference_compose(*layers).edges
+    assert composed.integer_form == _fresh_integer_form(composed)
 
 
 @settings(max_examples=30, deadline=None)
@@ -791,6 +799,27 @@ def test_compose_matches_reference_on_digit_layers(layers):
 def test_compose_matches_reference_on_hand_built_layers(layers):
     _assert_compose_matches_reference(layers)
     _assert_compose_matches_reference(layers[:2])
+
+
+@settings(max_examples=30, deadline=None)
+@given(digit_layer_lists())
+def test_compose_hands_over_the_reduced_integer_form(layers):
+    # compose builds the form it hands to the chain from its own numerators;
+    # it must be the least-denominator form the edges give
+    composed = compose(*layers)
+    form = composed.integer_form
+    assert form == _fresh_integer_form(composed)
+    assert gcd(form.denominator, *(p for row in form.rows for _, p, _ in row)) == 1
+    assert gcd(form.lattice, *(v for row in form.rows for _, _, v in row)) == 1
+
+
+def test_handed_integer_form_still_has_its_rows_checked(twist2):
+    sub, g = twist2
+    chain = compose(*digit_chains(sub, g, [0, 1]))
+    form = chain.integer_form
+    bad = IntegerForm(form.denominator + 1, form.lattice, form.rows)
+    with pytest.raises(ValueError, match="outgoing probabilities at state 0"):
+        ChainGraph(chain.states, chain.state_labels, chain.edges, bad)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -6,10 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subshift_lab.linalg import poly_divmod
-from subshift_lab.prefix_suffix import sample_point_with_coverage
 from subshift_lab.salem import (
     closed_form_poly,
-    divergence_probe,
     salem_check,
     salem_substitution,
 )
@@ -99,45 +96,3 @@ def test_poly_divmod_rejects_non_unit_leading_coefficient(den):
 def test_poly_divmod_rejects_zero_divisor():
     with pytest.raises(ZeroDivisionError):
         poly_divmod([1, 2, 3], [0, 0])
-
-
-def test_divergence_probe(twist2):
-    sub, g = twist2
-    point = sample_point_with_coverage(sub, seed=5, min_right=3**7, min_left=3**7)
-    small = divergence_probe(sub, g, point, 3**5)
-    big = divergence_probe(sub, g, point, 3**7)
-    assert big.count_below_c > small.count_below_c
-    assert big.certified_lower_bound > small.certified_lower_bound > 0
-    assert big.forward_sum > small.forward_sum
-    assert big.bound_c == Fraction(4)
-    # each index below C contributes at least exp(-C)
-    assert big.forward_sum + big.backward_sum >= big.count_below_c * math.exp(-4) - 1e-9
-
-
-def test_divergence_probe_zero_horizon(twist2):
-    sub, g = twist2
-    point = sample_point_with_coverage(sub, seed=5, min_right=10)
-    probe = divergence_probe(sub, g, point, 0)
-    assert probe.forward_sum == 0.0 and probe.backward_sum == 0.0
-    assert probe.count_below_c == 0
-
-
-def test_divergence_probe_linear_growth_for_coboundary():
-    # on the 2-periodic system the sums stay bounded, so every index counts
-    from subshift_lab.substitution import eigenvector_for, parse_substitution
-
-    sub = parse_substitution("1: 121\n2: 212")
-    g = eigenvector_for(matrix_of(sub), 1)
-    point = sample_point_with_coverage(sub, seed=2, min_right=3**6, min_left=1)
-    probe = divergence_probe(sub, g, point, 3**6)
-    assert probe.count_below_c >= 3**6  # every forward index is below C
-
-
-def test_divergence_probe_rejects_int64_overflow(twist2):
-    from subshift_lab.substitution import WeightVector
-
-    sub, _ = twist2
-    big = WeightVector((Fraction(2**62), Fraction(-(2**62))), Fraction(1))
-    point = sample_point_with_coverage(sub, seed=5, min_right=3**5, min_left=3**5)
-    with pytest.raises(ValueError, match="int64"):
-        divergence_probe(sub, big, point, 3**5)
