@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
+from .linalg import common_numerators
 from .substitution import Substitution, WeightVector
 
 State = tuple[int, tuple[int, ...]]
@@ -110,7 +111,7 @@ def build_tau_automaton(sub: Substitution, gamma: WeightVector, tau: int) -> Tau
         (a, (v1, v2)) for a in range(n) for v1 in range(n) for v2 in range(n)
     ]
     index = {s: i for i, s in enumerate(states)}
-    ints, scale = gamma.scaled_integers()
+    ints, scale = common_numerators(gamma.values)
     prefix = [_prefix_sums(ints, img) for img in sub.images]
     pair_images = {
         (v1, v2): sub.images[v1] + sub.images[v2] for v1 in range(n) for v2 in range(n)
@@ -140,7 +141,7 @@ def build_simplified_automaton(sub: Substitution, gamma: WeightVector) -> TauAut
     n = sub.alphabet_size
     states: list[State] = [(a, (b,)) for a in range(n) for b in range(n)]
     index = {s: i for i, s in enumerate(states)}
-    ints, scale = gamma.scaled_integers()
+    ints, scale = common_numerators(gamma.values)
     prefix = [_prefix_sums(ints, img) for img in sub.images]
     groups = []
     for a, (b,) in states:

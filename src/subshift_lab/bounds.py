@@ -32,13 +32,8 @@ from itertools import islice
 from math import gcd
 from typing import Sequence
 
-from .prefix_suffix import (
-    PSTriple,
-    SymbolicPoint,
-    build_ps_automaton,
-    check_path,
-    determined_lengths,
-)
+from .linalg import common_numerators
+from .prefix_suffix import PSTriple, SymbolicPoint, build_ps_automaton, check_path
 from .substitution import (
     Substitution,
     WeightVector,
@@ -136,20 +131,13 @@ def liminf_probe(
     With ``reverse`` the sums run over x_{-n} .. x_{-1} (the backward-orbit
     statement).  This is a certified upper bound for the liminf along the
     orbit prefix.  The window's letters are never read: once the window is
-    known to cover the horizon and to hold only letters its path
-    determines, ``census_probe`` runs on the path.
+    known to cover the horizon, ``census_probe`` runs on the path.  A window
+    opens with the letters its path determines, so up to their count the
+    two agree; a horizon past them raises the census's ``ValueError``.
     """
-    right, left = determined_lengths(sub, point.path)
-    if reverse:
-        window, determined = len(point.left), left
-    else:
-        window, determined = len(point.right), right
+    window = len(point.left) if reverse else len(point.right)
     if window < horizon:
         raise ValueError(f"window of length {window} does not cover horizon {horizon}")
-    if window > determined:
-        raise ValueError(
-            f"window of length {window} runs past the {determined} letters its path determines"
-        )
     return census_probe(sub, gamma, point.path, horizon, reverse)
 
 
@@ -218,7 +206,7 @@ def _unit_weights(sub: Substitution, gamma: WeightVector) -> tuple[int, list[int
     _require_unit_eigenvalue(gamma)
     if len(gamma.values) != sub.alphabet_size:
         raise ValueError("the weight vector needs one value per letter")
-    scaled, scale = gamma.scaled_integers()
+    scaled, scale = common_numerators(gamma.values)
     theta = int(gamma.theta)
     for a, img in enumerate(sub.images):
         if sum(scaled[c] for c in img) != theta * scaled[a]:

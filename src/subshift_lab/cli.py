@@ -224,7 +224,10 @@ def cmd_automaton(args) -> int:
         automaton = build_simplified_automaton(sub, gamma)
         name = "automaton-simplified"
     else:
-        automaton = build_tau_automaton(sub, gamma, args.tau)
+        try:
+            automaton = build_tau_automaton(sub, gamma, args.tau)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         name = f"automaton-tau{args.tau}"
     if args.format == "dot":
         emit_text(automaton.to_dot(), args.out, f"{name}.dot")
@@ -248,18 +251,24 @@ def cmd_classify(args) -> int:
     if constant_length(sub) is None:
         raise CliError("chain classification needs a constant-length substitution")
     gamma = select_gamma(sub, args.gamma)
-    if args.block:
+    if args.block is not None:
         try:
             digits = [int(x) for x in args.block.split(",")]
         except ValueError as exc:
             raise CliError(f"cannot parse --block: {exc}")
-        chain = mk.product_chain(sub, gamma, len(digits), digits)
+        try:
+            chain = mk.compose(*mk.digit_chains(sub, gamma, digits))
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         name = "chain-block-" + "-".join(str(x) for x in digits)
     elif args.simplified:
         chain = mk.chain_of(build_simplified_automaton(sub, gamma))
         name = "chain-simplified"
     else:
-        chain = mk.chain_of(build_tau_automaton(sub, gamma, args.tau))
+        try:
+            chain = mk.chain_of(build_tau_automaton(sub, gamma, args.tau))
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         name = f"chain-tau{args.tau}"
     initial = None
     if is_primitive(sub) and not args.simplified:
@@ -319,7 +328,10 @@ def cmd_simulate(args) -> int:
     gamma = select_gamma(sub, args.gamma)
     (n,) = parse_horizons(args.n)
     plan = parse_time(args, sub)
-    layers = ld.layer_chains(sub, gamma, plan, n)
+    try:
+        layers = ld.layer_chains(sub, gamma, plan, n)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     init = mk.initial_distribution(sub, gamma, plan.tau0)
     try:
         sample = ld.monte_carlo(
@@ -355,7 +367,10 @@ def cmd_dist(args) -> int:
         report["mode"] = "exact" if args.exact else "mc"
     prediction = None
     if plan.eventually_periodic:
-        prediction = ld.mixture_prediction(sub, gamma, plan)
+        try:
+            prediction = ld.mixture_prediction(sub, gamma, plan)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         report["prediction"] = prediction.density_description()
     if len(n_values) > 1:
         try:
@@ -364,11 +379,14 @@ def cmd_dist(args) -> int:
             raise CliError(str(exc)) from exc
         report["variances"] = list(growth.variances)
         report["slope"] = growth.slope
-        report["method"] = growth.method
+        report["method"] = "exact"
         emit_json(report, args.out, "dist.json")
         return 0
     n = n_values[0]
-    layers = ld.layer_chains(sub, gamma, plan, n)
+    try:
+        layers = ld.layer_chains(sub, gamma, plan, n)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     init = mk.initial_distribution(sub, gamma, plan.tau0)
     if args.exact:
         dist = ld.exact_sum_distribution(layers, init, n)

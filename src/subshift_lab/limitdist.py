@@ -37,6 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .linalg import common_numerators
 from .markov import (
     ChainGraph,
     InitialDistribution,
@@ -220,10 +221,23 @@ def time_expansion(sub: Substitution, t) -> DigitStream:
 # ---------------------------------------------------------------------------
 
 
+def _require_eigenvalue_one(gamma: WeightVector) -> None:
+    if gamma.theta != 1:
+        raise ValueError(
+            f"the law of the ergodic sum needs eigenvalue 1; gamma has eigenvalue {gamma.theta}"
+        )
+
+
 def layer_chains(
     sub: Substitution, gamma: WeightVector, plan: DigitStream, n: int
 ) -> list[ChainGraph]:
-    """The chain layer for each of the first n steps (one chain per digit)."""
+    """The chain layer for each of the first n steps (one chain per digit).
+
+    The layers follow the ergodic sum only for eigenvalue 1: the payoffs of
+    sigma^k's blocks assume gamma(sigma(w)) = gamma(w), so any other gamma
+    raises ``ValueError``.
+    """
+    _require_eigenvalue_one(gamma)
     return digit_chains(sub, gamma, [plan.layer_digit(k) for k in range(1, n + 1)])
 
 
@@ -396,11 +410,11 @@ def exact_sum_distribution(
     init_idx = _initial_indices(layers, init)
     if any(p < 0 for p in init_idx.values()):
         raise ValueError("initial probabilities must be nonnegative")
-    denom = math.lcm(*(p.denominator for p in init_idx.values()))
+    nums, denom = common_numerators(init_idx.values())
     size = len(layers[0].states) if layers else max(init_idx, default=-1) + 1
     packed = [0] * size
-    for q, p in init_idx.items():
-        packed[q] = int(p * denom)
+    for q, num in zip(init_idx, nums):
+        packed[q] = num
     lows = [min(min(row) for row in pays) for _, pays in tables]
     spacing = math.gcd(
         *(p - low for (_, pays), low in zip(tables, lows) for row in pays for p in row)
@@ -650,7 +664,6 @@ class GrowthReport:
     n_values: tuple[int, ...]
     variances: tuple[float, ...]
     slope: float
-    method: str
 
 
 def _moment_variances(
@@ -670,11 +683,11 @@ def _moment_variances(
     n = checkpoints[-1]
     lattice, tables, order = _layer_tables(layers, n)
     init_idx = _initial_indices(layers, init)
-    denom = math.lcm(*(p.denominator for p in init_idx.values()))
+    nums, denom = common_numerators(init_idx.values())
     size = len(layers[0].states)
     m0 = [0] * size
-    for q, p in init_idx.items():
-        m0[q] = int(p * denom)
+    for q, num in zip(init_idx, nums):
+        m0[q] = num
     m1 = [0] * size
     m2 = [0] * size
     want = set(checkpoints)
@@ -707,45 +720,31 @@ def variance_growth(
     gamma: WeightVector,
     t,
     n_values: Sequence[int],
-    samples: int = 10**5,
-    seed: int = 0,
-    method: str = "exact",
 ) -> GrowthReport:
     """V_n over a range of horizons with the fitted log-log growth exponent.
 
-    ``method`` "exact" steps the first two moments of the sum through the
-    layers (``_moment_variances``), exact at any horizon; each variance is
+    The first two moments of the sum are stepped through the layers
+    (``_moment_variances``), exact at any horizon; each variance is
     ``float`` of the same ``Fraction`` as ``SumDistribution.variance``.
-    "mc" takes the variance of a Monte Carlo sample of ``samples`` paths.
     The slope needs two distinct horizons >= 1 with positive variance;
     anything less raises ``ValueError``.
     """
-    if method not in ("exact", "mc"):
-        raise ValueError(f"unknown method {method!r}; use 'exact' or 'mc'")
     plan = time_expansion(sub, t)
     n_values = tuple(sorted(set(int(x) for x in n_values)))
     if len(n_values) < 2:
         raise ValueError("variance growth needs at least two distinct horizons")
     if n_values[0] < 1:
         raise ValueError("horizons must be >= 1")
-    n_max = n_values[-1]
-    layers = layer_chains(sub, gamma, plan, n_max)
+    layers = layer_chains(sub, gamma, plan, n_values[-1])
     init = initial_distribution(sub, gamma, plan.tau0)
-    if method == "exact":
-        variances = tuple(float(v) for v in _moment_variances(layers, init, n_values))
-    else:
-        snaps = monte_carlo(
-            layers, init, n_max, samples, seed, checkpoints=n_values,
-            t_digits=plan.describe(),
-        )
-        variances = tuple(float(np.var(s.values)) for s in snaps)
+    variances = tuple(float(v) for v in _moment_variances(layers, init, n_values))
     positive = [(n, v) for n, v in zip(n_values, variances) if v > 0]
     if len(positive) < 2:
         raise ValueError("fewer than two horizons have positive variance; no slope to fit")
     xs = np.log([n for n, _ in positive])
     ys = np.log([v for _, v in positive])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    return GrowthReport(n_values, variances, slope, method)
+    return GrowthReport(n_values, variances, slope)
 
 
 # ---------------------------------------------------------------------------
@@ -793,8 +792,10 @@ def mixture_prediction(
     period-composed chain; coboundary classes pool into the atom at zero.
     Per-step variances divide the composed-class variance by the period
     length.  The bounded window of the atom part is measured from the exact
-    law at a horizon of about ``ATOM_WINDOW_HORIZON`` steps.
+    law at a horizon of about ``ATOM_WINDOW_HORIZON`` steps.  Like
+    ``layer_chains``, it raises ``ValueError`` unless gamma has eigenvalue 1.
     """
+    _require_eigenvalue_one(gamma)
     plan = time_expansion(sub, t)
     if not plan.eventually_periodic:
         raise ValueError("mixture prediction requires an eventually periodic digit stream")

@@ -14,9 +14,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Collection, Sequence
 
 Matrix = list[list[Fraction]]
+
+
+def common_numerators(values: Collection) -> tuple[list[int], int]:
+    """The numerators of rationals (or ints) over their least common
+    denominator, in order, and that denominator (1 for no values)."""
+    dens = [x.denominator for x in values]
+    den = lcm(*dens)
+    if den == 1:  # integer rows, the common case of the chain solves
+        return [x.numerator for x in values], den
+    return [x.numerator * (den // q) for x, q in zip(values, dens)], den
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
@@ -60,10 +70,7 @@ def _eliminate(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
     column (the RREF is pivot row r over it)."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    a: list[list[int]] = []
-    for row in m:
-        scale = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (scale // x.denominator) for x in row])
+    a = [common_numerators(row)[0] for row in m]
     pivots: list[int] = []
     prev = 1
     r = 0
@@ -113,8 +120,7 @@ def normalize_integer_vector(v: Sequence[Fraction]) -> list[int]:
     """Scale a rational vector to coprime integers, first nonzero positive."""
     if all(x == 0 for x in v):
         raise ValueError("zero vector cannot be normalized")
-    scale = lcm(*(x.denominator for x in v))
-    ints = [int(x * scale) for x in v]
+    ints, _ = common_numerators(v)
     g = gcd(*ints)
     ints = [x // g for x in ints]
     first = next(x for x in ints if x != 0)

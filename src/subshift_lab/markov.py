@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
+from itertools import islice
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
@@ -93,19 +94,11 @@ class ChainGraph:
         payoffs (L), and every edge's numerators over them."""
         if self._form is not None:
             return self._form
-        den = lcm(*(e.prob.denominator for group in self.edges for e in group))
-        lattice = lcm(*(e.payoff.denominator for group in self.edges for e in group))
-        rows = tuple(
-            tuple(
-                (
-                    e.target,
-                    e.prob.numerator * (den // e.prob.denominator),
-                    e.payoff.numerator * (lattice // e.payoff.denominator),
-                )
-                for e in group
-            )
-            for group in self.edges
-        )
+        edges = [e for group in self.edges for e in group]
+        probs, den = linalg.common_numerators([e.prob for e in edges])
+        pays, lattice = linalg.common_numerators([e.payoff for e in edges])
+        flat = zip([e.target for e in edges], probs, pays)
+        rows = tuple(tuple(islice(flat, len(group))) for group in self.edges)
         return IntegerForm(den, lattice, rows)
 
     @property
@@ -236,37 +229,6 @@ def digit_chains(
     """
     built = {tau: chain_of(build_tau_automaton(sub, gamma, tau)) for tau in set(digits)}
     return [built[tau] for tau in digits]
-
-
-def product_chain(
-    sub: Substitution,
-    gamma: WeightVector,
-    n_layers: int,
-    digit_block: int | Sequence[int],
-) -> ChainGraph:
-    """The composed chain of ``n_layers`` digit automata.
-
-    ``digit_block`` is either the digit list (outermost layer first) or an
-    integer in 0..d**N - 1 whose base-d digits (most significant first) give
-    the layers.  All composite transition probabilities are d**-N.
-    """
-    d = len(sub.images[0])
-    if isinstance(digit_block, int):
-        if not 0 <= digit_block < d**n_layers:
-            raise ValueError("digit block out of range")
-        digits = []
-        x = digit_block
-        for _ in range(n_layers):
-            digits.append(x % d)
-            x //= d
-        digits.reverse()
-    else:
-        digits = list(digit_block)
-        if len(digits) != n_layers:
-            raise ValueError("digit block length must equal the number of layers")
-    if not digits:
-        raise ValueError("a product chain needs at least one layer")
-    return compose(*digit_chains(sub, gamma, digits))
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +373,6 @@ def transient_states(chain: ChainGraph, classes: Sequence[RecurrentClass]) -> li
     return [s for s in range(chain.n) if s not in recurrent]
 
 
-def _numerators(values: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
-    """Integer numerators of rationals over their least common denominator."""
-    den = lcm(*(q.denominator for q in values.values()))
-    return {s: q.numerator * (den // q.denominator) for s, q in values.items()}, den
-
-
 def _stationary(chain: ChainGraph, states: Sequence[int]) -> dict[int, Fraction]:
     """Unique stationary distribution of a closed class, exact solve."""
     form = chain.integer_form
@@ -440,8 +396,8 @@ def _stationary(chain: ChainGraph, states: Sequence[int]) -> dict[int, Fraction]
 def expected_payoff(chain: ChainGraph, cls: RecurrentClass) -> Fraction:
     """Stationary expectation of the edge payoff, exact."""
     form = chain.integer_form
-    pi, den = _numerators(cls.stationary)
-    total = sum(pi[s] * sum(p * v for _, p, v in form.rows[s]) for s in cls.states)
+    pi, den = linalg.common_numerators([cls.stationary[s] for s in cls.states])
+    total = sum(q * sum(p * v for _, p, v in form.rows[s]) for s, q in zip(cls.states, pi))
     return Fraction(total, den * form.denominator * form.lattice)
 
 
@@ -562,17 +518,19 @@ def _poisson_variance(chain: ChainGraph, cls: RecurrentClass) -> Fraction:
     """``asymptotic_variance`` of a class already known to have mean zero."""
     form = chain.integer_form
     lattice = form.lattice
-    h, h_den = _numerators(_poisson_solution(chain, cls.states))
-    pi, pi_den = _numerators(cls.stationary)
+    solution = _poisson_solution(chain, cls.states)
+    nums, h_den = linalg.common_numerators(solution.values())
+    h = dict(zip(solution, nums))
+    pi, pi_den = linalg.common_numerators([cls.stationary[s] for s in cls.states])
     # an increment is (v h_den + (h(t) - h(s)) L) / (L h_den)
     total = 0
-    for s in cls.states:
+    for s, q in zip(cls.states, pi):
         hs = h[s]
         acc = 0
         for t, p, v in form.rows[s]:
             incr = v * h_den + (h[t] - hs) * lattice
             acc += p * incr * incr
-        total += pi[s] * acc
+        total += q * acc
     return Fraction(total, pi_den * form.denominator * (lattice * h_den) ** 2)
 
 
@@ -673,10 +631,9 @@ def block_frequencies(sub: Substitution, k: int) -> dict[Word, Fraction]:
         # m < k for d >= 2; d = 1 has no 2-blocks, so it recurses to a rejection
         m = min(k - 1, -(-(k - 1) // d) + 1)
         shorter = block_frequencies(sub, m)
-        den = lcm(*(q.denominator for q in shorter.values()))
+        counts, den = linalg.common_numerators(shorter.values())
         nums: dict[Word, int] = {}
-        for b, q in shorter.items():
-            num = q.numerator * (den // q.denominator)
+        for b, num in zip(shorter, counts):
             image = sub.apply(b)
             for j in range(d):
                 window = image[j : j + k]

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import linalg
+from .linalg import char_poly  # re-exported: det(X*I - M), leading-first
 
 Word = bytes
 
@@ -123,19 +123,9 @@ class WeightVector:
         if all(v == 0 for v in self.values):
             raise ValueError("weight vector must be nonzero")
 
-    def __call__(self, w: Word | int) -> Fraction:
-        if isinstance(w, int):
-            return self.values[w]
-        return gamma_of_word(self, w)
-
     @property
     def max_abs(self) -> Fraction:
         return max(abs(v) for v in self.values)
-
-    def scaled_integers(self) -> tuple[list[int], int]:
-        """Return (L*gamma as ints, L) with L the lcm of denominators."""
-        scale = lcm(*(v.denominator for v in self.values))
-        return [int(v * scale) for v in self.values], scale
 
 
 def matrix_of(sub: Substitution) -> list[list[int]]:
@@ -169,11 +159,6 @@ def is_primitive(sub: Substitution) -> bool:
         ]
         k *= 2
     return all(all(row) for row in power)
-
-
-def char_poly(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """det(X*I - M) as a leading-first integer coefficient list."""
-    return linalg.char_poly(matrix)
 
 
 def eigenvector_for(matrix: Sequence[Sequence[int]], theta) -> WeightVector | None:

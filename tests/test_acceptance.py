@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from subshift_lab.automata import build_tau_automaton
-from subshift_lab.bounds import liminf_constant, liminf_probe
+from subshift_lab.bounds import census_probe, liminf_constant
 from subshift_lab.gallery import run_gallery
 from subshift_lab.limitdist import (
     RandomDigitStream,
@@ -35,7 +35,7 @@ from subshift_lab.markov import (
     initial_distribution,
     recurrent_classes,
 )
-from subshift_lab.prefix_suffix import sample_point_with_coverage
+from subshift_lab.prefix_suffix import sample_path_with_coverage
 from subshift_lab.salem import closed_form_poly, salem_check
 from subshift_lab.substitution import (
     Substitution,
@@ -114,12 +114,13 @@ def test_a04_liminf_below_constant(name, twist2, sync3):
     points = 100
     worst = Fraction(0)
     for seed in range(points):
-        point = sample_point_with_coverage(
+        # as ``bounds`` probes: the sampled path alone, no window built
+        path = sample_path_with_coverage(
             sub, seed=seed, min_right=horizon_max, min_left=horizon_max
         )
         for horizon in horizons:
             for reverse in (False, True):
-                probe = liminf_probe(sub, gamma, point, horizon, reverse=reverse)
+                probe = census_probe(sub, gamma, path, horizon, reverse=reverse)
                 worst = max(worst, probe)
     report(
         f"A4 liminf bound ({name})",
@@ -247,20 +248,14 @@ def test_a09_variance_growth_band(twist2):
     for k in range(10):
         stream = RandomDigitStream(3, seed=5000 + k)
         rep = variance_growth(
-            sub,
-            gamma,
-            stream,
-            n_values=(25, 50, 75, 100, 125, 150, 175, 200),
-            samples=10**5,
-            seed=6000 + k,
-            method="mc",
+            sub, gamma, stream, n_values=(25, 50, 75, 100, 125, 150, 175, 200)
         )
         slopes.append(rep.slope)
     ok = all(0.8 <= s <= 1.05 for s in slopes)
     report(
         "A9 variance growth",
         ok,
-        f"10 random digit streams, MC 1e5, n<=200: slopes in "
+        f"10 random digit streams, exact, n<=200: slopes in "
         f"[{min(slopes):.3f}, {max(slopes):.3f}] within [0.8, 1.05]",
     )
 

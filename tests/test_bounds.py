@@ -13,6 +13,7 @@ from subshift_lab.bounds import (
     liminf_constant,
     liminf_probe,
 )
+from subshift_lab.linalg import common_numerators
 from subshift_lab.prefix_suffix import (
     PSTriple,
     build_ps_automaton,
@@ -40,7 +41,7 @@ def scaled_partial_sums(gamma: WeightVector, w: bytes) -> tuple[np.ndarray, int]
     L is the lcm of gamma's denominators.  Raises ``ValueError`` unless
     max|L*gamma| * |w| fits in int64, so no partial sum can wrap.
     """
-    scaled, denom = gamma.scaled_integers()
+    scaled, denom = common_numerators(gamma.values)
     bound = max(abs(v) for v in scaled) * len(w)
     if bound > np.iinfo(np.int64).max:
         raise ValueError(
@@ -253,7 +254,7 @@ def test_bounded_orbit_when_chain_coboundary_everywhere():
         chain = chain_of(build_tau_automaton(sub, g, tau))
         assert all(c.coboundary for c in recurrent_classes(chain))
     point = sample_point_with_coverage(sub, seed=1, min_right=3**7)
-    scaled, denom = g.scaled_integers()
+    scaled, denom = common_numerators(g.values)
     table = np.array(scaled, dtype=np.int64)
     letters = np.frombuffer(point.right[: 3**7], dtype=np.uint8)
     sums = np.cumsum(table[letters])
@@ -379,12 +380,14 @@ def test_census_probe_rejects_horizon_past_the_path(twist2):
 
 def test_liminf_probe_rejects_window_past_the_path(twist2):
     # a periodic tail point's window runs past the one letter its path
-    # determines; the census reads only the path, so it refuses the point
+    # determines: that letter opens the window, so horizon 1 is the window's
+    # own answer, and the census refuses every horizon past it
     sub, g = twist2
     point = periodic_tail_point(sub, [PSTriple(0, word([0, 0]), 1, b"")], 0, window=100)
     assert len(point.right) == 100
-    with pytest.raises(ValueError, match="window of length 100 runs past the 1 letters"):
-        liminf_probe(sub, g, point, 1)
+    assert liminf_probe(sub, g, point, 1) == window_probe(g, point, 1)
+    with pytest.raises(ValueError, match="horizon 2 runs past the 1 letters"):
+        liminf_probe(sub, g, point, 2)
 
 
 def test_census_probe_far_horizon(twist2, sync3):

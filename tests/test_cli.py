@@ -469,3 +469,38 @@ def test_in_process_calls_match_subprocesses():
     assert [code for code, _, _ in expected] == [0, 0, 2, 0, 2]
     for _ in range(2):
         assert [_run_in_process(argv) for argv in IN_PROCESS_SEQUENCE] == expected
+
+
+@pytest.mark.parametrize(
+    "args, theta",
+    [
+        # theta = -1 printed a V_n that is not the ergodic sum's
+        (["dist", "--inline", "1: 122; 2: 211", "--t", "3/2", "--n", "6", "--exact"], -1),
+        (["simulate", "--inline", "1: 122; 2: 211", "--t", "3/2", "--n", "6"], -1),
+        # theta = 3 died with a traceback
+        (["dist", "--inline", "1: 112; 2: 221", "--gamma", "1,1", "--t", "3/2", "--n", "5",
+          "--exact"], 3),
+    ],
+)
+def test_law_commands_need_eigenvalue_one(args, theta):
+    code, out, err = _run_in_process(args)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": f"the law of the ergodic sum needs eigenvalue 1; gamma has eigenvalue {theta}"
+    }
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["classify", "--tau", "7"], "tau must lie in 0..2"),
+        (["classify", "--block", "5"], "tau must lie in 0..2"),
+        (["automaton", "--tau", "9"], "tau must lie in 0..2"),
+        # an empty block used to run the --tau 0 report
+        (["classify", "--block", ""], "cannot parse --block"),
+    ],
+)
+def test_out_of_range_digits_are_structured_errors(args, message):
+    code, out, err = _run_in_process([*args, "--inline", "1: 112; 2: 221"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith(message)

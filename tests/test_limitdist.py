@@ -610,20 +610,21 @@ def test_word_vs_chain_finite_expansion_bounded(sync3):
 def test_variance_growth_homogeneous(twist2):
     sub, g = twist2
     rep = variance_growth(sub, g, Fraction(3, 2), n_values=(50, 100, 200))
-    assert rep.method == "exact"
     assert 0.9 <= rep.slope <= 1.02
     # V_n <= (max payoff)^2 n crude bound
     assert all(v <= 25 * n for v, n in zip(rep.variances, rep.n_values))
 
 
 def test_variance_growth_methods_agree(twist2):
+    # the exact moment recursion against the variance of a Monte Carlo sample
     sub, g = twist2
-    exact = variance_growth(sub, g, Fraction(3, 2), n_values=(40, 80), method="exact")
-    mc = variance_growth(
-        sub, g, Fraction(3, 2), n_values=(40, 80), method="mc", samples=10**5, seed=9
-    )
-    for ve, vm in zip(exact.variances, mc.variances):
-        assert abs(ve - vm) / ve < 0.05
+    plan = time_expansion(sub, Fraction(3, 2))
+    layers = layer_chains(sub, g, plan, 80)
+    init = initial_distribution(sub, g, plan.tau0)
+    exact = _moment_variances(layers, init, (40, 80))
+    snaps = monte_carlo(layers, init, 80, 10**5, 9, checkpoints=(40, 80))
+    for ve, snap in zip(exact, snaps):
+        assert abs(float(ve) - np.var(snap.values)) / float(ve) < 0.05
 
 
 def test_variance_rate_converges_to_class_variance(twist2):
@@ -663,8 +664,7 @@ def test_moment_variances_match_exact_law(request, name, t, n_values):
     law = [s.variance() for s in snaps]
     assert _moment_variances(layers, init, n_values) == law
     sub, g = request.getfixturevalue(name)
-    rep = variance_growth(sub, g, t, n_values=n_values, method="exact")
-    assert rep.method == "exact"
+    rep = variance_growth(sub, g, t, n_values=n_values)
     assert rep.variances == tuple(float(v) for v in law)
 
 
@@ -686,7 +686,6 @@ def test_variance_grows_at_the_mixture_rate(text, t, n_values):
     rate = float(sum(c.weight * c.variance_per_step for c in mix.components))
     assert rate > 0
     rep = variance_growth(sub, g, t, n_values=n_values)
-    assert rep.method == "exact"
     gaps = [v - n * rate for n, v in zip(rep.n_values, rep.variances)]
     assert abs(gaps[1] - gaps[0]) < 1e-9
 
@@ -698,18 +697,33 @@ def test_variance_growth_rejects_bad_horizons(twist2, n_values):
         variance_growth(sub, g, Fraction(3, 2), n_values=n_values)
 
 
-def test_variance_growth_rejects_unknown_method(twist2):
-    # "auto" (exact law, then Monte Carlo past the support cap) is gone
-    sub, g = twist2
-    with pytest.raises(ValueError, match="unknown method 'auto'"):
-        variance_growth(sub, g, Fraction(3, 2), n_values=(5, 10), method="auto")
-
-
-def test_variance_growth_rejects_unmeasured_slope(twist2):
-    # one Monte Carlo sample has variance 0 at every horizon: no slope to fit
-    sub, g = twist2
+def test_variance_growth_rejects_unmeasured_slope():
+    # 1 -> 121, 2 -> 212 is 2-periodic and gamma = (1, -1) a coboundary: at
+    # t = 1 the exact V_n is 0 at every n, so there is no slope to fit
+    sub = parse_substitution("1: 121\n2: 212")
+    g = eigenvector_for(matrix_of(sub), 1)
     with pytest.raises(ValueError, match="positive variance"):
-        variance_growth(sub, g, Fraction(3, 2), n_values=(5, 10), samples=1, method="mc")
+        variance_growth(sub, g, Fraction(1), n_values=(5, 10))
+
+
+def test_law_engines_need_eigenvalue_one(twist2):
+    # the layer payoffs assume gamma(sigma(w)) = gamma(w): for theta = -1 the
+    # chain sum already leaves the window sum at n = 2
+    minus = parse_substitution("1: 122\n2: 211")
+    g_minus = eigenvector_for(matrix_of(minus), -1)
+    with pytest.raises(ValueError, match="chain sum must equal the window sum"):
+        word_vs_chain_check(minus, g_minus, Fraction(3, 2), 2, seed=0)
+    sub, _ = twist2
+    g_three = eigenvector_for(matrix_of(sub), 3)
+    for s, g, theta in ((minus, g_minus, -1), (sub, g_three, 3)):
+        plan = time_expansion(s, Fraction(3, 2))
+        message = f"needs eigenvalue 1; gamma has eigenvalue {theta}"
+        with pytest.raises(ValueError, match=message):
+            layer_chains(s, g, plan, 4)
+        with pytest.raises(ValueError, match=message):
+            mixture_prediction(s, g, plan)
+        with pytest.raises(ValueError, match=message):
+            variance_growth(s, g, plan, n_values=(2, 4))
 
 
 def test_mixture_prediction_cases(twist2, sync3):

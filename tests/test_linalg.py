@@ -1,12 +1,19 @@
 """The integer elimination of ``linalg.rref`` against the Fraction loop it replaced."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from subshift_lab.linalg import kernel_vector, mat_mul, rref, solve_consistent
+from subshift_lab.linalg import (
+    common_numerators,
+    kernel_vector,
+    mat_mul,
+    rref,
+    solve_consistent,
+)
 
 
 def _reference_rref(m):
@@ -113,3 +120,21 @@ def test_kernel_vector_of_nonsingular_matrices_is_none():
     assert kernel_vector([[1, 0], [0, 1]]) is None
     assert kernel_vector([[Fraction(1, 2), 3], [1, Fraction(-1, 3)]]) is None
     assert kernel_vector([[1, 2], [2, 4]]) == [-2, 1]
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)),
+            st.integers(-10**6, 10**6),
+        ),
+        max_size=12,
+    )
+)
+@example([])
+def test_common_numerators_match_the_per_value_formula(values):
+    nums, den = common_numerators(values)
+    expected = math.lcm(*(Fraction(x).denominator for x in values))
+    assert den == expected
+    assert nums == [int(Fraction(x) * expected) for x in values]
+    assert all(type(n) is int for n in nums)

@@ -29,7 +29,6 @@ from subshift_lab.markov import (
     initial_distribution,
     initial_state_indices,
     is_strongly_connected,
-    product_chain,
     recurrent_classes,
     transient_states,
     weakly_connected_components,
@@ -73,7 +72,7 @@ def hypothesis_digit_chains(draw):
     sub, gamma = draw(unit_eigenvalue_substitutions())
     d = len(sub.images[0])
     digits = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=3))
-    return product_chain(sub, gamma, len(digits), digits)
+    return compose(*digit_chains(sub, gamma, digits))
 
 
 def small_chain(edges, n):
@@ -256,22 +255,23 @@ def test_variance_on_periodic_class():
 
 
 def test_product_chain(twist2):
+    # the product chain of a digit block is the composition of its digits'
+    # chains, as ``classify --block`` builds it
     sub, g = twist2
     base = chain_of(build_tau_automaton(sub, g, 1))
-    assert product_chain(sub, g, 1, [1]).kernel() == base.kernel()
-    two = product_chain(sub, g, 2, [1, 1])
+    one = compose(*digit_chains(sub, g, [1]))
+    assert one.kernel() == base.kernel()
+    two = compose(*digit_chains(sub, g, [1, 1]))
     assert two.kernel() == compose(base, base).kernel()
     assert all(e.prob.denominator == 9 for group in two.edges for e in group)
-    assert is_strongly_connected(product_chain(sub, g, 1, 1))
-    assert recurrent_classes(product_chain(sub, g, 1, 1))[0].period == 1
+    assert is_strongly_connected(one)
+    assert recurrent_classes(one)[0].period == 1
 
 
 def test_product_chain_needs_a_layer(twist2):
     sub, g = twist2
-    with pytest.raises(ValueError):
-        product_chain(sub, g, 0, [])
-    with pytest.raises(ValueError):
-        product_chain(sub, g, 0, 0)
+    with pytest.raises(ValueError, match="at least one layer"):
+        compose(*digit_chains(sub, g, []))
 
 
 def test_digit_chains_share_one_chain_per_digit(twist2):
@@ -321,7 +321,7 @@ def test_product_chain_matches_power_substitution(twist2):
                     tuple(ChainEdge(t, pr, pay) for (t, pay), pr in sorted(merged.items()))
                 )
             direct = ChainGraph(tuple(states), tuple(map(str, states)), tuple(groups))
-            assert product_chain(sub, g, n_layers, digits).kernel() == direct.kernel()
+            assert compose(*digit_chains(sub, g, digits)).kernel() == direct.kernel()
 
 
 def test_letter_frequencies(twist2, sync3):
@@ -405,7 +405,7 @@ def test_ergodic_coefficient(twist2):
     uniform = [[Fraction(1, 2)] * 2] * 2
     assert ergodic_coefficient(uniform) == 1
     sub, g = twist2
-    three = product_chain(sub, g, 3, [1, 1, 1])
+    three = compose(*digit_chains(sub, g, [1, 1, 1]))
     alpha = ergodic_coefficient(three.transition_matrix())
     assert alpha > 0
     minimum = min(min(row) for row in three.transition_matrix())
@@ -612,7 +612,7 @@ def test_absorption_matches_per_column_solve_on_small_chains():
     ]
     sub = parse_substitution(SYNC3)
     gamma = eigenvector_for(matrix_of(sub), 1)
-    chains.append(product_chain(sub, gamma, 3, [0, 1, 0]))
+    chains.append(compose(*digit_chains(sub, gamma, [0, 1, 0])))
     for chain in chains:
         _assert_absorption_matches_per_column_solve(chain)
 
