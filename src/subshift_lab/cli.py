@@ -330,9 +330,9 @@ def cmd_simulate(args) -> int:
     plan = parse_time(args, sub)
     try:
         layers = ld.layer_chains(sub, gamma, plan, n)
+        init = mk.initial_distribution(sub, gamma, plan.tau0)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    init = mk.initial_distribution(sub, gamma, plan.tau0)
     try:
         sample = ld.monte_carlo(
             layers, init, n, args.samples, args.seed, t_digits=plan.describe()
@@ -385,9 +385,9 @@ def cmd_dist(args) -> int:
     n = n_values[0]
     try:
         layers = ld.layer_chains(sub, gamma, plan, n)
+        init = mk.initial_distribution(sub, gamma, plan.tau0)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    init = mk.initial_distribution(sub, gamma, plan.tau0)
     if args.exact:
         dist = ld.exact_sum_distribution(layers, init, n)
         report["V_n"] = str(dist.variance())

@@ -15,13 +15,13 @@ keep one Python int per state whose byte-aligned slots hold the integer
 numerators of its lattice sums over d^n times the initial denominator
 (Kronecker substitution), so a step is a few shifts and big-int adds; a
 snapshot decodes them into a (state, lattice sum) table.  Monte Carlo
-flattens the tables into 1-D numpy arrays indexed by ``state * d + j``; the
-edge j of a uniform draw is the count of running float sums of edge
-probabilities at or below it, so each step is one flat gather per table,
-and sample values are exact lattice points too.  Variance growth needs no
-law: it steps the mass and the first two moments of the sum per state
-through the same tables, exact at any horizon at a cost that does not depend
-on the support.
+composes runs of layers with at most 256 edge paths into flat numpy tables
+indexed by ``state * w + code``; each step folds the edge of a uniform draw,
+the count of running float sums of edge probabilities at or below it, into
+a uint8 code, so a run costs one gather per table, and sample values are
+exact lattice points too.  Variance growth needs no law: it steps the mass
+and the first two moments of the sum per state through the same tables,
+exact at any horizon at a cost that does not depend on the support.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
@@ -54,6 +55,8 @@ from .prefix_suffix import sample_point_with_coverage
 from .substitution import Substitution, WeightVector, gamma_of_word
 
 DEFAULT_SUPPORT_CAP = 10**6
+# largest product of the d over one Monte Carlo chunk: its edge codes fit a uint8
+MAX_CHUNK_WIDTH = 256
 # steps of exact law behind the bounded window of a mixture's atom
 ATOM_WINDOW_HORIZON = 64
 
@@ -516,11 +519,20 @@ def monte_carlo(
 
     Payoffs accumulate as scaled int64 integers, so sample values are exact;
     a horizon whose largest possible |sum| exceeds int64 raises ``ValueError``.
-    Each distinct layer is flattened once into 1-D target and payoff arrays
-    of width d per state, and a sample carries the row offset ``state * d``
-    of its state.  A uniform draw u picks edge j, the number of running
-    float sums of edge probabilities 1/d, ..., (d-1)/d that are <= u; the
-    step is then one gather from each flat array at ``row + j``.
+    Each step draws one uniform u per sample, and u picks edge j, the number
+    of running float sums 1/d, 1/d + 1/d, ... (d - 1 terms) that are <= u.
+
+    The steps are cut into chunks that end at every checkpoint; a chunk is
+    the longest run of layers whose product w of the d is at most
+    ``MAX_CHUNK_WIDTH`` (256), or one layer if that is wider.  For each
+    distinct run of layers a flat target table and a flat payoff table of
+    shape (states, w) are composed once per call and dropped after the
+    run's last chunk.  Within a chunk each
+    step folds its edge into a mixed-radix code, ``code * d + j``, held in a
+    uint8 (a wider type only for a one-layer chunk beyond 256 edges); the
+    chunk then moves each sample with one gather from each table at
+    ``state * w + code``.  The draws and edges are those of a step-by-step
+    walk, so the samples per seed do not depend on the chunking.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -534,19 +546,12 @@ def monte_carlo(
             f"Monte Carlo sums can reach {bound} lattice units, beyond int64; "
             "scale gamma down or shorten the horizon"
         )
-    # one row stride for every layer, so a row offset stays valid across layers
-    width = max((len(targets[0]) for targets, _ in tables), default=1)
-    flat = []
-    for targets, pays in tables:
-        d = len(targets[0])
-        pad = [0] * (width - d)
-        flat.append(
-            (
-                np.array([t * width for row in targets for t in row + pad], dtype=np.int64),
-                np.array([p for row in pays for p in row + pad], dtype=np.int64),
-                np.cumsum(np.full(d - 1, 1 / d)).tolist(),
-            )
-        )
+    arrays = [
+        (np.array(targets, dtype=np.int64), np.array(pays, dtype=np.int64))
+        for targets, pays in tables
+    ]
+    widths = [len(targets[0]) for targets, _ in tables]
+    thresholds = [np.cumsum(np.full(d - 1, 1 / d)).tolist() for d in widths]
     rng = np.random.default_rng(seed)
     init_idx = _initial_indices(layers, init)
     states_list = sorted(init_idx)
@@ -555,9 +560,9 @@ def monte_carlo(
     cum = np.cumsum(probs)
     cum[-1] = 1.0  # the float sum can end below the largest draw, 1 - 2**-53
     draws = rng.random(samples)
-    rows = np.array(states_list, dtype=np.int64)[np.searchsorted(cum, draws)] * width
+    states = np.array(states_list, dtype=np.int64)[np.searchsorted(cum, draws)]
     sums = np.zeros(samples, dtype=np.int64)
-    want = sorted(set(checkpoints))
+    want = set(checkpoints)
     snaps: list[EmpiricalSample] = []
     meta = dict(t_digits or {})
 
@@ -565,28 +570,69 @@ def monte_carlo(
         return EmpiricalSample(
             values=sums / lattice,
             scaled=sums.copy(),
-            final_states=rows // width,
+            final_states=states,
             lattice=lattice,
             n=step,
             seed=seed,
             t_digits=meta,
         )
 
+    # chunks (layers, w, end) of steps start+1..end: the longest run whose d
+    # multiply to at most MAX_CHUNK_WIDTH, stopping at every checkpoint; a
+    # wider layer runs alone
+    chunks = []
+    start = 0
+    while start < n:
+        end, w = start + 1, widths[order[start]]
+        while end < n and end not in want and w * widths[order[end]] <= MAX_CHUNK_WIDTH:
+            w *= widths[order[end]]
+            end += 1
+        chunks.append((tuple(order[start:end]), w, end))
+        start = end
+    # a run's tables live until its last chunk, so seeded digits keep few
+    uses = Counter(key for key, _, _ in chunks)
+    composed: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
     if 0 in want:
         snaps.append(snapshot(0))
-    for k in range(1, n + 1):
-        targets, pays, thresholds = flat[order[k - 1]]
-        u = rng.random(samples)
-        idx = rows.copy()
-        for threshold in thresholds:
-            idx += u >= threshold
-        rows = targets.take(idx)
+    for key, w, end in chunks:
+        if key not in composed:
+            composed[key] = _compose_tables([arrays[i] for i in key])
+        uses[key] -= 1
+        targets, pays = composed[key] if uses[key] else composed.pop(key)
+        code = np.zeros(samples, dtype=np.min_scalar_type(w - 1))
+        for j, i in enumerate(key):
+            u = rng.random(samples)
+            if j:
+                code *= widths[i]
+            for threshold in thresholds[i]:
+                code += u >= threshold
+        idx = states * w
+        idx += code
+        states = targets.take(idx)
         sums += pays.take(idx)
-        if k in want:
-            snaps.append(snapshot(k))
+        if end in want:
+            snaps.append(snapshot(end))
     if checkpoints:
         return snaps
     return snapshot(n)
+
+
+def _compose_tables(
+    tables: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat target and payoff tables of a run of (states, d) layers.
+
+    Entry ``q * w + c`` of the two (states * w) arrays, w the product of the
+    d, is where state q ends and what it earns when the run's edges spell
+    c in mixed radix, the first step's edge being the leading digit.
+    """
+    # entry q * w' + c of the run so far spreads to (q * w' + c) * d + j
+    targets = np.arange(len(tables[0][0]), dtype=np.int64)
+    pays = np.zeros(len(targets), dtype=np.int64)
+    for layer_targets, layer_pays in tables:
+        pays = (pays[:, None] + layer_pays.take(targets, axis=0)).ravel()
+        targets = layer_targets.take(targets, axis=0).ravel()
+    return targets, pays
 
 
 # ---------------------------------------------------------------------------

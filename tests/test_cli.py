@@ -287,10 +287,29 @@ def test_dist_exact_stdout_is_pinned(args, digest):
              "--samples", "20000", "--seed", "5"],
             "05189f89f958bc3c60bd646bdddf2cd5abdbf98560747580ddf9a38ee50a53c6",
         ),
+        (
+            # d = 2: Monte Carlo chunks of eight steps, with the histogram
+            ["simulate", "--inline", "1: 12; 2: 13; 3: 23", "--t", "5/3", "--n", "100",
+             "--samples", "20000", "--seed", "3", "--format", "csv"],
+            "0d3ae8da676aedb208d36beb6e11a77f1262fd1df54f1854a2e5d0f11827803b",
+        ),
+        (
+            # d = 7: chunks of two steps through seeded digits
+            ["dist", "--inline", "1: 1112122; 2: 2221211", "--random-digits", "5", "--n", "60",
+             "--samples", "20000", "--seed", "7"],
+            "7a537048ce524bd7192be70914d3b2ae30a500a16d8d2b178b400c62038fb8ea",
+        ),
+        (
+            # d = 5: chunks of three steps
+            ["simulate", "--inline", "1: 11212; 2: 22121", "--t", "3/2", "--n", "90",
+             "--samples", "20000", "--seed", "11"],
+            "c393584d1ebcf90ee2c5f00f9b76c3519f9fcd463c989f16fa970ab4e6cf6f5b",
+        ),
     ],
     ids=["classify-twist2-tau", "classify-sync3-block", "classify-twist7-block",
          "analyze-twist2", "analyze-sync3", "classify-twist2-block", "classify-sync3-block4",
-         "dist-mc-mixture"],
+         "dist-mc-mixture", "simulate-mc-sync3-csv", "dist-mc-twist7-random",
+         "simulate-mc-twist5"],
 )
 def test_exact_solve_stdout_is_pinned(args, digest):
     # stationary laws, variances, absorption weights, Dobrushin coefficients,
@@ -487,6 +506,24 @@ def test_law_commands_need_eigenvalue_one(args, theta):
     assert code == 2 and out == ""
     assert json.loads(err) == {
         "error": f"the law of the ergodic sum needs eigenvalue 1; gamma has eigenvalue {theta}"
+    }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dist", "--t", "1", "--n", "4", "--exact"],
+        # these two died with a traceback from initial_distribution
+        ["simulate", "--t", "1", "--n", "4"],
+        ["dist", "--random-digits", "3", "--n", "4", "--exact"],
+    ],
+)
+def test_law_commands_need_a_primitive_substitution(args):
+    # 1 -> 12, 2 -> 22 has eigenvalue 1 but no irreducible block chain
+    code, out, err = _run_in_process([*args, "--inline", "1: 12; 2: 22"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "block chain is not irreducible; substitution must be primitive"
     }
 
 

@@ -28,6 +28,7 @@ from subshift_lab.limitdist import (
 from subshift_lab.limitdist import _moment_variances
 from subshift_lab.markov import compose, initial_distribution, initial_state_indices
 from subshift_lab.substitution import (
+    Substitution,
     WeightVector,
     eigenvector_for,
     matrix_of,
@@ -472,24 +473,44 @@ def test_exact_rejects_negative_initial_mass(twist2):
         exact_sum_distribution(layers, {0: Fraction(3, 2), 1: Fraction(-1, 2)}, 2)
 
 
-@pytest.mark.parametrize(
-    "name, t",
-    [
-        ("twist2", Fraction(1)),
-        ("twist2", Fraction(7, 3)),
-        ("twist2", RandomDigitStream(3, 11)),
-        ("sync3", Fraction(7, 4)),
-        ("twist5", Fraction(3, 2)),
-    ],
-)
-def test_monte_carlo_matches_reference_per_seed(request, name, t):
-    layers, init = _law_inputs(request, name, t, 60)
-    sample = monte_carlo(layers, init, 60, 3000, seed=17)
-    scaled, states = _reference_monte_carlo(layers, init, 60, 3000, seed=17)
+@pytest.fixture(scope="module")
+def twist301():
+    """A3's twist with k = 150: d = 301 > MAX_CHUNK_WIDTH, so every Monte
+    Carlo chunk is one step and its edge codes need more than a uint8."""
+    image = [0] * 151 + [1] * 150
+    sub = Substitution.from_words([image, [1 - x for x in image]])
+    return sub, eigenvector_for(matrix_of(sub), 1)
+
+
+# chunks are up to 8 steps for d = 2, 5 for d = 3, 3 for d = 5 and 2 for d = 7
+MC_ORACLE_CASES = [
+    pytest.param("twist2", Fraction(1), 60, (0, 6, 60), id="twist2-t0"),
+    pytest.param("twist2", Fraction(7, 3), 60, (0, 6, 60), id="twist2-t1"),
+    pytest.param("twist2", RandomDigitStream(3, 11), 60, (0, 6, 60), id="twist2-t2"),
+    pytest.param("sync3", Fraction(7, 4), 60, (0, 6, 60), id="sync3-t3"),
+    pytest.param("twist5", Fraction(3, 2), 60, (0, 6, 60), id="twist5-t4"),
+    pytest.param("sync3", RandomDigitStream(2, 8), 60, (0, 6, 60), id="sync3-random"),
+    pytest.param("twist7", RandomDigitStream(7, 3), 60, (0, 6, 60), id="twist7-random"),
+    # the layers of one chunk have different lattices
+    pytest.param("twist2half", RandomDigitStream(3, 7), 60, (0, 6, 60), id="twist2half-random"),
+    # checkpoints that cut chunks short
+    pytest.param("twist2", RandomDigitStream(3, 5), 60, (0, 1, 7, 9, 60), id="twist2-cut"),
+    pytest.param("sync3", Fraction(5, 3), 60, (0, 1, 7, 9, 60), id="sync3-cut"),
+    # a horizon shorter than one chunk
+    pytest.param("sync3", Fraction(7, 4), 3, (0, 1, 3), id="sync3-n3"),
+    pytest.param("twist301", Fraction(3, 2), 20, (0, 1, 20), id="twist301"),
+]
+
+
+@pytest.mark.parametrize("name, t, n, checkpoints", MC_ORACLE_CASES)
+def test_monte_carlo_matches_reference_per_seed(request, name, t, n, checkpoints):
+    layers, init = _law_inputs(request, name, t, n)
+    sample = monte_carlo(layers, init, n, 3000, seed=17)
+    scaled, states = _reference_monte_carlo(layers, init, n, 3000, seed=17)
     assert np.array_equal(sample.scaled, scaled)
     assert np.array_equal(sample.final_states, states)
-    snaps = monte_carlo(layers, init, 60, 3000, seed=17, checkpoints=(0, 6, 60))
-    assert [snap.n for snap in snaps] == [0, 6, 60]
+    snaps = monte_carlo(layers, init, n, 3000, seed=17, checkpoints=checkpoints)
+    assert [snap.n for snap in snaps] == list(checkpoints)
     for snap in snaps:
         scaled, states = _reference_monte_carlo(layers, init, snap.n, 3000, seed=17)
         lattice = _reference_lattice(layers[: snap.n])
@@ -539,6 +560,35 @@ def test_monte_carlo_initial_draw_below_one_picks_last_state(monkeypatch):
     snaps = monte_carlo(layers, init, 3, 5, seed=0, checkpoints=(0, 3))
     assert snaps[0].final_states.tolist() == [max(initial_state_indices(layers[0], init))] * 5
     assert len(snaps[1]) == 5
+
+
+@pytest.mark.parametrize(
+    "name, t", [("twist2", RandomDigitStream(3, 5)), ("twist7", RandomDigitStream(7, 3))]
+)
+def test_monte_carlo_draws_on_a_threshold_follow_the_float_sums(request, monkeypatch, name, t):
+    # a draw u picks edge #{k : u >= (1/d + ... + 1/d), k terms}; floor(u * d)
+    # and u >= k/d in exact arithmetic both disagree with it on these draws
+    layers, init = _law_inputs(request, name, t, 12)
+    d = len(layers[0].edges[0])
+    thresholds = np.cumsum(np.full(d - 1, 1 / d))
+    edges = np.concatenate([thresholds, np.nextafter(thresholds, 0), [0.0, np.nextafter(1.0, 0)]])
+    rule = (edges[:, None] >= thresholds).sum(axis=1)
+    exact = [sum(Fraction(u) >= Fraction(k, d) for k in range(1, d)) for u in edges]
+    assert (rule != np.floor(edges * d)).any() or (rule != exact).any()
+
+    class EdgeDraws:
+        def __init__(self):
+            self.calls = 0
+
+        def random(self, size):
+            self.calls += 1  # a new rotation per step, so every path meets every draw
+            return np.resize(np.roll(edges, self.calls), size)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: EdgeDraws())
+    sample = monte_carlo(layers, init, 12, 101, seed=0)
+    scaled, states = _reference_monte_carlo(layers, init, 12, 101, seed=0)
+    assert np.array_equal(sample.scaled, scaled)
+    assert np.array_equal(sample.final_states, states)
 
 
 def test_engines_reject_layers_without_d_equal_edges(twist2):
