@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 from .linalg import common_numerators
 from .substitution import Substitution, WeightVector
@@ -101,60 +101,49 @@ def _prefix_sums(ints: list[int], w: bytes) -> list[int]:
     return list(accumulate((ints[b] for b in w), initial=0))
 
 
-def build_tau_automaton(sub: Substitution, gamma: WeightVector, tau: int) -> TauAutomaton:
-    """The automaton on states A x A^2 for shift digit tau in {0..d-1}."""
+def _build_automaton(
+    sub: Substitution, gamma: WeightVector, tau: int, width: int
+) -> TauAutomaton:
+    """The automaton on states A x A^width: width 2 is the tau automaton,
+    width 1 the simplified one (tau = 0, second pair letter dropped)."""
     d = _require_constant_length(sub)
     if not (0 <= tau <= d - 1):
         raise ValueError(f"tau must lie in 0..{d - 1}")
+    # the last split, j = d + tau, must leave width letters of the tracked image
+    if d + tau - 1 + width > width * d:
+        raise ValueError("pair-image index must exist")
     n = sub.alphabet_size
-    states: list[State] = [
-        (a, (v1, v2)) for a in range(n) for v1 in range(n) for v2 in range(n)
-    ]
+    tracked = list(product(range(n), repeat=width))
+    states: list[State] = [(a, v) for a in range(n) for v in tracked]
     index = {s: i for i, s in enumerate(states)}
     ints, scale = common_numerators(gamma.values)
     prefix = [_prefix_sums(ints, img) for img in sub.images]
-    pair_images = {
-        (v1, v2): sub.images[v1] + sub.images[v2] for v1 in range(n) for v2 in range(n)
-    }
-    pair_prefix = {v: _prefix_sums(ints, img) for v, img in pair_images.items()}
+    tracked_images = {v: b"".join(sub.images[b] for b in v) for v in tracked}
+    tracked_prefix = {v: _prefix_sums(ints, img) for v, img in tracked_images.items()}
     groups = []
     for a, v in states:
         img_a = sub.images[a]
-        img_v = pair_images[v]
-        pre_v = pair_prefix[v]
+        img_v = tracked_images[v]
+        pre_v = tracked_prefix[v]
         out = []
         for m in range(1, d + 1):
-            j = m + tau  # 1-based split of the pair image, j+1 <= 2d
-            if j + 1 > 2 * d:
-                raise ValueError("pair-image index must exist")
-            target = (img_a[m - 1], (img_v[j - 1], img_v[j]))
+            j = m + tau  # 1-based split of the tracked image
+            target = (img_a[m - 1], tuple(img_v[j - 1 : j - 1 + width]))
             # gamma(img_a[m:]) + gamma(img_v[:j-1])
             payoff = Fraction(prefix[a][d] - prefix[a][m] + pre_v[j - 1], scale)
             out.append(AutomatonEdge(index[(a, v)], m, index[target], payoff))
         groups.append(tuple(out))
-    return TauAutomaton(sub, gamma, tau, False, tuple(states), tuple(groups))
+    return TauAutomaton(sub, gamma, tau, width == 1, tuple(states), tuple(groups))
+
+
+def build_tau_automaton(sub: Substitution, gamma: WeightVector, tau: int) -> TauAutomaton:
+    """The automaton on states A x A^2 for shift digit tau in {0..d-1}."""
+    return _build_automaton(sub, gamma, tau, width=2)
 
 
 def build_simplified_automaton(sub: Substitution, gamma: WeightVector) -> TauAutomaton:
     """The tau = 0 automaton on states A x A (second pair letter dropped)."""
-    d = _require_constant_length(sub)
-    n = sub.alphabet_size
-    states: list[State] = [(a, (b,)) for a in range(n) for b in range(n)]
-    index = {s: i for i, s in enumerate(states)}
-    ints, scale = common_numerators(gamma.values)
-    prefix = [_prefix_sums(ints, img) for img in sub.images]
-    groups = []
-    for a, (b,) in states:
-        img_a = sub.images[a]
-        img_b = sub.images[b]
-        out = []
-        for m in range(1, d + 1):
-            target = (img_a[m - 1], (img_b[m - 1],))
-            # gamma(img_a[m:]) + gamma(img_b[:m-1])
-            payoff = Fraction(prefix[a][d] - prefix[a][m] + prefix[b][m - 1], scale)
-            out.append(AutomatonEdge(index[(a, (b,))], m, index[target], payoff))
-        groups.append(tuple(out))
-    return TauAutomaton(sub, gamma, 0, True, tuple(states), tuple(groups))
+    return _build_automaton(sub, gamma, 0, width=1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,11 @@ Every command is deterministic given its flags (seeds included and always
 echoed into the output); floats are serialized with fixed precision so
 reruns are byte-identical.  JSON is the machine-readable format, DOT is for
 graphs, CSV only for histograms.
+
+Errors have one boundary, ``main``: the commands and the library raise
+``ValueError`` (``CliError`` here) for every input they reject, and ``main``
+turns it, or an ``OSError`` from a path, into one JSON line
+``{"error": msg}`` on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -73,10 +78,9 @@ def emit_text(text: str, out: Path | None, name: str) -> None:
         print(f"wrote {out / name}")
 
 
-class CliError(SystemExit):
-    def __init__(self, message: str, code: int = 2):
-        print(json.dumps({"error": message}), file=sys.stderr)
-        super().__init__(code)
+class CliError(ValueError):
+    """An input the command line rejects; ``main`` reports it like any other
+    ``ValueError`` from the library."""
 
 
 def load_substitution(args) -> Substitution:
@@ -90,10 +94,8 @@ def load_substitution(args) -> Substitution:
             if text.lstrip().startswith("{"):
                 return parse_substitution_json(text)
             return parse_substitution(text)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise CliError(f"cannot parse substitution: {exc}")
-    except OSError as exc:
-        raise CliError(str(exc))
     raise CliError("a substitution is required (--sub FILE or --inline TEXT)")
 
 
@@ -129,10 +131,7 @@ def parse_time(args, sub: Substitution):
     if len(given) > 1:
         raise CliError("use only one of --t, --digits, --random-digits")
     if args.random_digits is not None:
-        try:
-            return ld.time_expansion(sub, ld.RandomDigitStream(d, args.random_digits))
-        except ValueError as exc:
-            raise CliError(str(exc))
+        return ld.time_expansion(sub, ld.RandomDigitStream(d, args.random_digits))
     if args.digits is not None:
         try:
             if ":" in args.digits:
@@ -143,10 +142,7 @@ def parse_time(args, sub: Substitution):
             per = tuple(int(x) for x in per_text.split(",") if x != "")
         except ValueError as exc:
             raise CliError(f"cannot parse --digits: {exc}")
-        try:
-            return ld.time_expansion(sub, ld.DigitStream(d, pre, per))
-        except ValueError as exc:
-            raise CliError(str(exc))
+        return ld.time_expansion(sub, ld.DigitStream(d, pre, per))
     text = args.t if args.t is not None else "1"
     try:
         return ld.time_expansion(sub, Fraction(text))
@@ -224,10 +220,7 @@ def cmd_automaton(args) -> int:
         automaton = build_simplified_automaton(sub, gamma)
         name = "automaton-simplified"
     else:
-        try:
-            automaton = build_tau_automaton(sub, gamma, args.tau)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        automaton = build_tau_automaton(sub, gamma, args.tau)
         name = f"automaton-tau{args.tau}"
     if args.format == "dot":
         emit_text(automaton.to_dot(), args.out, f"{name}.dot")
@@ -256,19 +249,13 @@ def cmd_classify(args) -> int:
             digits = [int(x) for x in args.block.split(",")]
         except ValueError as exc:
             raise CliError(f"cannot parse --block: {exc}")
-        try:
-            chain = mk.compose(*mk.digit_chains(sub, gamma, digits))
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        chain = mk.compose(*mk.digit_chains(sub, gamma, digits))
         name = "chain-block-" + "-".join(str(x) for x in digits)
     elif args.simplified:
         chain = mk.chain_of(build_simplified_automaton(sub, gamma))
         name = "chain-simplified"
     else:
-        try:
-            chain = mk.chain_of(build_tau_automaton(sub, gamma, args.tau))
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        chain = mk.chain_of(build_tau_automaton(sub, gamma, args.tau))
         name = f"chain-tau{args.tau}"
     initial = None
     if is_primitive(sub) and not args.simplified:
@@ -297,12 +284,9 @@ def cmd_bounds(args) -> int:
     worst = Fraction(0)
     for k in range(args.points):
         seed = args.seed + k
-        try:
-            path = sample_path_with_coverage(sub, seed, min_right=horizon, min_left=horizon)
-            fwd = bounds_mod.census_probe(sub, gamma, path, horizon)
-            rev = bounds_mod.census_probe(sub, gamma, path, horizon, reverse=True)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        path = sample_path_with_coverage(sub, seed, min_right=horizon, min_left=horizon)
+        fwd = bounds_mod.census_probe(sub, gamma, path, horizon)
+        rev = bounds_mod.census_probe(sub, gamma, path, horizon, reverse=True)
         worst = max(worst, fwd, rev)
         probes.append({"seed": seed, "forward": str(fwd), "reverse": str(rev)})
     report = {
@@ -328,17 +312,11 @@ def cmd_simulate(args) -> int:
     gamma = select_gamma(sub, args.gamma)
     (n,) = parse_horizons(args.n)
     plan = parse_time(args, sub)
-    try:
-        layers = ld.layer_chains(sub, gamma, plan, n)
-        init = mk.initial_distribution(sub, gamma, plan.tau0)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    try:
-        sample = ld.monte_carlo(
-            layers, init, n, args.samples, args.seed, t_digits=plan.describe()
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    layers = ld.layer_chains(sub, gamma, plan, n)
+    init = mk.initial_distribution(sub, gamma, plan.tau0)
+    sample = ld.monte_carlo(
+        layers, init, n, args.samples, args.seed, t_digits=plan.describe()
+    )
     moments = ld.sample_moments(sample)
     report = {
         "t": plan.describe(),
@@ -367,27 +345,18 @@ def cmd_dist(args) -> int:
         report["mode"] = "exact" if args.exact else "mc"
     prediction = None
     if plan.eventually_periodic:
-        try:
-            prediction = ld.mixture_prediction(sub, gamma, plan)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        prediction = ld.mixture_prediction(sub, gamma, plan)
         report["prediction"] = prediction.density_description()
     if len(n_values) > 1:
-        try:
-            growth = ld.variance_growth(sub, gamma, plan, n_values)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        growth = ld.variance_growth(sub, gamma, plan, n_values)
         report["variances"] = list(growth.variances)
         report["slope"] = growth.slope
         report["method"] = "exact"
         emit_json(report, args.out, "dist.json")
         return 0
     n = n_values[0]
-    try:
-        layers = ld.layer_chains(sub, gamma, plan, n)
-        init = mk.initial_distribution(sub, gamma, plan.tau0)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    layers = ld.layer_chains(sub, gamma, plan, n)
+    init = mk.initial_distribution(sub, gamma, plan.tau0)
     if args.exact:
         dist = ld.exact_sum_distribution(layers, init, n)
         report["V_n"] = str(dist.variance())
@@ -396,12 +365,9 @@ def cmd_dist(args) -> int:
         if args.format == "csv":
             emit_text(_histogram_csv(pairs), args.out, f"dist-exact-n{n}.csv")
     else:
-        try:
-            sample = ld.monte_carlo(
-                layers, init, n, args.samples, args.seed, t_digits=plan.describe()
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        sample = ld.monte_carlo(
+            layers, init, n, args.samples, args.seed, t_digits=plan.describe()
+        )
         report["samples"] = args.samples
         report["V_n"] = float(np.var(sample.values))
         if prediction is not None:
@@ -533,8 +499,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    This is the one error boundary: a ``ValueError`` (every input the
+    commands or the library reject) or an ``OSError`` (an unreadable or
+    unwritable path) becomes one JSON line ``{"error": msg}`` on stderr and
+    ``SystemExit(2)``, the code argparse uses for a bad command line.
+    Anything else is a bug and keeps its traceback."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

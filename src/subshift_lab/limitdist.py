@@ -305,7 +305,10 @@ def _initial_indices(
 # ---------------------------------------------------------------------------
 
 
-class SupportCapExceeded(RuntimeError):
+class SupportCapExceeded(ValueError):
+    """The exact law outgrew ``support_cap`` slots: an input too large for the
+    exact method, rejected like any other."""
+
     def __init__(self, reached_n: int, size: int):
         super().__init__(f"support cap exceeded at step {reached_n} with {size} slots")
         self.reached_n = reached_n

@@ -116,13 +116,6 @@ class ChainGraph:
             out.append(tuple(sorted(merged.items())))
         return tuple(out)
 
-    def transition_matrix(self) -> list[list[Fraction]]:
-        form = self.integer_form
-        return [
-            [Fraction(x, form.denominator) for x in row]
-            for row in form.transition_numerators()
-        ]
-
     def to_dot(self, classes: Sequence["RecurrentClass"] = ()) -> str:
         palette = ["lightblue", "palegreen", "lightsalmon", "plum", "khaki", "lightpink"]
         color: dict[int, str] = {}
@@ -139,22 +132,6 @@ class ChainGraph:
                 lines.append(f'  s{i} -> s{e.target} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> dict:
-        return {
-            "states": list(self.state_labels),
-            "edges": [
-                {
-                    "source": i,
-                    "target": e.target,
-                    "prob": str(e.prob),
-                    "payoff": str(e.payoff),
-                    "label": e.label,
-                }
-                for i, group in enumerate(self.edges)
-                for e in group
-            ],
-        }
 
 
 def chain_of(automaton: TauAutomaton) -> ChainGraph:

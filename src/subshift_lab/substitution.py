@@ -343,17 +343,34 @@ def parse_substitution(text: str) -> Substitution:
 
 
 def parse_substitution_json(doc: str | dict) -> Substitution:
-    """Parse the JSON form {"alphabet": [...], "images": [...]}."""
-    data = json.loads(doc) if isinstance(doc, str) else doc
-    alphabet = data["alphabet"]
+    """Parse the JSON form {"alphabet": [...], "images": [...]}.
+
+    The alphabet is a letter count or a list of symbols, and each image a
+    string or a list of symbols; any other shape raises ``ValueError``."""
+    try:
+        data = json.loads(doc) if isinstance(doc, str) else doc
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(data, dict) or not {"alphabet", "images"} <= data.keys():
+        raise ValueError('expected an object with "alphabet" and "images"')
+    alphabet, raw_images = data["alphabet"], data["images"]
+    if not isinstance(raw_images, list) or not all(
+        isinstance(img, (str, list)) for img in raw_images
+    ):
+        raise ValueError('"images" must be a list of strings or lists')
+    if not isinstance(alphabet, (int, list)):
+        raise ValueError('"alphabet" must be a letter count or a list of symbols')
+    # compared before the symbols are built, so a huge count costs nothing
+    size = alphabet if isinstance(alphabet, int) else len(alphabet)
+    if size != len(raw_images):
+        raise ValueError("need exactly one image per letter")
     if isinstance(alphabet, int):
-        symbols = [str(k + 1) for k in range(alphabet)]
+        symbols = [str(k + 1) for k in range(size)]
     else:
         symbols = [str(s) for s in alphabet]
+    if len(set(symbols)) != len(symbols):
+        raise ValueError("duplicate letter in the alphabet")
     symbol_index = {s: i for i, s in enumerate(symbols)}
-    raw_images = data["images"]
-    if len(raw_images) != len(symbols):
-        raise ValueError("need exactly one image per letter")
     images = []
     for img in raw_images:
         if isinstance(img, str):

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -8,12 +9,16 @@ from fractions import Fraction
 
 import pytest
 
+from subshift_lab import limitdist as ld
 from subshift_lab.cli import build_parser, main
 
 
-def run_cli(args):
+def run_cli(args, script=None):
+    """The CLI in a fresh interpreter; ``script``, when given, runs in place of
+    ``python -m subshift_lab.cli`` and reads ``args`` from ``sys.argv``."""
+    entry = ["-m", "subshift_lab.cli"] if script is None else ["-c", script]
     proc = subprocess.run(
-        [sys.executable, "-m", "subshift_lab.cli", *args],
+        [sys.executable, *entry, *args],
         capture_output=True,
         text=True,
         timeout=120,
@@ -541,3 +546,63 @@ def test_out_of_range_digits_are_structured_errors(args, message):
     code, out, err = _run_in_process([*args, "--inline", "1: 112; 2: 221"])
     assert code == 2 and out == ""
     assert json.loads(err)["error"].startswith(message)
+
+
+# the CLI with the exact law's support cap lowered to 50 slots
+_CAP_50 = """\
+import functools, sys
+from subshift_lab import limitdist as ld
+from subshift_lab.cli import main
+ld.exact_sum_distribution = functools.partial(ld.exact_sum_distribution, support_cap=50)
+sys.exit(main())
+"""
+
+_TWIST2 = ["--inline", "1: 112; 2: 221"]
+
+
+@pytest.mark.parametrize(
+    "args, sub_json, capped, message",
+    [
+        # the liminf constant needs an eigenvalue of modulus 1; this gamma's is 3
+        (["bounds", *_TWIST2, "--gamma", "1,1", "--points", "1"], None, False,
+         "the weight vector must belong to an eigenvalue of modulus one"),
+        (["analyze", *_TWIST2, "--out", "{tmp}/file/sub"], None, False,
+         "[Errno 20] Not a directory"),
+        (["analyze", "--sub", "{tmp}/sub.json"], {"alphabet": 2, "images": 5}, False,
+         'cannot parse substitution: "images" must be a list of strings or lists'),
+        (["analyze", "--sub", "{tmp}/sub.json"], {"alphabet": None, "images": ["12", "21"]},
+         False, 'cannot parse substitution: "alphabet" must be a letter count or a list'),
+        (["analyze", "--sub", "{tmp}/sub.json"], {"alphabet": 2, "images": [12, 21]}, False,
+         'cannot parse substitution: "images" must be a list of strings or lists'),
+        # exited 0 with two letters named "1"
+        (["analyze", "--sub", "{tmp}/sub.json"], {"alphabet": ["1", "1"], "images": ["11", "11"]},
+         False, "cannot parse substitution: duplicate letter in the alphabet"),
+        (["dist", *_TWIST2, "--t", "3/2", "--n", "30", "--exact"], None, True,
+         "support cap exceeded at step 5 with 58 slots"),
+    ],
+    ids=["bounds-eigenvalue-3", "out-under-a-file", "json-images-not-a-list",
+         "json-alphabet-null", "json-images-ints", "json-duplicate-symbols",
+         "dist-exact-support-cap"],
+)
+def test_rejected_inputs_exit_2_with_one_json_line(
+    args, sub_json, capped, message, tmp_path, monkeypatch
+):
+    # each of these ended in a traceback with exit 1, or exit 0 for the
+    # duplicate symbols; main is the one place that reports a rejected input
+    (tmp_path / "file").write_text("")
+    if sub_json is not None:
+        (tmp_path / "sub.json").write_text(json.dumps(sub_json))
+    argv = [arg.format(tmp=tmp_path) for arg in args]
+    proc = run_cli(argv, script=_CAP_50 if capped else None)
+    if capped:
+        monkeypatch.setattr(
+            ld, "exact_sum_distribution",
+            functools.partial(ld.exact_sum_distribution, support_cap=50),
+        )
+    code, out, err = _run_in_process(argv)
+    assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert list(doc) == ["error"] and doc["error"].startswith(message)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -392,6 +393,35 @@ def test_parse_json_roundtrip(twist2):
     again = parse_substitution_json(json.dumps(doc))
     assert again.images == sub.images
     assert again.symbols == sub.symbols
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([["1", "2"], ["12", "21"]], 'expected an object with "alphabet" and "images"'),
+        # a missing key used to escape as a bare KeyError
+        ({"images": ["12", "21"]}, 'expected an object with "alphabet" and "images"'),
+        ({"alphabet": 2, "images": 5}, '"images" must be a list of strings or lists'),
+        ({"alphabet": 2, "images": "12"}, '"images" must be a list of strings or lists'),
+        ({"alphabet": 2, "images": [12, 21]}, '"images" must be a list of strings or lists'),
+        ({"alphabet": "12", "images": ["12", "21"]}, '"alphabet" must be a letter count'),
+        ({"alphabet": None, "images": ["12", "21"]}, '"alphabet" must be a letter count'),
+        # the count is checked before any symbol is built
+        ({"alphabet": 10**12, "images": ["1"]}, "need exactly one image per letter"),
+        ({"alphabet": ["1", "1"], "images": ["11", "11"]}, "duplicate letter in the alphabet"),
+        ({"alphabet": [1, "1"], "images": ["11", "11"]}, "duplicate letter in the alphabet"),
+    ],
+)
+def test_parse_json_rejects_malformed_documents(doc, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        parse_substitution_json(json.dumps(doc))
+
+
+def test_parse_json_rejects_deep_nesting():
+    # the decoder's RecursionError used to escape as a traceback
+    deep = '{"alphabet": ' + "[" * 10**5 + "]" * 10**5 + ', "images": []}'
+    with pytest.raises(ValueError, match="^JSON nested too deeply$"):
+        parse_substitution_json(deep)
 
 
 def test_matrix_serialization():
