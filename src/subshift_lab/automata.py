@@ -13,9 +13,6 @@ carrying payoff gamma(S(a, m)) + gamma(P(V, m+tau)), where sigma acts on the
 pair V by concatenation (length 2d, so both target letters always exist --
 checked, not assumed).  For tau = 0 the second letter of V is irrelevant
 and a simplified automaton on states (a, b) is available.
-
-The synchronization predicates classify which of these graphs can keep the
-two tracked positions forever distinct.
 """
 
 from __future__ import annotations
@@ -144,26 +141,3 @@ def build_tau_automaton(sub: Substitution, gamma: WeightVector, tau: int) -> Tau
 def build_simplified_automaton(sub: Substitution, gamma: WeightVector) -> TauAutomaton:
     """The tau = 0 automaton on states A x A (second pair letter dropped)."""
     return _build_automaton(sub, gamma, 0, width=1)
-
-
-# ---------------------------------------------------------------------------
-# synchronization predicates
-# ---------------------------------------------------------------------------
-
-
-def synchronizable_letters(sub: Substitution) -> set[int]:
-    """Letters occurring at the same position in two distinct images."""
-    d = _require_constant_length(sub)
-    n = sub.alphabet_size
-    found: set[int] = set()
-    for j in range(d):
-        for b in range(n):
-            for c in range(b + 1, n):
-                if sub.images[b][j] == sub.images[c][j]:
-                    found.add(sub.images[b][j])
-    return found
-
-
-def is_strongly_non_synchronizable(sub: Substitution) -> bool:
-    """No letter ever repeats at a common position across distinct images."""
-    return not synchronizable_letters(sub)

@@ -26,7 +26,6 @@ any size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -60,63 +59,6 @@ def liminf_constant(sub: Substitution, gamma: WeightVector) -> Fraction:
     max_suffix = max(abs(gamma_of_word(gamma, s)) for s in automaton.suffixes())
     max_prefix = max(abs(gamma_of_word(gamma, p)) for p in automaton.prefixes())
     return max_letter + max_suffix + max_prefix
-
-
-@dataclass(frozen=True)
-class BoundedPrefix:
-    """A window prefix W_k together with its exact gamma value."""
-
-    level: int
-    word: Word
-    value: Fraction
-
-
-def bounded_prefixes(
-    sub: Substitution, gamma: WeightVector, path: Sequence[PSTriple]
-) -> list[BoundedPrefix]:
-    """The family of prefixes W_k = S^_k sigma^k(s_k) sigma^k(pi_k) P^_k.
-
-    Levels whose next suffix is empty (or whose center does not occur in the
-    image of that suffix) are skipped.  For every usable level the identity
-
-        gamma(W_k) = theta^k (gamma(c_k) + gamma(s_k) + gamma(pi_k))
-
-    is checked exactly before returning; a mismatch raises ``ValueError``.
-    """
-    _require_unit_eigenvalue(gamma)
-    path = tuple(path)
-    out: list[BoundedPrefix] = []
-    hat_s = bytes([path[0].center])  # c_0 s_0 sigma(s_1) ... grows with k
-    hat_p = b""  # ... sigma(p_1) p_0
-    for k in range(len(path) - 1):
-        triple = path[k]
-        next_suffix = path[k + 1].suffix
-        usable = False
-        if next_suffix:
-            image_of_suffix = sub.apply(next_suffix)
-            pos = image_of_suffix.find(bytes([triple.center]))
-            if pos >= 0:
-                usable = True
-                pi_k = image_of_suffix[:pos]
-        if usable:
-            w_k = (
-                hat_s
-                + sub.apply_power(triple.suffix, k)
-                + sub.apply_power(pi_k, k)
-                + hat_p
-            )
-            value = gamma_of_word(gamma, w_k)
-            expected = gamma.theta**k * (
-                gamma.values[triple.center]
-                + gamma_of_word(gamma, triple.suffix)
-                + gamma_of_word(gamma, pi_k)
-            )
-            if value != expected:
-                raise ValueError("prefix family identity must hold exactly")
-            out.append(BoundedPrefix(k, w_k, value))
-        hat_s = hat_s + sub.apply_power(triple.suffix, k)
-        hat_p = sub.apply_power(triple.prefix, k) + hat_p
-    return out
 
 
 def liminf_probe(

@@ -163,6 +163,15 @@ def parse_horizons(text: str, many: bool = False) -> list[int]:
     return values
 
 
+# Monte Carlo peaks near 57 bytes per sample: the cap is about 0.6 GB
+MAX_SAMPLES = 10**7
+
+
+def check_samples(samples: int) -> None:
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise CliError(f"--samples must lie in 1..{MAX_SAMPLES}, got {samples}")
+
+
 def add_sub_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sub", help="substitution file (line format or JSON)")
     p.add_argument("--inline", help="inline substitution, e.g. '1: 112; 2: 221'")
@@ -308,6 +317,7 @@ def _histogram_csv(pairs) -> str:
 
 
 def cmd_simulate(args) -> int:
+    check_samples(args.samples)
     sub = load_substitution(args)
     gamma = select_gamma(sub, args.gamma)
     (n,) = parse_horizons(args.n)
@@ -334,6 +344,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dist(args) -> int:
+    check_samples(args.samples)
     sub = load_substitution(args)
     gamma = select_gamma(sub, args.gamma)
     n_values = sorted(parse_horizons(args.n, many=True))

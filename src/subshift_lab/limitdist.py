@@ -4,10 +4,14 @@ The time parameter t in [1, d) drives everything through its base-d digits:
 the integer digit fixes the initial state law, each fractional digit selects
 the automaton layer for one step.  One ``DigitStream`` holds t however it is
 given: a rational (``--t``), a preperiod and period (``--digits``) or a seed
-for uniform digits (``--random-digits``).  The accumulated payoff after n steps
-matches the ergodic sum S at time floor(d^n t) up to a boundary term of at
-most 3 max|gamma|, which ``word_vs_chain_check`` verifies against words
-built letter by letter.
+for uniform digits (``--random-digits``).  The engines start every
+accumulated payoff at 0, so after n steps it misses the ergodic sum S at
+time floor(d^n t) by the initial window's gamma(x_0) + gamma(x[1:tau0]):
+at most tau0 max|gamma| <= (d - 1) max|gamma|, a bound that passes
+3 max|gamma| once d >= 5 (carrying that offset into the laws is ROADMAP.md
+item 1).  ``word_vs_chain_check`` starts its chain sum at gamma(x[1:tau0])
+and checks it against words built letter by letter; what remains is
+|gamma(x_0)|.
 
 Both engines step through the same compiled layers: integer (states, d)
 tables of edge targets and of payoffs in lattice units.  Exact distributions
@@ -42,7 +46,6 @@ from .linalg import common_numerators
 from .markov import (
     ChainGraph,
     InitialDistribution,
-    RecurrentClass,
     absorption_probabilities,
     asymptotic_variance,
     compose,

@@ -3,10 +3,10 @@
 A digit automaton becomes a Markov chain by putting probability 1/d on each
 of the d outgoing edges.  Everything here is exact rational: strongly
 connected components, recurrent classes and their periods, stationary
-distributions, the coboundary decision (spanning-tree potential plus cycle
-verification), per-step asymptotic variances via the Poisson equation, the
-composed multi-digit chains, absorption probabilities and the Dobrushin
-ergodic coefficient.
+distributions, the coboundary decision (a spanning-tree potential checked
+on every class edge), per-step asymptotic variances via the Poisson
+equation, the composed multi-digit chains, absorption probabilities and the
+Dobrushin ergodic coefficient.
 
 Edges carry ``Fraction``s, but the arithmetic runs on integers: each chain
 has one ``IntegerForm``, built once, with every probability a numerator
@@ -221,7 +221,6 @@ class RecurrentClass:
     period: int
     stationary: dict[int, Fraction]
     coboundary: bool
-    witness: dict
 
 
 def strongly_connected_components(chain: ChainGraph) -> list[list[int]]:
@@ -337,10 +336,8 @@ def recurrent_classes(chain: ChainGraph) -> list[RecurrentClass]:
         if not closed:
             continue
         stationary = _stationary(chain, comp)
-        cob, witness = coboundary_on_class(chain, comp)
-        out.append(
-            RecurrentClass(tuple(comp), class_period(chain, comp), stationary, cob, witness)
-        )
+        cob = coboundary_on_class(chain, comp)
+        out.append(RecurrentClass(tuple(comp), class_period(chain, comp), stationary, cob))
     out.sort(key=lambda c: c.states[0])
     return out
 
@@ -378,103 +375,29 @@ def expected_payoff(chain: ChainGraph, cls: RecurrentClass) -> Fraction:
     return Fraction(total, den * form.denominator * form.lattice)
 
 
-def coboundary_on_class(chain: ChainGraph, states: Sequence[int]) -> tuple[bool, dict]:
+def coboundary_on_class(chain: ChainGraph, states: Sequence[int]) -> bool:
     """Decide whether the payoff is a potential difference on the class.
 
-    Assigns a potential along a directed spanning tree and verifies every
-    class edge; on failure returns a directed cycle with nonzero payoff sum
-    (such a cycle can be iterated, so path sums are unbounded).
+    Assigns a potential along a directed spanning tree of the integer rows
+    and checks every class edge against it.  On a strongly connected class
+    the potential is unique up to a constant, so one failed edge decides.
     """
-    form = chain.integer_form
-    rows = form.rows
+    rows = chain.integer_form.rows
     members = set(states)
     root = min(states)
     h: dict[int, int] = {root: 0}  # potentials in payoff lattice units
-    parent: dict[int, tuple[int, ChainEdge]] = {}
     frontier = [root]
     while frontier:
         v = frontier.pop()
-        for e, (t, _, pay) in zip(chain.edges[v], rows[v]):
+        for t, _, pay in rows[v]:
             if t in members and t not in h:
                 h[t] = h[v] + pay
-                parent[t] = (v, e)
                 frontier.append(t)
     if len(h) != len(members):
         raise ValueError("class must be strongly connected")
-    potential = {s: Fraction(x, form.lattice) for s, x in h.items()}
-    for v in states:
-        for e, (t, _, pay) in zip(chain.edges[v], rows[v]):
-            if t in members and h[t] - h[v] != pay:
-                cycle, payoffs, total = _nonzero_cycle_through(
-                    chain, members, potential, parent, v, e
-                )
-                return False, {"cycle": cycle, "payoffs": payoffs, "sum": total}
-    return True, {"potential": potential}
-
-
-def _tree_path(
-    parent: Mapping[int, tuple[int, ChainEdge]], root: int, node: int
-) -> tuple[list[int], list[Fraction]]:
-    path = [node]
-    payoffs: list[Fraction] = []
-    while node != root:
-        node, edge = parent[node]
-        path.append(node)
-        payoffs.append(edge.payoff)
-    path.reverse()
-    payoffs.reverse()
-    return path, payoffs
-
-
-def _nonzero_cycle_through(
-    chain: ChainGraph,
-    members: set[int],
-    h: Mapping[int, Fraction],
-    parent: Mapping[int, tuple[int, ChainEdge]],
-    v: int,
-    bad: ChainEdge,
-) -> tuple[list[int], list[Fraction], Fraction]:
-    """Produce a directed cycle with nonzero payoff sum from a failed edge.
-
-    The tree path root->v has payoff sum h(v) by construction, so with Q any
-    directed path target->root, the cycles (root->v, bad edge, Q) and
-    (root->target, Q) have sums h(v)+payoff+sum(Q) and h(target)+sum(Q);
-    were both zero the bad edge would satisfy the potential.
-    """
-    root = min(members)
-    # shortest directed return path target -> root inside the class
-    prev: dict[int, tuple[int, ChainEdge]] = {}
-    frontier = [bad.target]
-    seen = {bad.target}
-    while root not in seen:
-        nxt = []
-        for u in frontier:
-            for e in chain.edges[u]:
-                if e.target in members and e.target not in seen:
-                    seen.add(e.target)
-                    prev[e.target] = (u, e)
-                    nxt.append(e.target)
-        frontier = nxt
-    back = [root]
-    back_payoffs: list[Fraction] = []
-    node = root
-    while node != bad.target:
-        u, e = prev[node]
-        back_payoffs.append(e.payoff)
-        back.append(u)
-        node = u
-    back.reverse()
-    back_payoffs.reverse()
-    sum_back = sum(back_payoffs, Fraction(0))
-    to_v, to_v_payoffs = _tree_path(parent, root, v)
-    total1 = h[v] + bad.payoff + sum_back
-    if total1 != 0:
-        return to_v + back, to_v_payoffs + [bad.payoff] + back_payoffs, total1
-    to_t, to_t_payoffs = _tree_path(parent, root, bad.target)
-    total2 = h[bad.target] + sum_back
-    if total2 == 0:
-        raise ValueError("one of the two candidate cycles must have nonzero sum")
-    return to_t + back[1:], to_t_payoffs + back_payoffs, total2
+    return all(
+        h[t] - h[v] == pay for v in states for t, _, pay in rows[v] if t in members
+    )
 
 
 def asymptotic_variance(chain: ChainGraph, cls: RecurrentClass) -> Fraction:

@@ -21,8 +21,6 @@ from .substitution import (
     Word,
     expand_prefix,
     expand_suffix,
-    factor_blocks,
-    growth_depth,
     letter_lengths,
 )
 
@@ -166,25 +164,13 @@ def point_from_path(sub: Substitution, path, window: int) -> SymbolicPoint:
     return SymbolicPoint(sub, path, left, right, len(path), path[-1].parent)
 
 
-def sample_point(
-    sub: Substitution, depth: int, seed: int, window: int | None = None
-) -> SymbolicPoint:
-    """A point from a uniformly random consistent path of the given depth.
-
-    The top parent letter is uniform and each level splits its image at a
-    uniform position, so for constant length all paths below a given top
-    letter are equally likely.  Deterministic per seed.
-    """
-    path = _random_path(sub, depth, seed)
-    if window is None:
-        # full determined length on the larger side
-        window = max(determined_lengths(sub, path))
-    return point_from_path(sub, path, window)
-
-
 def _random_path(sub: Substitution, depth: int, seed: int) -> tuple[PSTriple, ...]:
-    """The path ``sample_point`` draws: top-down, a uniform top parent and
-    then a uniform split position per level."""
+    """A random consistent path of the given depth, drawn top-down: a
+    uniform top parent letter, then a uniform split position per level.
+
+    For constant length all paths below a given top letter are equally
+    likely.  Deterministic per seed.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     rng = random.Random(seed)
@@ -208,53 +194,6 @@ def determined_lengths(sub: Substitution, path) -> tuple[int, int]:
     return right, left
 
 
-def periodic_tail_point(
-    sub: Substitution,
-    path,
-    tail_letter: int,
-    window: int,
-) -> SymbolicPoint:
-    """A point whose suffixes vanish above the given path: periodic tail.
-
-    The forward window is c_0 s_0 sigma(s_1) ... sigma^K(s_K) followed by
-    the fixed point of sigma^q at ``tail_letter`` expanded through
-    sigma^{K+1}; q is the least power making the first letter return.  The
-    seam (up to 8 letters on each side) must be a factor of the language,
-    checked exactly against ``factor_blocks``; else ``ValueError``.
-    """
-    path = tuple(path)
-    check_path(sub, path)
-    # least q with sigma^q(tail_letter) starting at tail_letter again
-    first = tail_letter
-    q = 0
-    seen = {}
-    while first not in seen:
-        seen[first] = q
-        first = sub.image(first)[0]
-        q += 1
-    if first != tail_letter:
-        raise ValueError(
-            f"letter {tail_letter} is not on a first-letter cycle; no periodic tail"
-        )
-    determined = point_from_path(sub, path, window)
-    need = window - len(determined.right)
-    tail = b""
-    if need > 0:
-        # prefix of lim sigma^{jq}(tail_letter): each sigma^{jq}(tail_letter) is
-        # a prefix of the limit, so expand the least long enough j
-        m = growth_depth(sub, tail_letter, need)
-        if m is None:
-            raise ValueError(f"letter {tail_letter} does not grow; tail is finite")
-        tail = expand_prefix(sub, bytes([tail_letter]), -(-m // q) * q, need)
-    right = (determined.right + tail)[:window]
-    if len(right) > len(determined.right):
-        seam_lo = max(0, len(determined.right) - 8)
-        seam = right[seam_lo : len(determined.right) + 8]
-        if seam not in set(factor_blocks(sub, len(seam))):
-            raise ValueError("periodic tail seam is not a factor of the language")
-    return SymbolicPoint(sub, path, determined.left, right, determined.depth, determined.base)
-
-
 def sample_path_with_coverage(
     sub: Substitution,
     seed: int,
@@ -263,9 +202,8 @@ def sample_path_with_coverage(
 ) -> tuple[PSTriple, ...]:
     """Sample paths of increasing depth until one determines the request.
 
-    Each attempt's path is drawn as ``sample_point`` draws it, and the
-    letters it determines are read from the letter lengths; no word is
-    expanded.  Raises ``ValueError`` before sampling when the letter lengths
+    Each attempt's path is drawn by ``_random_path``, and the letters it
+    determines are read from the letter lengths; no word is expanded.  Raises ``ValueError`` before sampling when the letter lengths
     stop growing below ``min_right + min_left`` or are still below it at the
     deepest attempt's depth, since no path drawn can then cover the request,
     and after the last attempt when none covered it.

@@ -9,8 +9,6 @@ from subshift_lab.automata import (
     AutomatonEdge,
     build_simplified_automaton,
     build_tau_automaton,
-    is_strongly_non_synchronizable,
-    synchronizable_letters,
 )
 from subshift_lab.substitution import (
     Substitution,
@@ -100,19 +98,6 @@ def test_projection_consistency(twist2, sync3):
                 fa, fv = full.states[ef.target]
                 sa, sv = simple.states[es.target]
                 assert (fa, fv[0]) == (sa, sv[0])
-
-
-def test_synchronization_predicates(twist2, sync3):
-    sub, _ = twist2
-    assert is_strongly_non_synchronizable(sub)
-    assert synchronizable_letters(sub) == set()
-
-    twin = parse_substitution("1: 11\n2: 11")
-    assert synchronizable_letters(twin) == {0}
-
-    sub3, _ = sync3
-    # images of 2 and 3 share letter 3 at the second position
-    assert 2 in synchronizable_letters(sub3)
 
 
 def test_tau_automaton_rejects_bad_input(twist2):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from subshift_lab.bounds import (
     _nearest_bit,
-    bounded_prefixes,
     census_probe,
     liminf_constant,
     liminf_probe,
@@ -16,12 +15,12 @@ from subshift_lab.bounds import (
 from subshift_lab.linalg import common_numerators
 from subshift_lab.prefix_suffix import (
     PSTriple,
+    SymbolicPoint,
+    _random_path,
     build_ps_automaton,
     determined_lengths,
-    periodic_tail_point,
     point_from_path,
     sample_path_with_coverage,
-    sample_point,
     sample_point_with_coverage,
 )
 from subshift_lab.substitution import (
@@ -29,6 +28,7 @@ from subshift_lab.substitution import (
     WeightVector,
     eigenvector_for,
     gamma_of_word,
+    iterate_prefix,
     matrix_of,
     parse_substitution,
     word,
@@ -127,44 +127,6 @@ def test_liminf_constant_rejects_other_eigenvalues(twist2):
         liminf_constant(sub, g3)
 
 
-def test_bounded_prefixes_skip_and_bound(twist2):
-    sub, g = twist2
-    c = liminf_constant(sub, g)
-    found_any = False
-    for seed in range(12):
-        point = sample_point(sub, 5, seed=seed)
-        fam = bounded_prefixes(sub, g, point.path)
-        for entry in fam:
-            found_any = True
-            assert abs(entry.value) <= c
-            # each family word is a prefix of the forward window
-            assert point.right.startswith(entry.word)
-        # levels whose next suffix is empty are skipped
-        for k in range(len(point.path) - 1):
-            if not point.path[k + 1].suffix:
-                assert all(e.level != k for e in fam)
-    assert found_any
-
-
-def test_bounded_prefixes_identity_with_negative_eigenvalue():
-    sub = parse_substitution("1: 122\n2: 211")
-    g = eigenvector_for(matrix_of(sub), -1)
-    for seed in range(8):
-        point = sample_point(sub, 5, seed=seed)
-        # the identity assertion inside bounded_prefixes runs with theta = -1
-        for entry in bounded_prefixes(sub, g, point.path):
-            assert abs(entry.value) <= liminf_constant(sub, g)
-
-
-def test_bounded_prefixes_rejects_non_eigenvector(twist2):
-    # the identity check must hold under python -O too, where asserts vanish
-    sub, _ = twist2
-    g = WeightVector((Fraction(1), Fraction(0)), Fraction(1))
-    point = sample_point(sub, 5, seed=0)
-    with pytest.raises(ValueError, match="prefix family identity"):
-        bounded_prefixes(sub, g, point.path)
-
-
 def test_liminf_probe_first_step_bound(sync3):
     sub, g = sync3
     for seed in range(6):
@@ -194,7 +156,7 @@ def test_liminf_probe_reverse(twist2):
 
 def test_liminf_probe_window_too_short(twist2):
     sub, g = twist2
-    point = sample_point(sub, 2, seed=0, window=5)
+    point = point_from_path(sub, _random_path(sub, 2, seed=0), window=5)
     with pytest.raises(ValueError):
         liminf_probe(sub, g, point, horizon=10**6)
 
@@ -379,11 +341,19 @@ def test_census_probe_rejects_horizon_past_the_path(twist2):
 
 
 def test_liminf_probe_rejects_window_past_the_path(twist2):
-    # a periodic tail point's window runs past the one letter its path
-    # determines: that letter opens the window, so horizon 1 is the window's
-    # own answer, and the census refuses every horizon past it
+    # a window may run past the one letter its path determines (here the
+    # fixed point of 1 follows the empty suffix): that letter opens the
+    # window, so horizon 1 is the window's own answer, and the census
+    # refuses every horizon past it
     sub, g = twist2
-    point = periodic_tail_point(sub, [PSTriple(0, word([0, 0]), 1, b"")], 0, window=100)
+    point = SymbolicPoint(
+        sub,
+        (PSTriple(0, word([0, 0]), 1, b""),),
+        word([0, 0]),
+        word([1]) + iterate_prefix(sub, 0, 99),
+        1,
+        0,
+    )
     assert len(point.right) == 100
     assert liminf_probe(sub, g, point, 1) == window_probe(g, point, 1)
     with pytest.raises(ValueError, match="horizon 2 runs past the 1 letters"):

@@ -548,6 +548,28 @@ def test_out_of_range_digits_are_structured_errors(args, message):
     assert json.loads(err)["error"].startswith(message)
 
 
+@pytest.mark.parametrize("command", ["simulate", "dist"])
+@pytest.mark.parametrize(
+    "samples",
+    [
+        # 10^11 samples died with numpy's _ArrayMemoryError and exit 1
+        "100000000000",
+        # no sample at all reached the library's "need at least one sample"
+        "0",
+    ],
+)
+def test_sample_count_is_bounded_when_parsed(command, samples):
+    argv = [command, "--inline", "1: 112; 2: 221", "--t", "1", "--n", "10",
+            "--samples", samples]
+    code, out, err = _run_in_process(argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": f"--samples must lie in 1..10000000, got {samples}"
+    }
+
+
 # the CLI with the exact law's support cap lowered to 50 slots
 _CAP_50 = """\
 import functools, sys

@@ -5,9 +5,10 @@ import pytest
 from subshift_lab.prefix_suffix import (
     PSTriple,
     SymbolicPoint,
+    _random_path,
     build_ps_automaton,
+    determined_lengths,
     point_from_path,
-    sample_point,
     sample_point_with_coverage,
 )
 from subshift_lab.substitution import parse_substitution, word
@@ -88,28 +89,35 @@ def test_point_rejects_inconsistent_path(twist2):
         point_from_path(sub, [PSTriple(0, b"", 1, word([0, 1]))], window=4)
 
 
+def _full_point(sub, depth, seed):
+    """The point of a random path, its window the full determined length on
+    the larger side."""
+    path = _random_path(sub, depth, seed)
+    return point_from_path(sub, path, max(determined_lengths(sub, path)))
+
+
 def test_sample_point_depth_one(twist2):
     sub, _ = twist2
-    point = sample_point(sub, 1, seed=5)
-    assert len(point.path) == 1
-    point.path[0].check(sub)
+    path = _random_path(sub, 1, seed=5)
+    assert len(path) == 1
+    path[0].check(sub)
 
 
 def test_sample_point_deterministic(twist2):
     sub, _ = twist2
-    a = sample_point(sub, 6, seed=99)
-    b = sample_point(sub, 6, seed=99)
+    a = _full_point(sub, 6, seed=99)
+    b = _full_point(sub, 6, seed=99)
     assert a.path == b.path and a.right == b.right and a.left == b.left
 
 
 def test_sample_point_center_frequencies(twist2):
-    # the center letter should be distributed like a uniform image position
+    # the center letter of a random path should be distributed like a
+    # uniform image position
     sub, _ = twist2
     counts = [0, 0]
     trials = 100_000
     for seed in range(trials):
-        pos = sample_point(sub, 1, seed=seed, window=1)
-        counts[pos.path[0].center] += 1
+        counts[_random_path(sub, 1, seed=seed)[0].center] += 1
     expected = [0.5, 0.5]  # each letter fills half of all image positions
     for c, e in zip(counts, expected):
         assert abs(c / trials - e) < 0.01
@@ -144,7 +152,7 @@ def _recover_path(sub, point):
 def test_windows_are_factors_and_paths_recover(twist2, sync3):
     for sub, _ in (twist2, sync3):
         for seed in range(8):
-            point = sample_point(sub, 4, seed=seed)  # full determined window
+            point = _full_point(sub, 4, seed=seed)
             assert _window_is_factor(sub, point)
             assert _recover_path(sub, point) == point.path
 
@@ -153,41 +161,6 @@ def test_sample_point_with_coverage(twist2):
     sub, _ = twist2
     point = sample_point_with_coverage(sub, seed=3, min_right=500, min_left=500)
     assert len(point.right) >= 500 and len(point.left) >= 500
-
-
-def test_periodic_tail_point(twist2):
-    from subshift_lab.prefix_suffix import periodic_tail_point
-    from subshift_lab.substitution import iterate_prefix
-
-    sub, _ = twist2
-    # sigma(1) = 112 ends with 2, so the triple ("11", 2, "") has an empty
-    # suffix; the continuation is the fixed point at letter 1
-    path = [PSTriple(0, word([0, 0]), 1, b"")]
-    point = periodic_tail_point(sub, path, tail_letter=0, window=100)
-    assert point.right == word([1]) + iterate_prefix(sub, 0, 99)
-    # the seam and indeed the whole window occur in the language
-    fixed = iterate_prefix(sub, 0, 10**4)
-    assert point.right in fixed
-
-
-def test_periodic_tail_rejects_off_cycle_letter():
-    from subshift_lab.prefix_suffix import periodic_tail_point
-
-    sub = parse_substitution("1: 21\n2: 22")
-    path = [PSTriple(0, word([1]), 0, b"")]
-    with pytest.raises(ValueError):
-        periodic_tail_point(sub, path, tail_letter=0, window=10)
-
-
-def test_periodic_tail_rejects_illegal_seam(sync3):
-    from subshift_lab.prefix_suffix import periodic_tail_point
-
-    sub, _ = sync3
-    # sigma(1) = 12 split as ("1", 2, ""); the fixed point at 1 after the
-    # center gives the seam 2|12131223, which is not a factor of the language
-    path = [PSTriple(0, word([0]), 1, b"")]
-    with pytest.raises(ValueError, match="seam"):
-        periodic_tail_point(sub, path, tail_letter=0, window=100)
 
 
 # ---------------------------------------------------------------------------
