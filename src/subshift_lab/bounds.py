@@ -100,7 +100,19 @@ def census_probe(
     eigenvalue of modulus one, or when the horizon runs past the letters
     the path determines.
     """
-    if horizon < 1:
+    (probe,) = _census_probes(sub, gamma, path, [horizon], reverse)
+    return probe
+
+
+def _census_probes(
+    sub: Substitution,
+    gamma: WeightVector,
+    path: Sequence[PSTriple],
+    horizons: Sequence[int],
+    reverse: bool = False,
+) -> list[Fraction]:
+    """``census_probe`` at each horizon in turn, from one census."""
+    if min(horizons) < 1:
         raise ValueError("horizon must be >= 1")
     path = tuple(path)
     check_path(sub, path)
@@ -114,28 +126,31 @@ def census_probe(
         blocks += [(k, b) for k, t in enumerate(path) for b in t.suffix]
     lengths = list(islice(letter_lengths(sub), len(path)))
     determined = sum(lengths[k][b] for k, b in blocks)
-    if horizon > determined:
+    if max(horizons) > determined:
         raise ValueError(
-            f"horizon {horizon} runs past the {determined} letters the path determines"
+            f"horizon {max(horizons)} runs past the {determined} letters the path determines"
         )
     census = _census(images, weights, theta, len(path) - 1)
-    best = None
-    offset = 0  # the sum before the current block, in units
-    remaining = horizon
-    todo = iter(blocks)
-    while remaining:
-        k, b = next(todo)
-        if lengths[k][b] > remaining:
-            # the horizon cuts this block: walk its image one level down
-            # (a level-0 block is one letter, so this stops at level 0)
-            todo = iter([(k - 1, c) for c in images[b]])
-            continue
-        lo, bits = census[k][b]
-        near = _nearest_bit(bits, -offset - lo)
-        best = near if best is None else min(best, near)
-        offset += theta**k * weights[b]
-        remaining -= lengths[k][b]
-    return Fraction(best * unit, scale)
+    probes = []
+    for horizon in horizons:
+        best = None
+        offset = 0  # the sum before the current block, in units
+        remaining = horizon
+        todo = iter(blocks)
+        while remaining:
+            k, b = next(todo)
+            if lengths[k][b] > remaining:
+                # the horizon cuts this block: walk its image one level down
+                # (a level-0 block is one letter, so this stops at level 0)
+                todo = iter([(k - 1, c) for c in images[b]])
+                continue
+            lo, bits = census[k][b]
+            near = _nearest_bit(bits, -offset - lo)
+            best = near if best is None else min(best, near)
+            offset += theta**k * weights[b]
+            remaining -= lengths[k][b]
+        probes.append(Fraction(best * unit, scale))
+    return probes
 
 
 def _unit_weights(sub: Substitution, gamma: WeightVector) -> tuple[int, list[int], int, int]:

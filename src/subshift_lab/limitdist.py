@@ -58,6 +58,9 @@ from .prefix_suffix import sample_point_with_coverage
 from .substitution import Substitution, WeightVector, gamma_of_word
 
 DEFAULT_SUPPORT_CAP = 10**6
+# most bits the exact law may pack, slots times slot width: each slot grows by
+# log2(d) bits per step, so the step cost grows with the packed bits
+MAX_PACKED_BITS = 2**25
 # largest product of the d over one Monte Carlo chunk: its edge codes fit a uint8
 MAX_CHUNK_WIDTH = 256
 # steps of exact law behind the bounded window of a mixture's atom
@@ -308,6 +311,19 @@ def _initial_indices(
 # ---------------------------------------------------------------------------
 
 
+class PackedBitsExceeded(ValueError):
+    """The exact law outgrew ``MAX_PACKED_BITS``: its steps would take
+    seconds each, so the input is rejected like any other."""
+
+    def __init__(self, reached_n: int, bits: int):
+        super().__init__(
+            f"exact law too large at step {reached_n}: {bits} packed bits, "
+            f"past the bound of {MAX_PACKED_BITS}"
+        )
+        self.reached_n = reached_n
+        self.bits = bits
+
+
 class SupportCapExceeded(ValueError):
     """The exact law outgrew ``support_cap`` slots: an input too large for the
     exact method, rejected like any other."""
@@ -411,7 +427,8 @@ def exact_sum_distribution(
     pay; the ints are then shifted down by their common count of empty low
     slots, so a law of bounded support keeps ints of bounded length.
     ``support_cap`` bounds the slot count, the sum over states of
-    ceil(bits / W), an upper bound on the (state, sum) pairs.
+    ceil(bits / W), an upper bound on the (state, sum) pairs, and
+    ``MAX_PACKED_BITS`` the slot count times W.
     """
     if n > len(layers):
         raise ValueError("not enough layers for the requested horizon")
@@ -484,6 +501,8 @@ def exact_sum_distribution(
         slots = sum(map(operator.floordiv, bits, repeat(width)))
         if slots > support_cap:
             raise SupportCapExceeded(k, slots)
+        if slots * width > MAX_PACKED_BITS:
+            raise PackedBitsExceeded(k, slots * width)
         if k in want:
             snaps.append(snapshot(k))
     if checkpoints:

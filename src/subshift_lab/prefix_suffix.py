@@ -7,7 +7,9 @@ from a finite path as
     sigma^K(p_K) ... sigma(p_1) p_0 . c_0 s_0 sigma(s_1) ... sigma^K(s_K)
 
 which equals sigma^{K+1}(parent of the top triple).  Points are only ever
-materialized as finite windows.
+materialized as finite windows, each side built top-down from the path,
+X_k = s_k sigma(X_{k+1}) on the right and Y_k = sigma(Y_{k+1}) p_k on the
+left, by ``substitution.expand_levels``.
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ import random
 from dataclasses import dataclass
 from itertools import islice
 
-from .substitution import (
-    Substitution,
-    Word,
-    expand_prefix,
-    expand_suffix,
-    letter_lengths,
-)
+from .substitution import Substitution, Word, expand_levels, letter_lengths
 
 
 @dataclass(frozen=True)
@@ -133,34 +129,18 @@ def check_path(sub: Substitution, path: tuple[PSTriple, ...]) -> None:
 def point_from_path(sub: Substitution, path, window: int) -> SymbolicPoint:
     """Materialize the window the finite path determines (capped per side).
 
-    Builds c_0 s_0 sigma(s_1) ... on the right and ... sigma(p_1) p_0 on the
-    left by lazy truncated expansion; never expands beyond the cap.
+    The right side is the first ``window`` letters of
+    (c_0 s_0) sigma(s_1) ... sigma^K(s_K) and the left side the last of
+    sigma^K(p_K) ... sigma(p_1) p_0, each built top-down by
+    ``expand_levels``; neither is expanded beyond the cap.
     """
     path = tuple(path)
     check_path(sub, path)
     if window < 0:
         raise ValueError("window must be >= 0")
-    right_parts: list[Word] = []
-    left_parts: list[Word] = []
-    if window > 0:
-        right_parts.append(bytes([path[0].center]))
-        need = window - 1
-        level_suffix: list[Word] = [t.suffix for t in path]
-        for k, s in enumerate(level_suffix):
-            if need <= 0:
-                break
-            piece = expand_prefix(sub, s, k, need)
-            right_parts.append(piece)
-            need -= len(piece)
-        need = window
-        for k, t in enumerate(path):
-            if need <= 0:
-                break
-            piece = expand_suffix(sub, t.prefix, k, need)
-            left_parts.append(piece)
-            need -= len(piece)
-    right = b"".join(right_parts)
-    left = b"".join(reversed(left_parts))
+    suffixes = [bytes([path[0].center]) + path[0].suffix] + [t.suffix for t in path[1:]]
+    right = expand_levels(sub, suffixes, window)
+    left = expand_levels(sub, [t.prefix for t in path], window, from_end=True)
     return SymbolicPoint(sub, path, left, right, len(path), path[-1].parent)
 
 

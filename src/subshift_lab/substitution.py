@@ -9,6 +9,12 @@ The abelianization matrix follows the row convention
 which is the convention under which the morphism identity
 ``gamma(sigma(w)) = theta * gamma(w)`` holds for right eigenvectors
 ``M @ gamma = theta * gamma``.  All eigen computations are exact rational.
+
+Long words are expanded by numpy gathers of padded image tables: one of
+sigma and one of sigma^r, r as large as ``POWER_TABLE_LETTERS`` allows, so a
+single gather crosses r levels.  ``expand_levels`` builds every capped word
+(fixed-point prefixes, the two sides of a point's window) top-down, cutting
+the word before each gather to the letters that can still reach the cap.
 """
 
 from __future__ import annotations
@@ -30,7 +36,14 @@ Word = bytes
 # Words shorter than this are expanded by ``bytes.join``: below it, numpy's
 # per-call overhead costs more than the gather saves (measured crossover).
 GATHER_MIN_LETTERS = 64
-# Fills the short rows of the image table; never a letter (at most 255 letters).
+# Most letters the power image table holds: it tabulates sigma^r for the
+# largest r whose (alphabet, longest |sigma^r(b)|) table stays within this,
+# so one gather expands r levels (r = 6 for 1: 112; 2: 221, r = 10 for
+# 1: 12; 2: 13; 3: 23).
+POWER_TABLE_LETTERS = 4096
+# Largest r tabulated; reached only by images that grow slowly or not at all.
+MAX_POWER = 16
+# Fills the short rows of the image tables; never a letter (at most 255 letters).
 _PAD = 255
 
 
@@ -74,27 +87,34 @@ class Substitution:
 
     def apply(self, w: Word) -> Word:
         """sigma(w) as a word: one row gather of the image table for long words."""
-        if len(w) < GATHER_MIN_LETTERS:
-            return b"".join(self.images[b] for b in w)
-        table, padded = self._image_table
-        out = table.take(np.frombuffer(w, np.uint8), axis=0).ravel()
-        if padded:
-            out = out[out != _PAD]
-        return out.tobytes()
+        return self._image_table.expand(w)
 
     @cached_property
-    def _image_table(self) -> tuple[np.ndarray, bool]:
-        """(alphabet, longest image) uint8 rows of the images, short rows
-        padded with ``_PAD``, and whether any row is padded."""
-        width = max(len(img) for img in self.images)
-        table = np.full((self.alphabet_size, width), _PAD, np.uint8)
-        for a, img in enumerate(self.images):
-            table[a, : len(img)] = np.frombuffer(img, np.uint8)
-        return table, any(len(img) < width for img in self.images)
+    def _image_table(self) -> "_ImageTable":
+        return _ImageTable(self.images)
+
+    @cached_property
+    def _power_table(self) -> tuple[int, "_ImageTable"]:
+        """(r, the table of sigma^r): the largest r <= ``MAX_POWER`` whose
+        rows fit ``POWER_TABLE_LETTERS`` letters, and at least 1."""
+        r = 1
+        for k, lengths in enumerate(islice(letter_lengths(self), 2, MAX_POWER + 1), 2):
+            if self.alphabet_size * max(lengths) > POWER_TABLE_LETTERS:
+                break
+            r = k
+        rows = self.images
+        for _ in range(r - 1):
+            rows = tuple(self.apply(row) for row in rows)
+        return r, _ImageTable(rows) if r > 1 else self._image_table
 
     def apply_power(self, w: Word, n: int) -> Word:
-        for _ in range(n):
+        """sigma^n(w): the n mod r single levels first, while the word is
+        short, then n // r gathers through the table of sigma^r."""
+        r, power = self._power_table
+        for _ in range(n % r):
             w = self.apply(w)
+        for _ in range(n // r):
+            w = power.expand(w)
         return w
 
     def image_lengths(self) -> tuple[int, ...]:
@@ -110,6 +130,38 @@ class Substitution:
         return "; ".join(
             f"{self.symbols[a]}->{self.render(img)}" for a, img in enumerate(self.images)
         )
+
+
+class _ImageTable:
+    """One level of images as bytes and as (alphabet, longest image) uint8
+    rows, short rows padded with ``_PAD``."""
+
+    def __init__(self, images: tuple[Word, ...]):
+        width = max(len(img) for img in images)
+        self.images = images
+        self.rows = np.full((len(images), width), _PAD, np.uint8)
+        for a, img in enumerate(images):
+            self.rows[a, : len(img)] = np.frombuffer(img, np.uint8)
+        self.padded = any(len(img) < width for img in images)
+
+    def expand(self, w: Word) -> Word:
+        """The images of w's letters, joined: ``bytes.join`` for short words."""
+        if len(w) < GATHER_MIN_LETTERS:
+            return b"".join([self.images[b] for b in w])
+        return self.extend(b"", w, b"").tobytes()
+
+    def extend(self, head: Word, w: Word | np.ndarray, tail: Word) -> Word | np.ndarray:
+        """head, the images of the letters of w, then tail: joined as
+        ``bytes`` while w is shorter than ``GATHER_MIN_LETTERS``, else one
+        uint8 array from a row gather.  w is bytes or a uint8 array."""
+        if len(w) < GATHER_MIN_LETTERS:
+            return head + self.expand(bytes(w)) + tail
+        body = self.rows.take(np.frombuffer(w, np.uint8), axis=0).ravel()
+        if self.padded:
+            body = body[body != _PAD]
+        if not head and not tail:
+            return body
+        return np.concatenate((np.frombuffer(head, np.uint8), body, np.frombuffer(tail, np.uint8)))
 
 
 @dataclass(frozen=True)
@@ -207,28 +259,49 @@ def iterate_prefix(sub: Substitution, a: int, length: int) -> Word:
 
 
 def expand_prefix(sub: Substitution, w: Word, k: int, cap: int) -> Word:
-    """First min(cap, |sigma^k(w)|) letters of sigma^k(w).
+    """First min(cap, |sigma^k(w)|) letters of sigma^k(w)."""
+    return expand_levels(sub, [b""] * k + [w], cap)
 
-    Each level expands only the letters that can reach the cap: with r levels
-    to go every letter grows to at least the shortest |sigma^r(b)| letters.
+
+def expand_levels(
+    sub: Substitution, parts: Sequence[Word], cap: int, from_end: bool = False
+) -> Word:
+    """First min(cap, |W|) letters of W = parts[0] sigma(parts[1]) ...
+    sigma^K(parts[K]), or with ``from_end`` the last of
+    W = sigma^K(parts[K]) ... sigma(parts[1]) parts[0].
+
+    sigma^k(w) is the word of ``[b""] * k + [w]``.  W is built top-down as
+    W_K = parts[K], W_j = parts[j] sigma(W_{j+1}) (mirrored from the end):
+    single levels down to the highest multiple of r, then one gather
+    through the table of sigma^r per block of r levels, whose head
+    parts[j] ... sigma^(r-1)(parts[j+r-1]) is short.  Before each gather,
+    W_j keeps only the letters that can still reach the cap: W holds
+    ``before`` letters ahead of sigma^j(W_j), and every letter of W_j grows
+    to at least min_b |sigma^j(b)| letters.  Once long, the word stays a
+    uint8 array and becomes ``bytes`` once.
     """
-    for shortest in _shortest_iterates(sub, k):
-        keep = -(-cap // shortest)
-        w = sub.apply(w[:keep])
-    return w[:cap]
-
-
-def expand_suffix(sub: Substitution, w: Word, k: int, cap: int) -> Word:
-    """Last min(cap, |sigma^k(w)|) letters of sigma^k(w); see ``expand_prefix``."""
-    for shortest in _shortest_iterates(sub, k):
-        keep = -(-cap // shortest)
-        w = sub.apply(w[max(len(w) - keep, 0) :])
-    return w[max(len(w) - cap, 0) :]
-
-
-def _shortest_iterates(sub: Substitution, k: int) -> list[int]:
-    """min_b |sigma^r(b)| for r = k, k-1, ..., 1."""
-    return [min(lengths) for lengths in islice(letter_lengths(sub), 1, k + 1)][::-1]
+    need = []  # need[j]: the letters of W_j that can reach the cap
+    before = 0
+    for part, lengths in zip(parts, letter_lengths(sub)):
+        if before >= cap:
+            break
+        need.append(-(-(cap - before) // min(lengths)))
+        before += sum(lengths[b] for b in part)
+    r, power = sub._power_table
+    w = b""
+    top = j = len(need)
+    while j:
+        # W_{j-m} = head sigma^m(W_j), head = parts[j-m] ... sigma^(m-1)(parts[j-1])
+        m = r if j % r == 0 and j < top else 1
+        head = parts[j - 1]
+        for part in reversed(parts[j - m : j - 1]):
+            head = sub.apply(head) + part if from_end else part + sub.apply(head)
+        if j < top:
+            w = w[-need[j] :] if from_end else w[: need[j]]
+        table = power if m == r else sub._image_table
+        w = table.extend(b"", w, head) if from_end else table.extend(head, w, b"")
+        j -= m
+    return bytes(w[-cap:] if from_end else w[:cap])
 
 
 def letter_lengths(sub: Substitution) -> Iterator[list[int]]:

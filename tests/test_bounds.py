@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subshift_lab.bounds import (
+    _census_probes,
     _nearest_bit,
     census_probe,
     liminf_constant,
@@ -303,10 +304,32 @@ def test_census_probe_cuts_blocks_at_every_horizon():
     path = sample_path_with_coverage(sub, seed=3, min_right=400, min_left=400)
     point = point_from_path(sub, path, 400)
     for reverse in (False, True):
-        for horizon in range(1, 401):
-            assert census_probe(sub, g, path, horizon, reverse) == window_probe(
-                g, point, horizon, reverse
-            )
+        horizons = range(1, 401)
+        assert _census_probes(sub, g, path, horizons, reverse) == [
+            window_probe(g, point, horizon, reverse) for horizon in horizons
+        ]
+
+
+@pytest.mark.parametrize("name", ["twist2", "sync3"])
+def test_census_probe_list_matches_one_horizon_calls(request, name):
+    # one census per path and direction serves every horizon of the list
+    sub, g = request.getfixturevalue(name)
+    d = len(sub.images[0])
+    for seed in range(20):
+        path = sample_path_with_coverage(sub, seed, min_right=d**8, min_left=d**8)
+        right, left = determined_lengths(sub, path)
+        for reverse, most in ((False, right), (True, left)):
+            horizons = [d**8, 1, d**4, most, d**4 + seed]
+            assert _census_probes(sub, g, path, horizons, reverse) == [
+                census_probe(sub, g, path, h, reverse) for h in horizons
+            ]
+
+
+def test_census_probe_rejects_horizon_below_one(twist2):
+    sub, g = twist2
+    path = sample_path_with_coverage(sub, seed=0, min_right=50)
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        census_probe(sub, g, path, 0)
 
 
 def test_census_probe_rejects_non_eigenvector(twist2):
@@ -335,7 +358,7 @@ def test_census_probe_rejects_horizon_past_the_path(twist2):
     right, left = determined_lengths(sub, path)
     assert census_probe(sub, g, path, right) <= liminf_constant(sub, g)
     with pytest.raises(ValueError, match=f"horizon {right + 1} runs past the {right} letters"):
-        census_probe(sub, g, path, right + 1)
+        _census_probes(sub, g, path, [1, right + 1])
     with pytest.raises(ValueError, match=f"horizon {left + 1} runs past the {left} letters"):
         census_probe(sub, g, path, left + 1, reverse=True)
 

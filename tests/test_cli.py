@@ -628,3 +628,14 @@ def test_rejected_inputs_exit_2_with_one_json_line(
     assert len(lines) == 1
     doc = json.loads(lines[0])
     assert list(doc) == ["error"] and doc["error"].startswith(message)
+
+
+def test_exact_law_past_the_packed_bits_bound_exits_2(monkeypatch):
+    # the bound lowered, as dist --n 4000 --exact on twist2 reaches it at its
+    # default after a few seconds instead of running for minutes
+    monkeypatch.setattr(ld, "MAX_PACKED_BITS", 10**4)
+    argv = ["dist", *_TWIST2, "--t", "1", "--n", "200", "--exact"]
+    code, out, err = _run_in_process(argv)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"].startswith("exact law too large at step ")

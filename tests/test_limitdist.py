@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from subshift_lab.limitdist import (
     ATOM_WINDOW_HORIZON,
     DigitStream,
+    PackedBitsExceeded,
     RandomDigitStream,
     SupportCapExceeded,
     exact_sum_distribution,
@@ -25,6 +26,7 @@ from subshift_lab.limitdist import (
     variance_growth,
     word_vs_chain_check,
 )
+from subshift_lab import limitdist
 from subshift_lab.limitdist import _moment_variances
 from subshift_lab.markov import compose, initial_distribution, initial_state_indices
 from subshift_lab.substitution import (
@@ -185,6 +187,21 @@ def test_exact_distribution_support_cap(twist2):
     with pytest.raises(SupportCapExceeded) as err:
         exact_sum_distribution(layers, init, 30, support_cap=50)
     assert 0 < err.value.reached_n <= 30
+
+
+def test_exact_distribution_packed_bits_bound(twist2, monkeypatch):
+    sub, g = twist2
+    plan = time_expansion(sub, Fraction(3, 2))
+    layers = layer_chains(sub, g, plan, 30)
+    init = initial_distribution(sub, g, plan.tau0)
+    full = exact_sum_distribution(layers, init, 30)
+    monkeypatch.setattr(limitdist, "MAX_PACKED_BITS", 4000)
+    with pytest.raises(PackedBitsExceeded, match="past the bound of 4000") as err:
+        exact_sum_distribution(layers, init, 30)
+    assert 0 < err.value.reached_n <= 30 and err.value.bits > 4000
+    # the bound counts the packed ints at their width for the whole horizon
+    width = 8 * -(-(full.denominator.bit_length()) // 8)
+    assert len(full.table) * width > 4000
 
 
 def test_exact_checkpoints_are_prefixes(twist2):
@@ -513,6 +530,25 @@ def test_monte_carlo_matches_reference_per_seed(request, name, t, n, checkpoints
     assert [snap.n for snap in snaps] == list(checkpoints)
     for snap in snaps:
         scaled, states = _reference_monte_carlo(layers, init, snap.n, 3000, seed=17)
+        lattice = _reference_lattice(layers[: snap.n])
+        assert np.array_equal(snap.scaled * lattice, scaled * snap.lattice)
+        assert np.array_equal(snap.final_states, states)
+
+
+FEW_SAMPLE_CASES = ("twist2-t2", "sync3-random", "twist2-cut", "twist7-random", "twist301")
+
+
+@pytest.mark.parametrize("samples", [10, 100])
+@pytest.mark.parametrize(
+    "name, t, n, checkpoints",
+    [c for c in MC_ORACLE_CASES if c.id in FEW_SAMPLE_CASES],
+)
+def test_monte_carlo_matches_reference_at_few_samples(request, name, t, n, checkpoints, samples):
+    # fewer samples than a composed (states, w) table has entries
+    layers, init = _law_inputs(request, name, t, n)
+    snaps = monte_carlo(layers, init, n, samples, seed=5, checkpoints=checkpoints)
+    for snap in snaps:
+        scaled, states = _reference_monte_carlo(layers, init, snap.n, samples, seed=5)
         lattice = _reference_lattice(layers[: snap.n])
         assert np.array_equal(snap.scaled * lattice, scaled * snap.lattice)
         assert np.array_equal(snap.final_states, states)

@@ -1,6 +1,9 @@
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subshift_lab.prefix_suffix import (
     PSTriple,
@@ -11,7 +14,7 @@ from subshift_lab.prefix_suffix import (
     point_from_path,
     sample_point_with_coverage,
 )
-from subshift_lab.substitution import parse_substitution, word
+from subshift_lab.substitution import Substitution, letter_lengths, parse_substitution, word
 
 
 def test_ps_automaton_splits(twist2):
@@ -264,3 +267,84 @@ def test_coverage_fails_fast_when_letters_stop_growing(text, min_right, min_left
     sub = parse_substitution(text)
     with pytest.raises(ValueError, match="stop growing"):
         sample_point_with_coverage(sub, 0, min_right, min_left)
+
+
+# ---------------------------------------------------------------------------
+# top-down windows against the window of sigma^(K+1)(top parent)
+# ---------------------------------------------------------------------------
+
+
+def _reference_windows(sub, path, windows):
+    """(left, right) per window, cut from sigma^(K+1)(top parent) expanded
+    level by level: the center sits after sigma^k(p_k) for every level k."""
+    full = bytes([path[-1].parent])
+    for _ in path:
+        full = sub.apply(full)
+    center = 0
+    for k, t in enumerate(path):
+        piece = t.prefix
+        for _ in range(k):
+            piece = sub.apply(piece)
+        center += len(piece)
+    return [(full[max(center - w, 0) : center], full[center : center + w]) for w in windows]
+
+
+def _check_windows(sub, path, windows):
+    points = [point_from_path(sub, path, window) for window in windows]
+    assert [(p.left, p.right) for p in points] == _reference_windows(sub, path, windows)
+
+
+def _depth_within(sub, depth, letters):
+    """The largest depth up to ``depth`` whose top parent expands to at
+    most ``letters`` letters, and at least 1."""
+    lengths = list(islice(letter_lengths(sub), depth + 1))
+    while depth > 1 and max(lengths[depth]) > letters:
+        depth -= 1
+    return depth
+
+
+WINDOW_SUBS = {
+    "twist2": "1: 112\n2: 221",  # sigma^6 per gather
+    "sync3": "1: 12\n2: 13\n3: 23",  # sigma^10
+    "twist7": "1: 1221121\n2: 2112212",  # sigma^3
+    "padded": "1: 112\n2: 12212",  # sigma^5, rows of unequal length
+    "stuck": "1: 12\n2: 2",  # sigma^16, letter 2 never grows
+}
+
+
+def _window_sub(name):
+    if name == "letters255":
+        # 255 letters: the power table falls back to sigma itself
+        return Substitution.from_words([[254] * (2 + a % 4) + [a] for a in range(255)])
+    return parse_substitution(WINDOW_SUBS[name])
+
+
+@pytest.mark.parametrize("name", [*WINDOW_SUBS, "letters255"])
+def test_point_windows_match_the_top_parent_image(name):
+    # up to two blocks of r levels below single levels, so both gathers run
+    sub = _window_sub(name)
+    r, _ = sub._power_table
+    depth = _depth_within(sub, 2 * r + 1, 2 * 10**5)
+    assert depth > r
+    for seed in range(3):
+        path = _random_path(sub, depth - seed % 2, seed)
+        right, left = determined_lengths(sub, path)
+        spread = {right // 3, left // 2, right - 1, right, right + 1, left - 1, left, left + 1}
+        windows = set(range(30)) | {w for w in spread if w >= 0} | {max(right, left) + 7}
+        _check_windows(sub, path, sorted(windows))
+
+
+@st.composite
+def _paths(draw):
+    n = draw(st.integers(1, 4))
+    images = [draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5)) for _ in range(n)]
+    sub = Substitution.from_words(images)
+    depth = _depth_within(sub, draw(st.integers(1, 12)), 4 * 10**4)
+    return sub, _random_path(sub, depth, draw(st.integers(0, 10**6)))
+
+
+@given(_paths(), st.integers(0, 10**5))
+def test_point_windows_match_on_random_paths(case, window):
+    sub, path = case
+    right, left = determined_lengths(sub, path)
+    _check_windows(sub, path, [0, 1, window % (max(right, left) + 2)])

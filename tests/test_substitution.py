@@ -2,6 +2,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -9,17 +10,20 @@ from hypothesis import strategies as st
 
 from subshift_lab.substitution import (
     GATHER_MIN_LETTERS,
+    MAX_POWER,
+    POWER_TABLE_LETTERS,
     Substitution,
     WeightVector,
     char_poly,
     constant_length,
     eigenvector_for,
+    expand_levels,
     expand_prefix,
-    expand_suffix,
     factor_blocks,
     gamma_of_word,
     is_primitive,
     iterate_prefix,
+    letter_lengths,
     matrix_of,
     matrix_to_json,
     parse_substitution,
@@ -209,6 +213,10 @@ def _reference_expand_suffix(sub, w, k, cap):
     return w[-cap:]
 
 
+def _expand_suffix(sub, w, k, cap):
+    return expand_levels(sub, [b""] * k + [w], cap, from_end=True)
+
+
 def _reference_iterate_prefix(sub, a, length):
     """Full iterates of a until one is long enough; None once no letter
     reachable from a grows any more."""
@@ -280,7 +288,7 @@ def test_apply_full_alphabet_keeps_letter_254():
 def test_expansion_matches_reference(sub, letters, k, cap):
     w = bytes(b % sub.alphabet_size for b in letters)
     assert expand_prefix(sub, w, k, cap) == _reference_expand_prefix(sub, w, k, cap)
-    assert expand_suffix(sub, w, k, cap) == _reference_expand_suffix(sub, w, k, cap)
+    assert _expand_suffix(sub, w, k, cap) == _reference_expand_suffix(sub, w, k, cap)
 
 
 @pytest.mark.parametrize("name", EXPANSION_SUBS)
@@ -292,7 +300,7 @@ def test_expansion_cut_is_exact_at_every_cap(name):
     for k in range(1, 6):
         for cap in range(1, 200):
             assert expand_prefix(sub, w, k, cap) == _reference_expand_prefix(sub, w, k, cap)
-            assert expand_suffix(sub, w, k, cap) == _reference_expand_suffix(sub, w, k, cap)
+            assert _expand_suffix(sub, w, k, cap) == _reference_expand_suffix(sub, w, k, cap)
 
 
 @given(_substitutions(max_letters=4), st.integers(0, 3), st.integers(1, 3000))
@@ -304,6 +312,72 @@ def test_iterate_prefix_matches_reference(sub, letter, length):
             iterate_prefix(sub, a, length)
     else:
         assert iterate_prefix(sub, a, length) == expected
+
+
+# ---------------------------------------------------------------------------
+# the power image table against letter-by-letter expansion
+# ---------------------------------------------------------------------------
+
+
+# (substitution, r): the table of sigma^r is the widest within POWER_TABLE_LETTERS
+POWER_CASES = {
+    "twist2": ("1: 112\n2: 221", 6),
+    "sync3": ("1: 12\n2: 13\n3: 23", 10),
+    "twist7": ("1: 1221121\n2: 2112212", 3),
+    "padded": ("1: 112\n2: 12212", 5),  # rows of sigma^5 differ in length
+    "stuck": ("1: 12\n2: 2", MAX_POWER),  # letter 2 never grows
+}
+
+
+def _power_sub(name):
+    if name == "letters255":
+        # 255 letters with images of 3-6 letters: sigma^2 overflows the budget
+        images = [[254] * (2 + a % 4) + [a] for a in range(255)]
+        return Substitution.from_words(images), 1
+    text, r = POWER_CASES[name]
+    return parse_substitution(text), r
+
+
+def _reference_power(sub, w, n):
+    for _ in range(n):
+        w = _reference_apply(sub, w)
+    return w
+
+
+@pytest.mark.parametrize("name", [*POWER_CASES, "letters255"])
+def test_power_table_size(name):
+    sub, r = _power_sub(name)
+    power, table = sub._power_table
+    assert power == r
+    # the widest power within the budget: one level more would overflow it
+    lengths = list(islice(letter_lengths(sub), r + 2))
+    assert r == 1 or sub.alphabet_size * max(lengths[r]) <= POWER_TABLE_LETTERS
+    assert r == MAX_POWER or sub.alphabet_size * max(lengths[r + 1]) > POWER_TABLE_LETTERS
+    letters = range(sub.alphabet_size)
+    assert table.images == tuple(_reference_power(sub, bytes([b]), r) for b in letters)
+    assert table.padded == (len(set(map(len, table.images))) > 1)
+
+
+@pytest.mark.parametrize("name", [*POWER_CASES, "letters255"])
+def test_apply_power_matches_repeated_apply(name):
+    sub, r = _power_sub(name)
+    w = bytes(range(sub.alphabet_size))
+    expected = w
+    for n in range(2 * r + 2):
+        assert sub.apply_power(w, n) == expected
+        expected = sub.apply(expected)
+
+
+@pytest.mark.parametrize("name", [*POWER_CASES, "letters255"])
+def test_expansion_matches_sliced_power_at_every_cap(name):
+    # r levels are one gather through sigma^r, r + 1 a single level first
+    sub, r = _power_sub(name)
+    w = bytes([sub.alphabet_size - 1])
+    for k in (r, r + 1):
+        full = _reference_power(sub, w, k)
+        for cap in range(len(full) + 2):
+            assert expand_prefix(sub, w, k, cap) == full[:cap]
+            assert _expand_suffix(sub, w, k, cap) == full[max(len(full) - cap, 0) :]
 
 
 def _window_oracle(sub, k, cap=2 * 10**4, levels=60):
