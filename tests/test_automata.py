@@ -1,15 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subshift_lab.automata import (
-    AutomatonEdge,
-    build_simplified_automaton,
-    build_tau_automaton,
-)
+from subshift_lab import linalg
+from subshift_lab.automata import build_simplified_automaton, build_tau_automaton
+from subshift_lab.markov import IntegerForm, chain_of, digit_chains
 from subshift_lab.substitution import (
     Substitution,
     WeightVector,
@@ -165,8 +165,10 @@ def test_strongly_nonsync_diagonal_is_disconnected(twist2):
 # ---------------------------------------------------------------------------
 
 
-def _reference_edges(sub, gamma, tau, simplified):
-    """Edge groups with payoffs from two ``gamma_of_word`` sums per edge."""
+def _reference_form(sub, gamma, tau, simplified):
+    """The chain's integer form the old way: ``Fraction`` payoffs from two
+    ``gamma_of_word`` sums per edge and probability 1/d, then the least
+    common denominators of the probabilities (D) and of the payoffs (L)."""
     d = len(sub.images[0])
     n = sub.alphabet_size
     if simplified:
@@ -174,21 +176,23 @@ def _reference_edges(sub, gamma, tau, simplified):
     else:
         states = [(a, (v1, v2)) for a in range(n) for v1 in range(n) for v2 in range(n)]
     index = {s: i for i, s in enumerate(states)}
-    groups = []
+    targets, payoffs = [], []
     for a, v in states:
         img_a = sub.images[a]
         img_v = b"".join(sub.images[b] for b in v)
-        out = []
         for m in range(1, d + 1):
             j = m + tau
             if simplified:
                 target = (img_a[m - 1], (img_v[j - 1],))
             else:
                 target = (img_a[m - 1], (img_v[j - 1], img_v[j]))
-            payoff = gamma_of_word(gamma, img_a[m:]) + gamma_of_word(gamma, img_v[: j - 1])
-            out.append(AutomatonEdge(index[(a, v)], m, index[target], payoff))
-        groups.append(tuple(out))
-    return tuple(groups)
+            targets.append(index[target])
+            payoffs.append(gamma_of_word(gamma, img_a[m:]) + gamma_of_word(gamma, img_v[: j - 1]))
+    probs, den = linalg.common_numerators([Fraction(1, d)] * len(payoffs))
+    pays, lattice = linalg.common_numerators(payoffs)
+    flat = zip(targets, probs, pays)
+    rows = tuple(tuple(islice(flat, d)) for _ in states)
+    return IntegerForm(den, lattice, rows)
 
 
 @st.composite
@@ -212,5 +216,32 @@ def test_automaton_payoffs_match_gamma_of_word(sub_gamma, data):
     sub, gamma = sub_gamma
     d = len(sub.images[0])
     tau = data.draw(st.integers(0, d - 1))
-    assert build_tau_automaton(sub, gamma, tau).edges == _reference_edges(sub, gamma, tau, False)
-    assert build_simplified_automaton(sub, gamma).edges == _reference_edges(sub, gamma, 0, True)
+    tau_chain = chain_of(build_tau_automaton(sub, gamma, tau))
+    assert tau_chain.integer_form == _reference_form(sub, gamma, tau, False)
+    simple = chain_of(build_simplified_automaton(sub, gamma))
+    assert simple.integer_form == _reference_form(sub, gamma, 0, True)
+
+
+@st.composite
+def scaled_twists(draw):
+    """A3's two-letter twists (an image of k + 1 zeros and k ones, shuffled,
+    and its mirror) with a nonzero rational multiple of their eigenvector."""
+    k = draw(st.integers(1, 3))
+    image = draw(st.permutations([0] * (k + 1) + [1] * k))
+    sub = Substitution.from_words([image, [1 - x for x in image]])
+    gamma = eigenvector_for(matrix_of(sub), 1)
+    q = draw(st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool))
+    return sub, WeightVector(tuple(q * v for v in gamma.values), gamma.theta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scaled_twists())
+def test_digit_chain_integer_forms_match_fraction_payoffs(sub_gamma):
+    # the payoff lattice is the least one: the numerators share no factor
+    # with it, as the lcm of the reduced Fraction denominators gives
+    sub, gamma = sub_gamma
+    d = len(sub.images[0])
+    for tau, chain in enumerate(digit_chains(sub, gamma, range(d))):
+        form = chain.integer_form
+        assert form == _reference_form(sub, gamma, tau, False)
+        assert gcd(form.lattice, *(v for row in form.rows for _, _, v in row)) == 1

@@ -639,3 +639,94 @@ def test_exact_law_past_the_packed_bits_bound_exits_2(monkeypatch):
     assert code == 2 and out == ""
     (line,) = err.splitlines()
     assert json.loads(line)["error"].startswith("exact law too large at step ")
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["automaton", "--inline", "1: 112; 2: 221", "--tau", "1"],
+            "caabd76f07616dae1524fe21fb6ea65cba0b3a745f85b44a3ef7abb1469e49ee",
+        ),
+        (
+            ["automaton", "--inline", "1: 112; 2: 221", "--tau", "1", "--format", "dot"],
+            "bcfaba759dcb9b62751d30abd861dca0a70391ae2a16e0c2b3424c9d871f6469",
+        ),
+        (
+            ["automaton", "--inline", "1: 112; 2: 221", "--simplified"],
+            "36ea2a1095b876c5ea8028fe1f522211b9fc7cb7b959190d739e7e78aedc0a07",
+        ),
+        (
+            # the simplified automaton is the tau = 0 one, whatever --tau says
+            ["automaton", "--inline", "1: 112; 2: 221", "--tau", "2", "--simplified"],
+            "36ea2a1095b876c5ea8028fe1f522211b9fc7cb7b959190d739e7e78aedc0a07",
+        ),
+        (
+            ["automaton", "--inline", "1: 112; 2: 221", "--simplified", "--format", "dot"],
+            "f940afd3e016f10b942f13ffc5ba25401e31cbc77acadb843cf7bee2767ed88c",
+        ),
+        (
+            ["automaton", "--inline", "1: 12; 2: 13; 3: 23", "--tau", "1", "--format", "dot"],
+            "0a7d500c2a1c5e473eab835942d75e3874744cb401c1df7fecdbae2319162730",
+        ),
+        (
+            # a digit chain: edges labelled m:payoff
+            ["classify", "--inline", "1: 112; 2: 221", "--tau", "1", "--t", "3/2",
+             "--format", "dot"],
+            "ca63ab9b1e28a912407443fc9f9c774fc258c917d51121066be0ebd4e9c699f6",
+        ),
+        (
+            # a composed chain: edges labelled by their payoff only
+            ["classify", "--inline", "1: 112; 2: 221", "--block", "1,0,2", "--t", "3/2",
+             "--format", "dot"],
+            "177c7e781df524b58d3d391c8f19d0ea6fb05cbbaccbda80f904e56dfc75f005",
+        ),
+        (
+            # gamma = (1/2, -1/2): lattice 2 at tau 1, lattice 1 at tau 0 and 2
+            ["classify", "--inline", "1: 112; 2: 221", "--gamma", "1/2,-1/2", "--tau", "1",
+             "--t", "3/2"],
+            "179f931f5a35f54cd9320616358bff8d5efb961a58d6cea6a1d7435baed3b383",
+        ),
+        (
+            ["classify", "--inline", "1: 112; 2: 221", "--gamma", "1/2,-1/2", "--block",
+             "0,1,2", "--t", "3/2"],
+            "6e4afe11b368d70cb480740397e0905781864ac2c6a35cb28614eb6a2f738644",
+        ),
+        (
+            ["dist", "--inline", "1: 112; 2: 221", "--gamma", "1/2,-1/2", "--t", "3/2",
+             "--n", "20", "--exact"],
+            "a2ce95d2146e8d408acaff0d5cb5aaacf76b6e85d66345c2db5787c68ebe9431",
+        ),
+        (
+            # layers of all three digits
+            ["dist", "--inline", "1: 112; 2: 221", "--gamma", "1/2,-1/2", "--digits",
+             "1,2:0,1", "--n", "20", "--exact"],
+            "9fbefe59bea660ed3d43aa8eebdbab84d761ab70200534e594730c9dc954451a",
+        ),
+    ],
+    ids=["automaton-twist2-tau1-json", "automaton-twist2-tau1-dot",
+         "automaton-twist2-simplified-json", "automaton-twist2-simplified-tau2-json",
+         "automaton-twist2-simplified-dot", "automaton-sync3-tau1-dot",
+         "classify-twist2-tau1-dot", "classify-twist2-block-dot",
+         "classify-twist2-half-gamma", "classify-twist2-half-gamma-block",
+         "dist-twist2-half-gamma", "dist-twist2-half-gamma-digits"],
+)
+def test_chain_export_stdout_is_pinned(args, digest):
+    code, out, err = _run_in_process(args)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_gallery_dot_files_are_pinned(tmp_path):
+    code, _, err = _run_in_process(["gallery", "--out", str(tmp_path)])
+    assert code == 0, err
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.glob("*.dot")
+    }
+    assert digests == {
+        "sync3-tau0.dot": "b63aace5bc884939793ed2206ab75bfce7333309ed86f65ee83cd081727554f1",
+        "nonsync2-tau0.dot": "3225fac88618ad7e07824ae2d881ff6b3e78597db28f7530504973c850e235dd",
+        "nonsync2-tau1.dot": "ca63ab9b1e28a912407443fc9f9c774fc258c917d51121066be0ebd4e9c699f6",
+        "nonsync2-tau2.dot": "e08915077c1ab9d82e4c296d42a324bfbc62884872583b90a430b545b2ca5a7b",
+    }
