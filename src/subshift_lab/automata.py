@@ -13,76 +13,22 @@ carrying payoff gamma(S(a, m)) + gamma(P(V, m+tau)), where sigma acts on the
 pair V by concatenation (length 2d, so both target letters always exist --
 checked, not assumed).  For tau = 0 the second letter of V is irrelevant
 and a simplified automaton on states (a, b) is available.
+
+Each automaton is built as its Markov chain, probability 1/d on every edge,
+in the integer form of ``markov.ChainGraph``: edge m of a state is its m-th
+row entry, and the payoffs are integer prefix sums of gamma's numerators,
+reduced to the least lattice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, product
+from math import gcd
+from typing import Sequence
 
 from .linalg import common_numerators
+from .markov import ChainGraph, IntegerForm, State
 from .substitution import Substitution, WeightVector
-
-State = tuple[int, tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class AutomatonEdge:
-    source: int
-    m: int
-    target: int
-    payoff: Fraction
-
-
-@dataclass(frozen=True)
-class TauAutomaton:
-    """Complete digit automaton; out-degree d everywhere, one edge per m."""
-
-    sub: Substitution
-    gamma: WeightVector
-    tau: int
-    simplified: bool
-    states: tuple[State, ...]
-    edges: tuple[tuple[AutomatonEdge, ...], ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.sub.images[0])
-
-    def state_label(self, i: int) -> str:
-        a, v = self.states[i]
-        sym = self.sub.symbols
-        return f"{sym[a]}|{''.join(sym[b] for b in v)}"
-
-    def to_dot(self) -> str:
-        lines = ["digraph automaton {", "  rankdir=LR;"]
-        for i in range(len(self.states)):
-            lines.append(f'  s{i} [label="{self.state_label(i)}"];')
-        for group in self.edges:
-            for e in group:
-                lines.append(
-                    f'  s{e.source} -> s{e.target} [label="{e.m}:{e.payoff}"];'
-                )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> dict:
-        return {
-            "tau": self.tau,
-            "simplified": self.simplified,
-            "states": [self.state_label(i) for i in range(len(self.states))],
-            "edges": [
-                {
-                    "source": e.source,
-                    "m": e.m,
-                    "target": e.target,
-                    "payoff": str(e.payoff),
-                }
-                for group in self.edges
-                for e in group
-            ],
-        }
 
 
 def _require_constant_length(sub: Substitution) -> int:
@@ -100,7 +46,7 @@ def _prefix_sums(ints: list[int], w: bytes) -> list[int]:
 
 def _build_automaton(
     sub: Substitution, gamma: WeightVector, tau: int, width: int
-) -> TauAutomaton:
+) -> ChainGraph:
     """The automaton on states A x A^width: width 2 is the tau automaton,
     width 1 the simplified one (tau = 0, second pair letter dropped)."""
     d = _require_constant_length(sub)
@@ -117,27 +63,43 @@ def _build_automaton(
     prefix = [_prefix_sums(ints, img) for img in sub.images]
     tracked_images = {v: b"".join(sub.images[b] for b in v) for v in tracked}
     tracked_prefix = {v: _prefix_sums(ints, img) for v, img in tracked_images.items()}
-    groups = []
+    rows = []
     for a, v in states:
         img_a = sub.images[a]
         img_v = tracked_images[v]
         pre_v = tracked_prefix[v]
-        out = []
+        row = []
         for m in range(1, d + 1):
             j = m + tau  # 1-based split of the tracked image
             target = (img_a[m - 1], tuple(img_v[j - 1 : j - 1 + width]))
-            # gamma(img_a[m:]) + gamma(img_v[:j-1])
-            payoff = Fraction(prefix[a][d] - prefix[a][m] + pre_v[j - 1], scale)
-            out.append(AutomatonEdge(index[(a, v)], m, index[target], payoff))
-        groups.append(tuple(out))
-    return TauAutomaton(sub, gamma, tau, width == 1, tuple(states), tuple(groups))
+            # gamma(img_a[m:]) + gamma(img_v[:j-1]), times the scale
+            row.append((index[target], prefix[a][d] - prefix[a][m] + pre_v[j - 1]))
+        rows.append(row)
+    # the least lattice: divide out the factor that scale shares with every payoff
+    g = gcd(scale, *(v for row in rows for _, v in row))
+    form = IntegerForm(d, scale // g, tuple(tuple((t, 1, v // g) for t, v in row) for row in rows))
+    sym = sub.symbols
+    labels = tuple(f"{sym[a]}|{''.join(sym[b] for b in v)}" for a, v in states)
+    return ChainGraph(tuple(states), labels, form, numbered=True)
 
 
-def build_tau_automaton(sub: Substitution, gamma: WeightVector, tau: int) -> TauAutomaton:
+def build_tau_automaton(sub: Substitution, gamma: WeightVector, tau: int) -> ChainGraph:
     """The automaton on states A x A^2 for shift digit tau in {0..d-1}."""
     return _build_automaton(sub, gamma, tau, width=2)
 
 
-def build_simplified_automaton(sub: Substitution, gamma: WeightVector) -> TauAutomaton:
+def build_simplified_automaton(sub: Substitution, gamma: WeightVector) -> ChainGraph:
     """The tau = 0 automaton on states A x A (second pair letter dropped)."""
     return _build_automaton(sub, gamma, 0, width=1)
+
+
+def digit_chains(
+    sub: Substitution, gamma: WeightVector, digits: Sequence[int]
+) -> list[ChainGraph]:
+    """The chain of each digit's automaton, built once per distinct digit.
+
+    Equal digits share one ChainGraph object, so callers that compile a
+    chain can do it once per distinct layer.
+    """
+    built = {tau: build_tau_automaton(sub, gamma, tau) for tau in set(digits)}
+    return [built[tau] for tau in digits]

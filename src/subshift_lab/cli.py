@@ -27,7 +27,7 @@ from . import gallery as gallery_mod
 from . import limitdist as ld
 from . import markov as mk
 from . import salem as salem_mod
-from .automata import build_simplified_automaton, build_tau_automaton
+from .automata import build_simplified_automaton, build_tau_automaton, digit_chains
 from .prefix_suffix import build_ps_automaton, sample_path_with_coverage
 from .substitution import (
     Substitution,
@@ -226,15 +226,22 @@ def cmd_automaton(args) -> int:
         raise CliError("digit automata need a constant-length substitution")
     gamma = select_gamma(sub, args.gamma)
     if args.simplified:
-        automaton = build_simplified_automaton(sub, gamma)
-        name = "automaton-simplified"
+        chain = build_simplified_automaton(sub, gamma)
+        tau, name = 0, "automaton-simplified"
     else:
-        automaton = build_tau_automaton(sub, gamma, args.tau)
-        name = f"automaton-tau{args.tau}"
+        chain = build_tau_automaton(sub, gamma, args.tau)
+        tau, name = args.tau, f"automaton-tau{args.tau}"
     if args.format == "dot":
-        emit_text(automaton.to_dot(), args.out, f"{name}.dot")
-    else:
-        emit_json(automaton.to_json(), args.out, f"{name}.json")
+        emit_text(chain.to_dot(graph="automaton"), args.out, f"{name}.dot")
+        return 0
+    form = chain.integer_form
+    edges = [
+        {"source": s, "m": m, "target": t, "payoff": Fraction(v, form.lattice)}
+        for s, row in enumerate(form.rows)
+        for m, (t, _, v) in enumerate(row, start=1)
+    ]
+    doc = {"tau": tau, "simplified": args.simplified, "states": chain.state_labels, "edges": edges}
+    emit_json(doc, args.out, f"{name}.json")
     return 0
 
 
@@ -258,13 +265,13 @@ def cmd_classify(args) -> int:
             digits = [int(x) for x in args.block.split(",")]
         except ValueError as exc:
             raise CliError(f"cannot parse --block: {exc}")
-        chain = mk.compose(*mk.digit_chains(sub, gamma, digits))
+        chain = mk.compose(*digit_chains(sub, gamma, digits))
         name = "chain-block-" + "-".join(str(x) for x in digits)
     elif args.simplified:
-        chain = mk.chain_of(build_simplified_automaton(sub, gamma))
+        chain = build_simplified_automaton(sub, gamma)
         name = "chain-simplified"
     else:
-        chain = mk.chain_of(build_tau_automaton(sub, gamma, args.tau))
+        chain = build_tau_automaton(sub, gamma, args.tau)
         name = f"chain-tau{args.tau}"
     initial = None
     if is_primitive(sub) and not args.simplified:

@@ -23,17 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import TauAutomaton, build_simplified_automaton, build_tau_automaton
+from .automata import build_simplified_automaton, build_tau_automaton
 from .markov import (
     ChainGraph,
     asymptotic_variance,
-    chain_of,
     expected_payoff,
     is_strongly_connected,
     recurrent_classes,
     weakly_connected_components,
 )
-from .substitution import Substitution, eigenvector_for, matrix_of, parse_substitution
+from .substitution import eigenvector_for, matrix_of, parse_substitution
 
 SYNC3 = "1: 12\n2: 13\n3: 23"
 NONSYNC2 = "1: 112\n2: 221"
@@ -50,10 +49,6 @@ class GalleryCheck:
 @dataclass(frozen=True)
 class GalleryEntry:
     name: str
-    sub: Substitution
-    tau: int
-    simplified: bool
-    automaton: TauAutomaton
     chain: ChainGraph
     checks: tuple[GalleryCheck, ...]
 
@@ -73,14 +68,12 @@ def _entry(name: str, text: str, tau: int, simplified: bool, claims) -> GalleryE
     gamma = eigenvector_for(matrix_of(sub), 1)
     if gamma is None:
         raise ValueError(f"{name}: the occurrence matrix has no eigenvalue 1")
-    automaton = (
+    chain = (
         build_simplified_automaton(sub, gamma)
         if simplified
         else build_tau_automaton(sub, gamma, tau)
     )
-    chain = chain_of(automaton)
-    checks = tuple(claims(name, chain))
-    return GalleryEntry(name, sub, tau, simplified, automaton, chain, checks)
+    return GalleryEntry(name, chain, tuple(claims(name, chain)))
 
 
 def _check(name, claim, passed, detail=""):

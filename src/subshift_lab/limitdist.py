@@ -42,6 +42,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .automata import digit_chains
 from .linalg import common_numerators
 from .markov import (
     ChainGraph,
@@ -49,7 +50,6 @@ from .markov import (
     absorption_probabilities,
     asymptotic_variance,
     compose,
-    digit_chains,
     initial_distribution,
     initial_state_indices,
     recurrent_classes,
@@ -170,18 +170,6 @@ class DigitStream:
             total = total * self.base + self.digit(k)
         return total
 
-    def value(self) -> Fraction | None:
-        """t itself, or None for a seeded stream."""
-        if self.seed is not None:
-            return None
-        total = Fraction(self.tau0)
-        for i, digit in enumerate(self.preperiod, start=1):
-            total += Fraction(digit, self.base**i)
-        p = len(self.period)
-        block = sum(d * self.base ** (p - j) for j, d in enumerate(self.period, start=1))
-        total += Fraction(block, self.base ** len(self.preperiod) * (self.base**p - 1)) if block else 0
-        return total
-
     def describe(self) -> dict:
         if self.seed is not None:
             return {"tau0": self.tau0, "random_seed": self.seed}
@@ -266,8 +254,8 @@ def _layer_tables(
     Returns the payoff lattice, one (targets, pays) pair per distinct layer
     and the index of each step's pair: ``targets[q][j]`` is the target of
     state q's j-th edge and ``pays[q][j]`` its payoff times the lattice.
-    Every row must be exactly d edges of probability 1/d, as ``chain_of``
-    builds them, so a step picks one of the d edges uniformly.
+    Every row must be exactly d edges of probability 1/d, as the digit
+    automata are built, so a step picks one of the d edges uniformly.
     """
     distinct: list[ChainGraph] = []
     order: list[int] = []
@@ -385,19 +373,6 @@ class SumDistribution:
     def support_bounds(self) -> tuple[Fraction, Fraction]:
         lows = [s for (_, s) in self.table]
         return Fraction(min(lows), self.lattice), Fraction(max(lows), self.lattice)
-
-    def support_diameter(self) -> Fraction:
-        lo, hi = self.support_bounds()
-        return hi - lo
-
-    def mass_in(self, lo: Fraction, hi: Fraction) -> Fraction:
-        lo_s = math.ceil(lo * self.lattice)
-        hi_s = math.floor(hi * self.lattice)
-        total = 0
-        for (_, s), num in self.table.items():
-            if lo_s <= s <= hi_s:
-                total += num
-        return Fraction(total, self.denominator)
 
     def restricted_to_states(self, states: set[int]) -> "SumDistribution":
         table = {(q, s): num for (q, s), num in self.table.items() if q in states}
@@ -915,12 +890,14 @@ def mixture_prediction(
 
 
 def _push(chain: ChainGraph, mu: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    form = chain.integer_form
     out: dict[int, Fraction] = {}
     for s, p in mu.items():
         if p == 0:
             continue
-        for e in chain.edges[s]:
-            out[e.target] = out.get(e.target, Fraction(0)) + p * e.prob
+        p /= form.denominator
+        for t, q, _ in form.rows[s]:
+            out[t] = out.get(t, Fraction(0)) + p * q
     return out
 
 

@@ -8,11 +8,11 @@ on every class edge), per-step asymptotic variances via the Poisson
 equation, the composed multi-digit chains, absorption probabilities and the
 Dobrushin ergodic coefficient.
 
-Edges carry ``Fraction``s, but the arithmetic runs on integers: each chain
-has one ``IntegerForm``, built once, with every probability a numerator
-over one common denominator D and every payoff a numerator over one payoff
-lattice L (the lcm of the payoff denominators).  Composition multiplies and
-adds numerators, the linear systems of stationary laws and Poisson
+A chain holds its edges as one ``IntegerForm`` and nothing else: every
+probability a numerator over one common denominator D and every payoff a
+numerator over the least payoff lattice L.  The digit automata
+(``automata``) build it from integer prefix sums, ``compose`` multiplies
+and adds numerators, the linear systems of stationary laws and Poisson
 equations are integer rows for ``linalg``, and expectations and variances
 sum integer products, so each reported value is the one ``Fraction`` built
 at the end.
@@ -20,15 +20,13 @@ at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import islice
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from . import linalg
-from .automata import State, TauAutomaton, build_tau_automaton
 from .substitution import (
     Substitution,
     WeightVector,
@@ -38,12 +36,16 @@ from .substitution import (
 )
 
 
+State = tuple[int, tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class ChainEdge:
+    """One edge of ``ChainGraph.edges``, the rows read as ``Fraction``s."""
+
     target: int
     prob: Fraction
     payoff: Fraction
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -72,13 +74,16 @@ class IntegerForm:
 
 @dataclass(frozen=True)
 class ChainGraph:
-    """A finite payoff-labelled stochastic digraph."""
+    """A finite payoff-labelled stochastic digraph, held as its integer form.
+
+    ``numbered`` marks a digit chain: the j-th edge out of a state is the
+    split at m = j, and DOT labels it ``m:payoff``.
+    """
 
     states: tuple
     state_labels: tuple[str, ...]
-    edges: tuple[tuple[ChainEdge, ...], ...]
-    # the integer form when the builder already holds it (``compose``)
-    _form: IntegerForm | None = field(default=None, repr=False, compare=False)
+    integer_form: IntegerForm
+    numbered: bool = False
 
     def __post_init__(self):
         form = self.integer_form
@@ -88,62 +93,36 @@ class ChainGraph:
                 total = Fraction(total, form.denominator)
                 raise ValueError(f"outgoing probabilities at state {i} sum to {total} != 1")
 
-    @cached_property
-    def integer_form(self) -> IntegerForm:
-        """The least common denominators of the probabilities (D) and of the
-        payoffs (L), and every edge's numerators over them."""
-        if self._form is not None:
-            return self._form
-        edges = [e for group in self.edges for e in group]
-        probs, den = linalg.common_numerators([e.prob for e in edges])
-        pays, lattice = linalg.common_numerators([e.payoff for e in edges])
-        flat = zip([e.target for e in edges], probs, pays)
-        rows = tuple(tuple(islice(flat, len(group))) for group in self.edges)
-        return IntegerForm(den, lattice, rows)
-
     @property
     def n(self) -> int:
         return len(self.states)
 
-    def kernel(self) -> tuple:
-        """Canonical (target, payoff) -> probability kernel, for equality."""
-        out = []
-        for group in self.edges:
-            merged: dict[tuple[int, Fraction], Fraction] = {}
-            for e in group:
-                key = (e.target, e.payoff)
-                merged[key] = merged.get(key, Fraction(0)) + e.prob
-            out.append(tuple(sorted(merged.items())))
-        return tuple(out)
+    @cached_property
+    def edges(self) -> tuple[tuple[ChainEdge, ...], ...]:
+        """The rows with ``Fraction`` probabilities and payoffs."""
+        form = self.integer_form
+        prob = cache(partial(Fraction, denominator=form.denominator))
+        pay = cache(partial(Fraction, denominator=form.lattice))
+        return tuple(tuple(ChainEdge(t, prob(p), pay(v)) for t, p, v in row) for row in form.rows)
 
-    def to_dot(self, classes: Sequence["RecurrentClass"] = ()) -> str:
+    def to_dot(self, classes: Sequence["RecurrentClass"] = (), graph: str = "chain") -> str:
         palette = ["lightblue", "palegreen", "lightsalmon", "plum", "khaki", "lightpink"]
         color: dict[int, str] = {}
         for k, cls in enumerate(classes):
             for s in cls.states:
                 color[s] = palette[k % len(palette)]
-        lines = ["digraph chain {", "  rankdir=LR;"]
+        lines = [f"digraph {graph} {{", "  rankdir=LR;"]
         for i in range(self.n):
             style = f', style=filled, fillcolor="{color[i]}"' if i in color else ""
             lines.append(f'  s{i} [label="{self.state_labels[i]}"{style}];')
-        for i, group in enumerate(self.edges):
-            for e in group:
-                label = f"{e.label}:{e.payoff}" if e.label else str(e.payoff)
-                lines.append(f'  s{i} -> s{e.target} [label="{label}"];')
+        lattice = self.integer_form.lattice
+        for i, row in enumerate(self.integer_form.rows):
+            for m, (t, _, v) in enumerate(row, start=1):
+                payoff = Fraction(v, lattice)
+                label = f"{m}:{payoff}" if self.numbered else str(payoff)
+                lines.append(f'  s{i} -> s{t} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def chain_of(automaton: TauAutomaton) -> ChainGraph:
-    """Uniform probability 1/d on each of the d outgoing edges."""
-    d = automaton.d
-    p = Fraction(1, d)
-    groups = tuple(
-        tuple(ChainEdge(e.target, p, e.payoff, str(e.m)) for e in group)
-        for group in automaton.edges
-    )
-    labels = tuple(automaton.state_label(i) for i in range(len(automaton.states)))
-    return ChainGraph(tuple(automaton.states), labels, groups)
 
 
 def compose(*layers: ChainGraph) -> ChainGraph:
@@ -152,8 +131,8 @@ def compose(*layers: ChainGraph) -> ChainGraph:
     Parallel edges are merged by (target, payoff) and sorted that way.  The
     composition runs on the integer forms: probability numerators multiply
     over the product of the denominators and payoff numerators add over the
-    lcm of the lattices, so the ``Fraction``s are built once, for the result.
-    One layer is returned as it is.
+    lcm of the lattices; the result is reduced to the least denominator and
+    lattice.  One layer is returned as it is.
     """
     if not layers:
         raise ValueError("a composition needs at least one layer")
@@ -181,31 +160,14 @@ def compose(*layers: ChainGraph) -> ChainGraph:
             merged_rows.append(merged.items())
         rows, den, lattice = merged_rows, den * nxt.denominator, joint
     rows = [sorted(row) for row in rows]
-    # reduce to the least denominators, as ``integer_form`` would build them
     p_gcd = gcd(den, *(p for row in rows for _, p in row))
     v_gcd = gcd(lattice, *(v for row in rows for (_, v), _ in row))
-    den, lattice = den // p_gcd, lattice // v_gcd
     form = IntegerForm(
-        den,
-        lattice,
+        den // p_gcd,
+        lattice // v_gcd,
         tuple(tuple((t, p // p_gcd, v // v_gcd) for (t, v), p in row) for row in rows),
     )
-    prob = cache(partial(Fraction, denominator=den))
-    pay = cache(partial(Fraction, denominator=lattice))
-    groups = tuple(tuple(ChainEdge(t, prob(p), pay(v)) for t, p, v in row) for row in form.rows)
-    return ChainGraph(first.states, first.state_labels, groups, form)
-
-
-def digit_chains(
-    sub: Substitution, gamma: WeightVector, digits: Sequence[int]
-) -> list[ChainGraph]:
-    """The chain of each digit's automaton, built once per distinct digit.
-
-    Equal digits share one ChainGraph object, so callers that compile a
-    chain can do it once per distinct layer.
-    """
-    built = {tau: chain_of(build_tau_automaton(sub, gamma, tau)) for tau in set(digits)}
-    return [built[tau] for tau in digits]
+    return ChainGraph(first.states, first.state_labels, form)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +188,7 @@ class RecurrentClass:
 def strongly_connected_components(chain: ChainGraph) -> list[list[int]]:
     """Tarjan's algorithm, iterative to survive deep graphs."""
     n = chain.n
-    adj = [sorted({e.target for e in group}) for group in chain.edges]
+    adj = [sorted({t for t, _, _ in row}) for row in chain.integer_form.rows]
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -280,10 +242,10 @@ def is_strongly_connected(chain: ChainGraph) -> bool:
 def weakly_connected_components(chain: ChainGraph) -> list[list[int]]:
     n = chain.n
     und: list[set[int]] = [set() for _ in range(n)]
-    for i, group in enumerate(chain.edges):
-        for e in group:
-            und[i].add(e.target)
-            und[e.target].add(i)
+    for i, row in enumerate(chain.integer_form.rows):
+        for t, _, _ in row:
+            und[i].add(t)
+            und[t].add(i)
     seen = [False] * n
     comps = []
     for root in range(n):
@@ -305,6 +267,7 @@ def weakly_connected_components(chain: ChainGraph) -> list[list[int]]:
 
 def class_period(chain: ChainGraph, states: Sequence[int]) -> int:
     """gcd of cycle lengths inside a strongly connected set of states."""
+    rows = chain.integer_form.rows
     members = set(states)
     root = states[0]
     level = {root: 0}
@@ -313,27 +276,25 @@ def class_period(chain: ChainGraph, states: Sequence[int]) -> int:
     while frontier:
         nxt = []
         for v in frontier:
-            for e in chain.edges[v]:
-                if e.target not in members:
+            for t, _, _ in rows[v]:
+                if t not in members:
                     continue
-                if e.target in level:
-                    g = gcd(g, level[v] + 1 - level[e.target])
+                if t in level:
+                    g = gcd(g, level[v] + 1 - level[t])
                 else:
-                    level[e.target] = level[v] + 1
-                    nxt.append(e.target)
+                    level[t] = level[v] + 1
+                    nxt.append(t)
         frontier = nxt
     return abs(g) if g else 0
 
 
 def recurrent_classes(chain: ChainGraph) -> list[RecurrentClass]:
     """Closed SCCs of the chain with period, stationary law and coboundary."""
+    rows = chain.integer_form.rows
     out = []
     for comp in strongly_connected_components(chain):
         members = set(comp)
-        closed = all(
-            e.target in members for v in comp for e in chain.edges[v]
-        )
-        if not closed:
+        if not all(t in members for v in comp for t, _, _ in rows[v]):
             continue
         stationary = _stationary(chain, comp)
         cob = coboundary_on_class(chain, comp)
@@ -541,16 +502,12 @@ def block_frequencies(sub: Substitution, k: int) -> dict[Word, Fraction]:
         return {w: Fraction(nums[w], den * d) for w in sorted(nums)}
     blocks = factor_blocks(sub, k)
     index = {b: i for i, b in enumerate(blocks)}
-    p = Fraction(1, d)
-    groups = []
+    rows = []
     for b in blocks:
         image = sub.apply(b)
-        group = []
-        for off in range(d):
-            window = image[off : off + k]
-            group.append(ChainEdge(index[window], p, Fraction(0), str(off)))
-        groups.append(tuple(group))
-    chain = ChainGraph(tuple(blocks), tuple(sub.render(b) for b in blocks), tuple(groups))
+        rows.append(tuple((index[image[off : off + k]], 1, 0) for off in range(d)))
+    form = IntegerForm(d, 1, tuple(rows))
+    chain = ChainGraph(tuple(blocks), tuple(sub.render(b) for b in blocks), form)
     classes = recurrent_classes(chain)
     if len(classes) != 1 or len(classes[0].states) != len(blocks):
         raise ValueError("block chain is not irreducible; substitution must be primitive")

@@ -45,6 +45,8 @@ POWER_TABLE_LETTERS = 4096
 MAX_POWER = 16
 # Fills the short rows of the image tables; never a letter (at most 255 letters).
 _PAD = 255
+# Raised, as a ValueError, for a word letter that the tables index past.
+_OUT_OF_ALPHABET = "word contains an out-of-alphabet letter"
 
 
 def word(letters: Iterable[int]) -> Word:
@@ -147,7 +149,10 @@ class _ImageTable:
     def expand(self, w: Word) -> Word:
         """The images of w's letters, joined: ``bytes.join`` for short words."""
         if len(w) < GATHER_MIN_LETTERS:
-            return b"".join([self.images[b] for b in w])
+            try:
+                return b"".join([self.images[b] for b in w])
+            except IndexError:
+                raise ValueError(_OUT_OF_ALPHABET) from None
         return self.extend(b"", w, b"").tobytes()
 
     def extend(self, head: Word, w: Word | np.ndarray, tail: Word) -> Word | np.ndarray:
@@ -156,7 +161,10 @@ class _ImageTable:
         uint8 array from a row gather.  w is bytes or a uint8 array."""
         if len(w) < GATHER_MIN_LETTERS:
             return head + self.expand(bytes(w)) + tail
-        body = self.rows.take(np.frombuffer(w, np.uint8), axis=0).ravel()
+        try:
+            body = self.rows.take(np.frombuffer(w, np.uint8), axis=0).ravel()
+        except IndexError:
+            raise ValueError(_OUT_OF_ALPHABET) from None
         if self.padded:
             body = body[body != _PAD]
         if not head and not tail:
@@ -286,7 +294,10 @@ def expand_levels(
         if before >= cap:
             break
         need.append(-(-(cap - before) // min(lengths)))
-        before += sum(lengths[b] for b in part)
+        try:
+            before += sum(lengths[b] for b in part)
+        except IndexError:
+            raise ValueError(_OUT_OF_ALPHABET) from None
     r, power = sub._power_table
     w = b""
     top = j = len(need)

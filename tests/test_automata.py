@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subshift_lab import linalg
-from subshift_lab.automata import build_simplified_automaton, build_tau_automaton
-from subshift_lab.markov import IntegerForm, chain_of, digit_chains
+from subshift_lab.automata import build_simplified_automaton, build_tau_automaton, digit_chains
+from subshift_lab.markov import IntegerForm
 from subshift_lab.substitution import (
     Substitution,
     WeightVector,
@@ -31,12 +31,12 @@ def test_simplified_edges_match_contract(twist2):
     sub, g = twist2
     aut = build_simplified_automaton(sub, g)
     idx = aut.states.index((0, (1,)))  # the state (1, 2) in 1-based symbols
-    edges = {e.m: (aut.states[e.target], e.payoff) for e in aut.edges[idx]}
+    edges = {m: (aut.states[e.target], e.payoff) for m, e in enumerate(aut.edges[idx], 1)}
     assert edges[1] == ((0, (1,)), Fraction(0))
     assert edges[2] == ((0, (1,)), Fraction(-2))
     assert edges[3] == ((1, (0,)), Fraction(-2))
     idx = aut.states.index((1, (0,)))
-    edges = {e.m: (aut.states[e.target], e.payoff) for e in aut.edges[idx]}
+    edges = {m: (aut.states[e.target], e.payoff) for m, e in enumerate(aut.edges[idx], 1)}
     assert edges[1] == ((1, (0,)), Fraction(0))
     assert edges[2] == ((1, (0,)), Fraction(2))
     assert edges[3] == ((0, (1,)), Fraction(2))
@@ -58,9 +58,9 @@ def test_out_degree_is_d(twist2, sync3):
         d = len(sub.images[0])
         for tau in range(d):
             aut = build_tau_automaton(sub, g, tau)
-            assert all(len(group) == d for group in aut.edges)
-            ms = [tuple(e.m for e in group) for group in aut.edges]
-            assert all(m == tuple(range(1, d + 1)) for m in ms)
+            assert aut.numbered and aut.integer_form.denominator == d
+            assert all(len(row) == d for row in aut.integer_form.rows)
+            assert all(p == 1 for row in aut.integer_form.rows for _, p, _ in row)
 
 
 def test_simplified_has_nine_states(sync3):
@@ -92,8 +92,7 @@ def test_projection_consistency(twist2, sync3):
         simple = build_simplified_automaton(sub, g)
         for i, (a, v) in enumerate(full.states):
             j = simple.states.index((a, (v[0],)))
-            for ef, es in zip(full.edges[i], simple.edges[j]):
-                assert ef.m == es.m
+            for ef, es in zip(full.edges[i], simple.edges[j], strict=True):
                 assert ef.payoff == es.payoff
                 fa, fv = full.states[ef.target]
                 sa, sv = simple.states[es.target]
@@ -115,17 +114,17 @@ def test_tau_automaton_rejects_bad_input(twist2):
 def test_exports(twist2):
     sub, g = twist2
     aut = build_tau_automaton(sub, g, 1)
-    dot = aut.to_dot()
+    dot = aut.to_dot(graph="automaton")
+    assert dot.startswith("digraph automaton {")
     assert dot.count("->") == 8 * 3
-    doc = aut.to_json()
-    assert doc["tau"] == 1 and len(doc["states"]) == 8
+    assert '[label="1:' in dot and '[label="3:' in dot
 
 
 def test_one_step_synchronizable_has_unique_diagonal_class():
     # 1 -> 12, 2 -> 13, 3 -> 13 shares a letter position for every pair
     from fractions import Fraction as F
 
-    from subshift_lab.markov import chain_of, recurrent_classes
+    from subshift_lab.markov import recurrent_classes
     from subshift_lab.substitution import WeightVector
 
     sub = parse_substitution("1: 12\n2: 13\n3: 13")
@@ -135,7 +134,7 @@ def test_one_step_synchronizable_has_unique_diagonal_class():
         for c in range(b + 1, 3)
     )
     gamma = WeightVector((F(1), F(0), F(-1)), F(1))  # structure is payoff-free
-    chain = chain_of(build_simplified_automaton(sub, gamma))
+    chain = build_simplified_automaton(sub, gamma)
     classes = recurrent_classes(chain)
     assert len(classes) == 1
     assert {chain.states[s] for s in classes[0].states} == {
@@ -149,9 +148,7 @@ def test_strongly_nonsync_diagonal_is_disconnected(twist2):
     subs = [twist2[0]] + [random_nonsync_pair(rng) for _ in range(5)]
     for sub in subs:
         g = eigenvector_for(matrix_of(sub), 1)
-        from subshift_lab.markov import chain_of
-
-        chain = chain_of(build_simplified_automaton(sub, g))
+        chain = build_simplified_automaton(sub, g)
         for i, (a, v) in enumerate(chain.states):
             if v[0] == a:
                 continue
@@ -216,9 +213,9 @@ def test_automaton_payoffs_match_gamma_of_word(sub_gamma, data):
     sub, gamma = sub_gamma
     d = len(sub.images[0])
     tau = data.draw(st.integers(0, d - 1))
-    tau_chain = chain_of(build_tau_automaton(sub, gamma, tau))
+    tau_chain = build_tau_automaton(sub, gamma, tau)
     assert tau_chain.integer_form == _reference_form(sub, gamma, tau, False)
-    simple = chain_of(build_simplified_automaton(sub, gamma))
+    simple = build_simplified_automaton(sub, gamma)
     assert simple.integer_form == _reference_form(sub, gamma, 0, True)
 
 

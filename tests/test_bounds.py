@@ -211,10 +211,10 @@ def test_bounded_orbit_when_chain_coboundary_everywhere():
     sub = parse_substitution("1: 121\n2: 212")
     g = eigenvector_for(matrix_of(sub), 1)
     from subshift_lab.automata import build_tau_automaton
-    from subshift_lab.markov import chain_of, recurrent_classes
+    from subshift_lab.markov import recurrent_classes
 
     for tau in range(3):
-        chain = chain_of(build_tau_automaton(sub, g, tau))
+        chain = build_tau_automaton(sub, g, tau)
         assert all(c.coboundary for c in recurrent_classes(chain))
     point = sample_point_with_coverage(sub, seed=1, min_right=3**7)
     scaled, denom = common_numerators(g.values)

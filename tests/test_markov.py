@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subshift_lab import linalg
-from subshift_lab.automata import build_simplified_automaton, build_tau_automaton
+from subshift_lab.automata import build_simplified_automaton, build_tau_automaton, digit_chains
 from subshift_lab.markov import (
     ChainEdge,
     ChainGraph,
@@ -18,12 +19,10 @@ from subshift_lab.markov import (
     absorption_probabilities,
     asymptotic_variance,
     block_frequencies,
-    chain_of,
     chain_report,
     class_period,
     coboundary_on_class,
     compose,
-    digit_chains,
     ergodic_coefficient,
     expected_payoff,
     initial_distribution,
@@ -75,19 +74,29 @@ def hypothesis_digit_chains(draw):
     return compose(*digit_chains(sub, gamma, digits))
 
 
+def chain_from_edges(states, labels, groups):
+    """A chain from ``ChainEdge`` groups, its integer form derived the old
+    way: the least common denominators of the probabilities (D) and of the
+    payoffs (L), and every edge's numerators over them."""
+    edges = [e for group in groups for e in group]
+    probs, den = linalg.common_numerators([e.prob for e in edges])
+    pays, lattice = linalg.common_numerators([e.payoff for e in edges])
+    flat = zip([e.target for e in edges], probs, pays)
+    rows = tuple(tuple(islice(flat, len(group))) for group in groups)
+    return ChainGraph(tuple(states), tuple(labels), IntegerForm(den, lattice, rows))
+
+
 def small_chain(edges, n):
     """Helper: edges as {source: [(target, prob, payoff), ...]}."""
-    groups = []
-    for s in range(n):
-        groups.append(
-            tuple(ChainEdge(t, Fraction(p), Fraction(v)) for t, p, v in edges[s])
-        )
-    return ChainGraph(tuple(range(n)), tuple(str(i) for i in range(n)), groups)
+    groups = [
+        tuple(ChainEdge(t, Fraction(p), Fraction(v)) for t, p, v in edges[s]) for s in range(n)
+    ]
+    return chain_from_edges(range(n), (str(i) for i in range(n)), groups)
 
 
 def test_chain_probabilities(twist2):
     sub, g = twist2
-    chain = chain_of(build_simplified_automaton(sub, g))
+    chain = build_simplified_automaton(sub, g)
     for group in chain.edges:
         assert all(e.prob == Fraction(1, 3) for e in group)
         assert sum(e.prob for e in group) == 1
@@ -112,13 +121,13 @@ def test_chain_row_sum_message_names_state_and_sum():
 def test_single_state_chain():
     sub = Substitution.from_words([[0]])
     g = eigenvector_for(matrix_of(sub), 1)
-    chain = chain_of(build_simplified_automaton(sub, g))
+    chain = build_simplified_automaton(sub, g)
     assert chain.n == 1 and sum(e.prob for e in chain.edges[0]) == 1
 
 
 def test_recurrent_classes_tau0(twist2):
     sub, g = twist2
-    chain = chain_of(build_simplified_automaton(sub, g))
+    chain = build_simplified_automaton(sub, g)
     classes = recurrent_classes(chain)
     assert len(classes) == 2
     sets = [set(chain.state_labels[s] for s in c.states) for c in classes]
@@ -127,7 +136,7 @@ def test_recurrent_classes_tau0(twist2):
 
 def test_recurrent_class_tau1(twist2):
     sub, g = twist2
-    chain = chain_of(build_tau_automaton(sub, g, 1))
+    chain = build_tau_automaton(sub, g, 1)
     classes = recurrent_classes(chain)
     assert len(classes) == 1
     assert classes[0].period == 1
@@ -143,7 +152,7 @@ def test_two_cycle_period():
 
 def test_coboundary_examples(twist2):
     sub, g = twist2
-    chain = chain_of(build_simplified_automaton(sub, g))
+    chain = build_simplified_automaton(sub, g)
     classes = recurrent_classes(chain)
     diagonal = next(c for c in classes if chain.state_labels[c.states[0]] == "1|1")
     off = next(c for c in classes if c is not diagonal)
@@ -160,7 +169,7 @@ def test_all_zero_payoffs_coboundary():
 
 def test_stationary_and_payoff(twist2):
     sub, g = twist2
-    chain = chain_of(build_simplified_automaton(sub, g))
+    chain = build_simplified_automaton(sub, g)
     classes = recurrent_classes(chain)
     off = next(c for c in classes if chain.state_labels[c.states[0]] == "1|2")
     assert sorted(off.stationary.values()) == [Fraction(1, 2), Fraction(1, 2)]
@@ -186,13 +195,13 @@ def test_stationary_rejects_class_with_transient_state():
 
 def test_variance_values(twist2):
     sub, g = twist2
-    chain = chain_of(build_simplified_automaton(sub, g))
+    chain = build_simplified_automaton(sub, g)
     classes = recurrent_classes(chain)
     diagonal = next(c for c in classes if chain.state_labels[c.states[0]] == "1|1")
     off = next(c for c in classes if c is not diagonal)
     assert asymptotic_variance(chain, diagonal) == 0
     assert asymptotic_variance(chain, off) == Fraction(8, 3)
-    full = chain_of(build_tau_automaton(sub, g, 1))
+    full = build_tau_automaton(sub, g, 1)
     (cls,) = recurrent_classes(full)
     assert asymptotic_variance(full, cls) == Fraction(4, 3)
 
@@ -209,7 +218,7 @@ def test_variance_matches_exact_dp(twist2):
     from subshift_lab.limitdist import exact_sum_distribution
 
     sub, g = twist2
-    chain = chain_of(build_simplified_automaton(sub, g))
+    chain = build_simplified_automaton(sub, g)
     classes = recurrent_classes(chain)
     off = next(c for c in classes if chain.state_labels[c.states[0]] == "1|2")
     init = {s: Fraction(1, len(off.states)) for s in off.states}
@@ -241,11 +250,11 @@ def test_product_chain(twist2):
     # the product chain of a digit block is the composition of its digits'
     # chains, as ``classify --block`` builds it
     sub, g = twist2
-    base = chain_of(build_tau_automaton(sub, g, 1))
+    base = build_tau_automaton(sub, g, 1)
     one = compose(*digit_chains(sub, g, [1]))
-    assert one.kernel() == base.kernel()
+    assert one == base
     two = compose(*digit_chains(sub, g, [1, 1]))
-    assert two.kernel() == compose(base, base).kernel()
+    assert two.integer_form == compose(base, base).integer_form
     assert all(e.prob.denominator == 9 for group in two.edges for e in group)
     assert is_strongly_connected(one)
     assert recurrent_classes(one)[0].period == 1
@@ -261,16 +270,27 @@ def test_digit_chains_share_one_chain_per_digit(twist2):
     sub, g = twist2
     chains = digit_chains(sub, g, [1, 0, 1, 1])
     assert chains[0] is chains[2] is chains[3] and chains[1] is not chains[0]
-    assert chains[0].kernel() == chain_of(build_tau_automaton(sub, g, 1)).kernel()
+    assert chains[0] == build_tau_automaton(sub, g, 1)
 
 
 def test_compose_is_associative(twist2):
     sub, g = twist2
     rng = random.Random(3)
-    layers = [chain_of(build_tau_automaton(sub, g, tau)) for tau in range(3)]
+    layers = [build_tau_automaton(sub, g, tau) for tau in range(3)]
     for _ in range(4):
         a, b, c = (layers[rng.randrange(3)] for _ in range(3))
-        assert compose(compose(a, b), c).kernel() == compose(a, compose(b, c)).kernel()
+        assert compose(compose(a, b), c).integer_form == compose(a, compose(b, c)).integer_form
+
+
+def _kernel(chain):
+    """Each state's (target, payoff) -> probability map, parallel edges merged."""
+    out = []
+    for group in chain.edges:
+        merged = {}
+        for e in group:
+            merged[(e.target, e.payoff)] = merged.get((e.target, e.payoff), 0) + e.prob
+        out.append(sorted(merged.items()))
+    return out
 
 
 def test_product_chain_matches_power_substitution(twist2):
@@ -303,8 +323,8 @@ def test_product_chain_matches_power_substitution(twist2):
                 groups.append(
                     tuple(ChainEdge(t, pr, pay) for (t, pay), pr in sorted(merged.items()))
                 )
-            direct = ChainGraph(tuple(states), tuple(map(str, states)), tuple(groups))
-            assert compose(*digit_chains(sub, g, digits)).kernel() == direct.kernel()
+            direct = chain_from_edges(states, map(str, states), groups)
+            assert _kernel(compose(*digit_chains(sub, g, digits))) == _kernel(direct)
 
 
 def test_letter_frequencies(twist2, sync3):
@@ -364,7 +384,7 @@ def test_initial_distribution(twist2):
     sub, g = twist2
     init = initial_distribution(sub, g, 1)
     assert sum(init.probs.values()) == 1
-    chain = chain_of(build_tau_automaton(sub, g, 0))
+    chain = build_tau_automaton(sub, g, 0)
     idx = initial_state_indices(chain, init)
     assert sum(idx.values()) == 1
     with pytest.raises(ValueError):
@@ -427,7 +447,7 @@ def test_absorption_probabilities():
 
 def test_chain_report(twist2):
     sub, g = twist2
-    chain = chain_of(build_tau_automaton(sub, g, 1))
+    chain = build_tau_automaton(sub, g, 1)
     init = initial_state_indices(chain, initial_distribution(sub, g, 1))
     report = chain_report(chain, init)
     assert report["strongly_connected"] is True
@@ -438,7 +458,7 @@ def test_chain_report(twist2):
 
 def test_weak_components(twist2):
     sub, g = twist2
-    chain = chain_of(build_tau_automaton(sub, g, 2))
+    chain = build_tau_automaton(sub, g, 2)
     assert len(weakly_connected_components(chain)) == 2
     classes = recurrent_classes(chain)
     assert len(classes) == 2
@@ -447,7 +467,7 @@ def test_weak_components(twist2):
 
 def test_dot_export_colors_classes(twist2):
     sub, g = twist2
-    chain = chain_of(build_simplified_automaton(sub, g))
+    chain = build_simplified_automaton(sub, g)
     dot = chain.to_dot(recurrent_classes(chain))
     assert "fillcolor" in dot and dot.count("->") == 12
 
@@ -469,9 +489,9 @@ def _reference_block_frequencies(sub, k):
         group = []
         for off in range(d):
             window = image[off : off + k]
-            group.append(ChainEdge(index[window], p, Fraction(0), str(off)))
+            group.append(ChainEdge(index[window], p, Fraction(0)))
         groups.append(tuple(group))
-    chain = ChainGraph(tuple(blocks), tuple(sub.render(b) for b in blocks), tuple(groups))
+    chain = chain_from_edges(blocks, (sub.render(b) for b in blocks), groups)
     classes = recurrent_classes(chain)
     if len(classes) != 1 or len(classes[0].states) != len(blocks):
         raise ValueError("block chain is not irreducible; substitution must be primitive")
@@ -622,7 +642,7 @@ def _reference_compose(first, second):
         groups.append(
             tuple(ChainEdge(t, prob, payoff) for (t, payoff), prob in sorted(merged.items()))
         )
-    return ChainGraph(first.states, first.state_labels, tuple(groups))
+    return chain_from_edges(first.states, first.state_labels, groups)
 
 
 def _reference_transition_matrix(chain):
@@ -690,10 +710,10 @@ def _centered(chain, classes):
     """The chain with each class's stationary mean taken off its payoffs."""
     shift = {s: expected_payoff(chain, cls) for cls in classes for s in cls.states}
     groups = tuple(
-        tuple(ChainEdge(e.target, e.prob, e.payoff - shift.get(s, 0), e.label) for e in group)
+        tuple(ChainEdge(e.target, e.prob, e.payoff - shift.get(s, 0)) for e in group)
         for s, group in enumerate(chain.edges)
     )
-    return ChainGraph(chain.states, chain.state_labels, groups)
+    return chain_from_edges(chain.states, chain.state_labels, groups)
 
 
 def _assert_class_analysis_matches_reference(chain):
@@ -753,20 +773,20 @@ def hand_built_layers(draw):
                     for t, w, v in zip(targets, weights, pays)
                 )
             )
-        return ChainGraph(tuple(range(n)), tuple(map(str, range(n))), tuple(groups))
+        return chain_from_edges(range(n), map(str, range(n)), groups)
 
     count = draw(st.integers(2, 3))
     return [layer([1, 2, 4])] + [layer([1, 3, 9]) for _ in range(count - 1)]
 
 
 def _fresh_integer_form(chain):
-    """The integer form a chain built from the same edges computes itself."""
-    return ChainGraph(chain.states, chain.state_labels, chain.edges).integer_form
+    """The integer form derived the old way from the chain's Fraction edges."""
+    return chain_from_edges(chain.states, chain.state_labels, chain.edges).integer_form
 
 
 def _assert_compose_matches_reference(layers):
     composed = compose(*layers)
-    # the same ChainEdges (prob, payoff, empty label) in the same order
+    # the same ChainEdges (target, prob, payoff) in the same order
     assert composed.edges == reduce(_reference_compose, layers).edges
     if len(layers) == 2:
         assert composed.edges == _reference_compose(*layers).edges
@@ -792,8 +812,8 @@ def test_compose_matches_reference_on_hand_built_layers(layers):
 @settings(max_examples=30, deadline=None)
 @given(digit_layer_lists())
 def test_compose_hands_over_the_reduced_integer_form(layers):
-    # compose builds the form it hands to the chain from its own numerators;
-    # it must be the least-denominator form the edges give
+    # compose builds the chain's form from its own numerators; it must be
+    # the least-denominator form the Fraction edges give
     composed = compose(*layers)
     form = composed.integer_form
     assert form == _fresh_integer_form(composed)
@@ -807,7 +827,7 @@ def test_handed_integer_form_still_has_its_rows_checked(twist2):
     form = chain.integer_form
     bad = IntegerForm(form.denominator + 1, form.lattice, form.rows)
     with pytest.raises(ValueError, match="outgoing probabilities at state 0"):
-        ChainGraph(chain.states, chain.state_labels, chain.edges, bad)
+        ChainGraph(chain.states, chain.state_labels, bad)
 
 
 @settings(max_examples=30, deadline=None)
@@ -845,8 +865,8 @@ def test_hand_built_composition_has_a_mixed_lattice():
 
 def test_compose_rejects_mismatched_states_and_no_layers(twist2):
     sub, g = twist2
-    tau = chain_of(build_tau_automaton(sub, g, 1))
-    simple = chain_of(build_simplified_automaton(sub, g))
+    tau = build_tau_automaton(sub, g, 1)
+    simple = build_simplified_automaton(sub, g)
     with pytest.raises(ValueError, match="identical state spaces"):
         compose(tau, simple)
     with pytest.raises(ValueError, match="at least one layer"):

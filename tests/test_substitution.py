@@ -501,3 +501,18 @@ def test_parse_json_rejects_deep_nesting():
 def test_matrix_serialization():
     assert matrix_to_json([[10**30, 1], [0, 2]]) == [[str(10**30), "1"], ["0", "2"]]
     assert poly_to_text([1, -7, 11, -7, 1]) == "X^4 - 7*X^3 + 11*X^2 - 7*X + 1"
+
+
+@pytest.mark.parametrize("w", [b"\x05", b"\x05" * 100, b"\x00" * 80 + b"\x02"])
+def test_out_of_alphabet_words_are_rejected(twist2, w):
+    # short words go through bytes.join, long ones through a row gather
+    sub, _ = twist2
+    message = "word contains an out-of-alphabet letter"
+    with pytest.raises(ValueError, match=message):
+        sub.apply(w)
+    with pytest.raises(ValueError, match=message):
+        sub.apply_power(w, 7)  # one single level, then a gather through sigma^6
+    with pytest.raises(ValueError, match=message):
+        expand_prefix(sub, w, 3, 10)
+    with pytest.raises(ValueError, match=message):
+        expand_levels(sub, [b"\x00", w], 5, from_end=True)
