@@ -19,13 +19,14 @@ keep one Python int per state whose byte-aligned slots hold the integer
 numerators of its lattice sums over d^n times the initial denominator
 (Kronecker substitution), so a step is a few shifts and big-int adds; a
 snapshot decodes them into a (state, lattice sum) table.  Monte Carlo
-composes runs of layers with at most 256 edge paths into flat numpy tables
-indexed by ``state * w + code``; each step folds the edge of a uniform draw,
-the count of running float sums of edge probabilities at or below it, into
-a uint8 code, so a run costs one gather per table, and sample values are
-exact lattice points too.  Variance growth needs no law: it steps the mass
-and the first two moments of the sum per state through the same tables,
-exact at any horizon at a cost that does not depend on the support.
+cuts the steps into blocks of k, the most with at most 256 edge paths
+w = d^k: each sample draws one uint8 integer below w per block, whose
+base-d digits are the block's edges, and one gather per table moves it
+through the block's layers, composed into flat numpy tables indexed by
+``state * w + code``; sample values are exact lattice points too.
+Variance growth needs no law: it steps the mass and the first two moments
+of the sum per state through the same tables, exact at any horizon at a
+cost that does not depend on the support.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ DEFAULT_SUPPORT_CAP = 10**6
 # most bits the exact law may pack, slots times slot width: each slot grows by
 # log2(d) bits per step, so the step cost grows with the packed bits
 MAX_PACKED_BITS = 2**25
-# largest product of the d over one Monte Carlo chunk: its edge codes fit a uint8
+# most edge paths of one Monte Carlo block, d^k: its edge codes fit a uint8
 MAX_CHUNK_WIDTH = 256
 # steps of exact law behind the bounded window of a mixture's atom
 ATOM_WINDOW_HORIZON = 64
@@ -519,26 +520,34 @@ def monte_carlo(
 
     Payoffs accumulate as scaled int64 integers, so sample values are exact;
     a horizon whose largest possible |sum| exceeds int64 raises ``ValueError``.
-    Each step draws one uniform u per sample, and u picks edge j, the number
-    of running float sums 1/d, 1/d + 1/d, ... (d - 1 terms) that are <= u.
+    Every layer must have the same edge count d, or ``ValueError`` is raised.
 
-    The steps are cut into chunks that end at every checkpoint; a chunk is
-    the longest run of layers whose product w of the d is at most
-    ``MAX_CHUNK_WIDTH`` (256), or one layer if that is wider.  For each
-    distinct run of layers a flat target table and a flat payoff table of
-    shape (states, w) are composed once per call and dropped after the
-    run's last chunk.  Within a chunk each
-    step folds its edge into a mixed-radix code, ``code * d + j``, held in a
-    uint8 (a wider type only for a one-layer chunk beyond 256 edges); the
-    chunk then moves each sample with one gather from each table at
-    ``state * w + code``.  The draws and edges are those of a step-by-step
-    walk, so the samples per seed do not depend on the chunking.
+    The steps are cut into blocks of k, aligned at step 0, where k is the
+    largest count with w = d^k at most ``MAX_CHUNK_WIDTH`` (256), or 1 when d
+    is wider.  Each block draws one integer below w per sample (Lemire's
+    bounded integers, a uint8 unless d > 256), even when the horizon cuts
+    the block short.  Its base-d digits, the leading digit first, are the
+    edges of the block's steps, so each edge has probability exactly 1/d.
+    The draws depend only on the seed, the sample count and d: samples are
+    prefix-stable in n and do not depend on the checkpoints.
+
+    For each distinct run of layers a flat target table and a flat payoff
+    table of shape (states, d^steps) are composed once per call and dropped
+    after the run's last use.  A block moves each sample with one gather
+    from each table at ``state * d^steps + code``.  A checkpoint inside a
+    block splits the code with ``divmod`` into head digits and tail digits,
+    each part gathered through its own run's tables; the horizon drops the
+    tail digits past it.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if n > len(layers):
         raise ValueError("not enough layers for the requested horizon")
     lattice, tables, order = _layer_tables(layers, n)
+    widths = {len(targets[0]) for targets, _ in tables}
+    if len(widths) > 1:
+        raise ValueError(f"Monte Carlo needs one edge count d for all layers: {sorted(widths)}")
+    d = max(widths, default=2)  # any d serves a horizon of 0 steps
     max_pay = [max(abs(p) for row in pays for p in row) for _, pays in tables]
     bound = sum(max_pay[i] for i in order)
     if bound > np.iinfo(np.int64).max:
@@ -550,8 +559,10 @@ def monte_carlo(
         (np.array(targets, dtype=np.int64), np.array(pays, dtype=np.int64))
         for targets, pays in tables
     ]
-    widths = [len(targets[0]) for targets, _ in tables]
-    thresholds = [np.cumsum(np.full(d - 1, 1 / d)).tolist() for d in widths]
+    k = 1  # steps per block
+    while d ** (k + 1) <= MAX_CHUNK_WIDTH:
+        k += 1
+    w = d**k
     rng = np.random.default_rng(seed)
     init_idx = _initial_indices(layers, init)
     states_list = sorted(init_idx)
@@ -577,36 +588,27 @@ def monte_carlo(
             t_digits=meta,
         )
 
-    # chunks (layers, w, end) of steps start+1..end: the longest run whose d
-    # multiply to at most MAX_CHUNK_WIDTH, stopping at every checkpoint; a
-    # wider layer runs alone
-    chunks = []
-    start = 0
-    while start < n:
-        end, w = start + 1, widths[order[start]]
-        while end < n and end not in want and w * widths[order[end]] <= MAX_CHUNK_WIDTH:
-            w *= widths[order[end]]
-            end += 1
-        chunks.append((tuple(order[start:end]), w, end))
-        start = end
-    # a run's tables live until its last chunk, so seeded digits keep few
-    uses = Counter(key for key, _, _ in chunks)
+    # runs of steps start+1..end: the blocks, cut at every checkpoint and at n
+    ends = sorted({c for c in want if 0 < c < n} | set(range(k, n, k)) | {n}) if n else []
+    runs = list(zip([0] + ends, ends))
+    # a run's tables live until its last use, so seeded digits keep few
+    uses = Counter(tuple(order[start:end]) for start, end in runs)
     composed: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
     if 0 in want:
         snaps.append(snapshot(0))
-    for key, w, end in chunks:
+    for start, end in runs:
+        if start % k == 0:
+            rest = rng.integers(0, w, samples, dtype=np.min_scalar_type(w - 1))
+        if end % k:  # digits of the block remain after this run
+            code, rest = divmod(rest, d ** (-end % k))
+        else:
+            code = rest
+        key = tuple(order[start:end])
         if key not in composed:
             composed[key] = _compose_tables([arrays[i] for i in key])
         uses[key] -= 1
         targets, pays = composed[key] if uses[key] else composed.pop(key)
-        code = np.zeros(samples, dtype=np.min_scalar_type(w - 1))
-        for j, i in enumerate(key):
-            u = rng.random(samples)
-            if j:
-                code *= widths[i]
-            for threshold in thresholds[i]:
-                code += u >= threshold
-        idx = states * w
+        idx = states * d ** (end - start)
         idx += code
         states = targets.take(idx)
         sums += pays.take(idx)

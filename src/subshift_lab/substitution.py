@@ -128,11 +128,6 @@ class Substitution:
             return "".join(parts)
         return ",".join(parts)
 
-    def describe(self) -> str:
-        return "; ".join(
-            f"{self.symbols[a]}->{self.render(img)}" for a, img in enumerate(self.images)
-        )
-
 
 class _ImageTable:
     """One level of images as bytes and as (alphabet, longest image) uint8

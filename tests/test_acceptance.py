@@ -36,7 +36,6 @@ from subshift_lab.substitution import (
     Substitution,
     eigenvector_for,
     matrix_of,
-    parse_substitution,
 )
 
 

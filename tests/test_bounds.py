@@ -18,7 +18,6 @@ from subshift_lab.prefix_suffix import (
     PSTriple,
     SymbolicPoint,
     _random_path,
-    build_ps_automaton,
     determined_lengths,
     point_from_path,
     sample_path_with_coverage,

@@ -290,25 +290,25 @@ def test_dist_exact_stdout_is_pinned(args, digest):
             # Monte Carlo law with the mixture prediction and its atom window
             ["dist", "--inline", "1: 112; 2: 221", "--t", "7/3", "--n", "200",
              "--samples", "20000", "--seed", "5"],
-            "05189f89f958bc3c60bd646bdddf2cd5abdbf98560747580ddf9a38ee50a53c6",
+            "356930ddd45d194bb0ace9015a5e580d328a1359708163af1069c1b44fb96329",
         ),
         (
-            # d = 2: Monte Carlo chunks of eight steps, with the histogram
+            # d = 2: Monte Carlo blocks of eight steps, with the histogram
             ["simulate", "--inline", "1: 12; 2: 13; 3: 23", "--t", "5/3", "--n", "100",
              "--samples", "20000", "--seed", "3", "--format", "csv"],
-            "0d3ae8da676aedb208d36beb6e11a77f1262fd1df54f1854a2e5d0f11827803b",
+            "c31b6b87ecf35451e2fc2ed2dfbabd37e4e9625c892805d8270e77ae02211e94",
         ),
         (
-            # d = 7: chunks of two steps through seeded digits
+            # d = 7: blocks of two steps through seeded digits
             ["dist", "--inline", "1: 1112122; 2: 2221211", "--random-digits", "5", "--n", "60",
              "--samples", "20000", "--seed", "7"],
-            "7a537048ce524bd7192be70914d3b2ae30a500a16d8d2b178b400c62038fb8ea",
+            "069f778fd0fa19bed4107a4a0e7d719d1587b80e42c8e886973abda6139ce974",
         ),
         (
-            # d = 5: chunks of three steps
+            # d = 5: blocks of three steps
             ["simulate", "--inline", "1: 11212; 2: 22121", "--t", "3/2", "--n", "90",
              "--samples", "20000", "--seed", "11"],
-            "c393584d1ebcf90ee2c5f00f9b76c3519f9fcd463c989f16fa970ab4e6cf6f5b",
+            "cd6cdfdd2834b12fd3b8db516cceb37055afb5b6fae56f6650ac0d7da71fe12b",
         ),
     ],
     ids=["classify-twist2-tau", "classify-sync3-block", "classify-twist7-block",

@@ -281,7 +281,8 @@ def test_monte_carlo_zero_mean(twist2):
 
 # ---------------------------------------------------------------------------
 # reference engines: both laws stepped edge by edge from the ChainGraph, with
-# Fraction probabilities (exact) and a per-row float CDF (Monte Carlo)
+# Fraction probabilities (exact) and the base-d digits of one bounded integer
+# per block of steps (Monte Carlo)
 # ---------------------------------------------------------------------------
 
 
@@ -328,30 +329,18 @@ def _reference_exact(layers, init, n, checkpoints):
     return snaps
 
 
-class _ReferenceLayer:
-    """Padded cumulative-probability rows, the last edge guarded."""
-
-    def __init__(self, chain, lattice):
-        width = max(len(group) for group in chain.edges)
-        self.cum = np.ones((chain.n, width), dtype=np.float64)
-        self.target = np.zeros((chain.n, width), dtype=np.int64)
-        self.pay = np.zeros((chain.n, width), dtype=np.int64)
-        for i, group in enumerate(chain.edges):
-            acc = 0.0
-            for j, e in enumerate(group):
-                acc += float(e.prob)
-                self.cum[i, j] = acc
-                self.target[i, j] = e.target
-                self.pay[i, j] = int(e.payoff * lattice)
-            self.cum[i, len(group) - 1] = 1.0 + 1e-12
-
-    def step(self, states, u):
-        idx = (u[:, None] >= self.cum[states]).sum(axis=1)
-        return self.target[states, idx], self.pay[states, idx]
+def _block_steps(d):
+    """Steps per Monte Carlo block: the largest k with d**k <= 256, at least 1."""
+    k = 1
+    while d ** (k + 1) <= 256:
+        k += 1
+    return k
 
 
 def _reference_monte_carlo(layers, init, n, samples, seed):
-    """(scaled sums, final states) after n steps."""
+    """(scaled sums, final states) after n steps: every block of k steps
+    draws one integer below d**k per sample, and step j of the block takes
+    the edge of the integer's j-th base-d digit, the leading digit first."""
     lattice = _reference_lattice(layers[:n])
     rng = np.random.default_rng(seed)
     init_idx = initial_state_indices(layers[0], init)
@@ -361,12 +350,18 @@ def _reference_monte_carlo(layers, init, n, samples, seed):
     draws = rng.random(samples)
     states = np.array(states_list, dtype=np.int64)[np.searchsorted(np.cumsum(probs), draws)]
     sums = np.zeros(samples, dtype=np.int64)
-    compiled = {}
-    for chain in layers[:n]:
-        if id(chain) not in compiled:
-            compiled[id(chain)] = _ReferenceLayer(chain, lattice)
-        states, pay = compiled[id(chain)].step(states, rng.random(samples))
-        sums += pay
+    d = len(layers[0].edges[0])
+    k = _block_steps(d)
+    for step, chain in enumerate(layers[:n]):
+        if step % k == 0:
+            w = d**k
+            block = rng.integers(0, w, samples, dtype=np.min_scalar_type(w - 1)).astype(np.int64)
+        digits = block // d ** (k - 1 - step % k) % d
+        target = np.array([[e.target for e in group] for group in chain.edges], dtype=np.int64)
+        pay = np.array(
+            [[int(e.payoff * lattice) for e in group] for group in chain.edges], dtype=np.int64
+        )
+        states, sums = target[states, digits], sums + pay[states, digits]
     return sums, states
 
 
@@ -384,7 +379,7 @@ def _law_inputs(request, name, t, n):
 
 @pytest.fixture(scope="module")
 def twist5():
-    """1 -> 11212, 2 -> 22121: d = 5, so a step compares against 4 thresholds."""
+    """1 -> 11212, 2 -> 22121: d = 5, so a Monte Carlo block is 3 steps."""
     sub = parse_substitution("1: 11212\n2: 22121")
     return sub, eigenvector_for(matrix_of(sub), 1)
 
@@ -490,13 +485,13 @@ def test_exact_rejects_negative_initial_mass(twist2):
 @pytest.fixture(scope="module")
 def twist301():
     """A3's twist with k = 150: d = 301 > MAX_CHUNK_WIDTH, so every Monte
-    Carlo chunk is one step and its edge codes need more than a uint8."""
+    Carlo block is one step and its edge codes need more than a uint8."""
     image = [0] * 151 + [1] * 150
     sub = Substitution.from_words([image, [1 - x for x in image]])
     return sub, eigenvector_for(matrix_of(sub), 1)
 
 
-# chunks are up to 8 steps for d = 2, 5 for d = 3, 3 for d = 5 and 2 for d = 7
+# blocks are 8 steps for d = 2, 5 for d = 3, 3 for d = 5 and 2 for d = 7
 MC_ORACLE_CASES = [
     pytest.param("twist2", Fraction(1), 60, (0, 6, 60), id="twist2-t0"),
     pytest.param("twist2", Fraction(7, 3), 60, (0, 6, 60), id="twist2-t1"),
@@ -505,12 +500,12 @@ MC_ORACLE_CASES = [
     pytest.param("twist5", Fraction(3, 2), 60, (0, 6, 60), id="twist5-t4"),
     pytest.param("sync3", RandomDigitStream(2, 8), 60, (0, 6, 60), id="sync3-random"),
     pytest.param("twist7", RandomDigitStream(7, 3), 60, (0, 6, 60), id="twist7-random"),
-    # the layers of one chunk have different lattices
+    # the layers of one block have different lattices
     pytest.param("twist2half", RandomDigitStream(3, 7), 60, (0, 6, 60), id="twist2half-random"),
-    # checkpoints that cut chunks short
+    # checkpoints that cut blocks short
     pytest.param("twist2", RandomDigitStream(3, 5), 60, (0, 1, 7, 9, 60), id="twist2-cut"),
     pytest.param("sync3", Fraction(5, 3), 60, (0, 1, 7, 9, 60), id="sync3-cut"),
-    # a horizon shorter than one chunk
+    # a horizon shorter than one block
     pytest.param("sync3", Fraction(7, 4), 3, (0, 1, 3), id="sync3-n3"),
     pytest.param("twist301", Fraction(3, 2), 20, (0, 1, 20), id="twist301"),
 ]
@@ -589,6 +584,9 @@ def test_monte_carlo_initial_draw_below_one_picks_last_state(monkeypatch):
         def random(self, size):
             return np.full(size, np.nextafter(1.0, 0.0))
 
+        def integers(self, low, high, size, dtype):
+            return np.full(size, high - 1, dtype=dtype)
+
     monkeypatch.setattr(np.random, "default_rng", lambda seed: TopDraws())
     snaps = monte_carlo(layers, init, 3, 5, seed=0, checkpoints=(0, 3))
     assert snaps[0].final_states.tolist() == [max(initial_state_indices(layers[0], init))] * 5
@@ -596,32 +594,79 @@ def test_monte_carlo_initial_draw_below_one_picks_last_state(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, t", [("twist2", RandomDigitStream(3, 5)), ("twist7", RandomDigitStream(7, 3))]
+    "name, t",
+    [
+        ("twist2", RandomDigitStream(3, 5)),
+        ("twist7", RandomDigitStream(7, 3)),
+        ("sync3", Fraction(7, 4)),
+        ("twist301", Fraction(3, 2)),
+    ],
 )
-def test_monte_carlo_draws_on_a_threshold_follow_the_float_sums(request, monkeypatch, name, t):
-    # a draw u picks edge #{k : u >= (1/d + ... + 1/d), k terms}; floor(u * d)
-    # and u >= k/d in exact arithmetic both disagree with it on these draws
+def test_monte_carlo_walks_every_block_code(request, monkeypatch, name, t):
+    # each block draws one integer below w = d**k per sample; with w samples
+    # and a new rotation per block, every path meets every code of every block
     layers, init = _law_inputs(request, name, t, 12)
     d = len(layers[0].edges[0])
-    thresholds = np.cumsum(np.full(d - 1, 1 / d))
-    edges = np.concatenate([thresholds, np.nextafter(thresholds, 0), [0.0, np.nextafter(1.0, 0)]])
-    rule = (edges[:, None] >= thresholds).sum(axis=1)
-    exact = [sum(Fraction(u) >= Fraction(k, d) for k in range(1, d)) for u in edges]
-    assert (rule != np.floor(edges * d)).any() or (rule != exact).any()
+    k = _block_steps(d)
+    w = d**k
+    made = []
 
-    class EdgeDraws:
+    class CodeDraws:
         def __init__(self):
-            self.calls = 0
+            self.calls = []
+            made.append(self)
 
         def random(self, size):
-            self.calls += 1  # a new rotation per step, so every path meets every draw
-            return np.resize(np.roll(edges, self.calls), size)
+            return np.linspace(0.0, 1.0, size, endpoint=False)
 
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: EdgeDraws())
-    sample = monte_carlo(layers, init, 12, 101, seed=0)
-    scaled, states = _reference_monte_carlo(layers, init, 12, 101, seed=0)
+        def integers(self, low, high, size, dtype):
+            self.calls.append((low, high, np.dtype(dtype)))
+            codes = np.arange(high, dtype=dtype)
+            return np.resize(np.roll(codes, len(self.calls)), size)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: CodeDraws())
+    sample = monte_carlo(layers, init, 12, w, seed=0)
+    assert made[0].calls == [(0, w, np.min_scalar_type(w - 1))] * -(-12 // k)
+    scaled, states = _reference_monte_carlo(layers, init, 12, w, seed=0)
     assert np.array_equal(sample.scaled, scaled)
     assert np.array_equal(sample.final_states, states)
+
+
+@pytest.mark.parametrize("name, t, n, checkpoints", MC_ORACLE_CASES)
+def test_monte_carlo_checkpoints_equal_runs_to_that_horizon(request, name, t, n, checkpoints):
+    layers, init = _law_inputs(request, name, t, n)
+    snaps = monte_carlo(layers, init, n, 500, seed=23, checkpoints=checkpoints)
+    for snap in snaps:
+        alone = monte_carlo(layers, init, snap.n, 500, seed=23)
+        assert np.array_equal(snap.scaled * alone.lattice, alone.scaled * snap.lattice)
+        assert np.array_equal(snap.final_states, alone.final_states)
+
+
+@pytest.fixture(scope="module")
+def every_step_snapshots(twist2half):
+    """Snapshots after every step of a 30-step run whose blocks mix lattices."""
+    sub, g = twist2half
+    plan = time_expansion(sub, RandomDigitStream(3, 7))
+    layers = layer_chains(sub, g, plan, 30)
+    init = initial_distribution(sub, g, plan.tau0)
+    return layers, init, monte_carlo(layers, init, 30, 200, seed=31, checkpoints=range(31))
+
+
+@given(st.sets(st.integers(0, 30), min_size=1))
+def test_monte_carlo_samples_do_not_depend_on_the_checkpoints(every_step_snapshots, checkpoints):
+    layers, init, every = every_step_snapshots
+    snaps = monte_carlo(layers, init, 30, 200, seed=31, checkpoints=sorted(checkpoints))
+    for snap in snaps:
+        assert np.array_equal(snap.scaled, every[snap.n].scaled)
+        assert np.array_equal(snap.final_states, every[snap.n].final_states)
+
+
+def test_monte_carlo_rejects_layers_with_different_d(twist2, sync3):
+    layers = [
+        layer_chains(sub, g, time_expansion(sub, Fraction(1)), 1)[0] for sub, g in (twist2, sync3)
+    ]
+    with pytest.raises(ValueError, match="edge count"):
+        monte_carlo(layers, {0: Fraction(1)}, 2, 10, seed=0)
 
 
 def test_engines_reject_layers_without_d_equal_edges(twist2):
@@ -679,8 +724,6 @@ def test_word_vs_chain_rejects_non_eigenvector(twist2):
 def test_word_vs_chain_finite_expansion_bounded(sync3):
     # with a finite expansion the chain sums themselves stay bounded
     sub, g = sync3
-    from subshift_lab.limitdist import layer_chains as _lc
-
     discs = [word_vs_chain_check(sub, g, Fraction(1), n, seed=1) for n in range(1, 10)]
     assert all(d <= 3 * g.max_abs for d in discs)
 

@@ -405,6 +405,11 @@ def _shuffled_twists(count, seed):
     return subs
 
 
+def _rules(sub):
+    """The rules a -> sigma(a) joined by "; ", as parametrize ids."""
+    return "; ".join(f"{sub.symbols[a]}->{sub.render(img)}" for a, img in enumerate(sub.images))
+
+
 FACTOR_CASES = [
     "1: 112; 2: 221",  # twist2
     "1: 12; 2: 13; 3: 23",  # sync3
@@ -422,7 +427,7 @@ FACTOR_CASES = [
     "sub",
     [parse_substitution(text.replace(";", "\n")) for text in FACTOR_CASES]
     + _shuffled_twists(3, seed=4),
-    ids=lambda sub: sub.describe(),
+    ids=_rules,
 )
 def test_factor_blocks_match_window_oracle(sub):
     for k in range(1, 9):
