@@ -352,9 +352,9 @@ def _reference_monte_carlo(layers, init, n, samples, seed):
     sums = np.zeros(samples, dtype=np.int64)
     d = len(layers[0].edges[0])
     k = _block_steps(d)
+    w = d**k
     for step, chain in enumerate(layers[:n]):
         if step % k == 0:
-            w = d**k
             block = rng.integers(0, w, samples, dtype=np.min_scalar_type(w - 1)).astype(np.int64)
         digits = block // d ** (k - 1 - step % k) % d
         target = np.array([[e.target for e in group] for group in chain.edges], dtype=np.int64)
