@@ -20,10 +20,12 @@ numerators of its lattice sums over d^n times the initial denominator
 (Kronecker substitution), so a step is a few shifts and big-int adds; a
 snapshot decodes them into a (state, lattice sum) table.  Monte Carlo
 cuts the steps into blocks of k, the most with at most 256 edge paths
-w = d^k: each sample draws one uint8 integer below w per block, whose
+w = d^k: each sample draws one 16-bit integer below w per block, whose
 base-d digits are the block's edges, and one gather per table moves it
 through the block's layers, composed into flat numpy tables indexed by
-``state * w + code``; sample values are exact lattice points too.
+``state * w + code``; sample values are exact lattice points too.  The
+16-bit words keep numpy's bounded draws off their slow branch, which
+8-bit words below w <= 256 take almost every time.
 Variance growth needs no law: it steps the mass and the first two moments
 of the sum per state through the same tables, exact at any horizon at a
 cost that does not depend on the support.
@@ -62,9 +64,9 @@ DEFAULT_SUPPORT_CAP = 10**6
 # most bits the exact law may pack, slots times slot width: each slot grows by
 # log2(d) bits per step, so the step cost grows with the packed bits
 MAX_PACKED_BITS = 2**25
-# most edge paths of one Monte Carlo block, d^k: its edge codes fit a uint8
+# most edge paths of one Monte Carlo block, d^k; its tables hold states * d^k entries
 MAX_CHUNK_WIDTH = 256
-# steps of exact law behind the bounded window of a mixture's atom
+# steps behind the bounded window of a mixture's atom
 ATOM_WINDOW_HORIZON = 64
 
 
@@ -260,8 +262,9 @@ def _layer_tables(
     """
     distinct: list[ChainGraph] = []
     order: list[int] = []
+    index: dict[int, int] = {}  # id of each distinct layer -> its position
     for chain in layers[:n]:
-        i = next((i for i, seen in enumerate(distinct) if seen is chain), len(distinct))
+        i = index.setdefault(id(chain), len(distinct))
         if i == len(distinct):
             distinct.append(chain)
         order.append(i)
@@ -371,14 +374,6 @@ class SumDistribution:
             m2 * den * den - 2 * m1 * m1 * den + m1 * m1 * m0, den**3 * self.lattice**2
         )
 
-    def support_bounds(self) -> tuple[Fraction, Fraction]:
-        lows = [s for (_, s) in self.table]
-        return Fraction(min(lows), self.lattice), Fraction(max(lows), self.lattice)
-
-    def restricted_to_states(self, states: set[int]) -> "SumDistribution":
-        table = {(q, s): num for (q, s), num in self.table.items() if q in states}
-        return SumDistribution(self.n, self.lattice, self.denominator, table, self.state_labels)
-
 
 def exact_sum_distribution(
     layers: Sequence[ChainGraph],
@@ -404,7 +399,10 @@ def exact_sum_distribution(
     slots, so a law of bounded support keeps ints of bounded length.
     ``support_cap`` bounds the slot count, the sum over states of
     ceil(bits / W), an upper bound on the (state, sum) pairs, and
-    ``MAX_PACKED_BITS`` the slot count times W.
+    ``MAX_PACKED_BITS`` the slot count times W.  The states times the slots
+    of the ints' OR bound the slot count from above, so a step counts the
+    slots only when that bound passes a limit; the step and count raised
+    are those of a count at every step.
     """
     if n > len(layers):
         raise ValueError("not enough layers for the requested horizon")
@@ -427,6 +425,8 @@ def exact_sum_distribution(
     nbytes = max(1, -(-top.bit_length() // 8))  # bytes per slot
     width = 8 * nbytes
     pad = width - 1
+    # slot counts up to this one pass neither bound
+    limit = min(support_cap, MAX_PACKED_BITS // width)
     # per distinct layer and state: (shift in bits, targets) per distinct payoff
     steps = []
     for (targets, pays), low in zip(tables, lows):
@@ -472,13 +472,16 @@ def exact_sum_distribution(
             new = [v >> (empty * width) for v in new]
             base += empty * spacing
         packed = new
-        # the sum over states of ceil(bits / width), mapped without a Python frame
-        bits = map(pad.__add__, map(int.bit_length, packed))
-        slots = sum(map(operator.floordiv, bits, repeat(width)))
-        if slots > support_cap:
-            raise SupportCapExceeded(k, slots)
-        if slots * width > MAX_PACKED_BITS:
-            raise PackedBitsExceeded(k, slots * width)
+        # no int is longer than the union, so size times the union's slots
+        # bounds the slot count: count it only where the bound passes a limit
+        if size * (-(-union.bit_length() // width) - empty) > limit:
+            # the sum over states of ceil(bits / width), mapped without a Python frame
+            bits = map(pad.__add__, map(int.bit_length, packed))
+            slots = sum(map(operator.floordiv, bits, repeat(width)))
+            if slots > support_cap:
+                raise SupportCapExceeded(k, slots)
+            if slots * width > MAX_PACKED_BITS:
+                raise PackedBitsExceeded(k, slots * width)
         if k in want:
             snaps.append(snapshot(k))
     if checkpoints:
@@ -525,9 +528,12 @@ def monte_carlo(
     The steps are cut into blocks of k, aligned at step 0, where k is the
     largest count with w = d^k at most ``MAX_CHUNK_WIDTH`` (256), or 1 when d
     is wider.  Each block draws one integer below w per sample (Lemire's
-    bounded integers, a uint8 unless d > 256), even when the horizon cuts
-    the block short.  Its base-d digits, the leading digit first, are the
-    edges of the block's steps, so each edge has probability exactly 1/d.
+    bounded integers), even when the horizon cuts the block short.  The
+    draws are uint16 words (uint32 once w > 2^16): Lemire's method takes
+    its slow modulo branch with probability w / 2^bits, 243/256 for uint8
+    words at w = 3^5 but 243/65536 for uint16.  The code's base-d digits,
+    the leading digit first, are the edges of the block's steps, so each
+    edge has probability exactly 1/d.
     The draws depend only on the seed, the sample count and d: samples are
     prefix-stable in n and do not depend on the checkpoints.
 
@@ -563,6 +569,7 @@ def monte_carlo(
     while d ** (k + 1) <= MAX_CHUNK_WIDTH:
         k += 1
     w = d**k
+    code_type = np.promote_types(np.uint16, np.min_scalar_type(w - 1))
     rng = np.random.default_rng(seed)
     init_idx = _initial_indices(layers, init)
     states_list = sorted(init_idx)
@@ -598,7 +605,7 @@ def monte_carlo(
         snaps.append(snapshot(0))
     for start, end in runs:
         if start % k == 0:
-            rest = rng.integers(0, w, samples, dtype=np.min_scalar_type(w - 1))
+            rest = rng.integers(0, w, samples, dtype=code_type)
         if end % k:  # digits of the block remain after this run
             code, rest = divmod(rest, d ** (-end % k))
         else:
@@ -839,8 +846,11 @@ def mixture_prediction(
     Weights are absorption probabilities into the recurrent classes of the
     period-composed chain; coboundary classes pool into the atom at zero.
     Per-step variances divide the composed-class variance by the period
-    length.  The bounded window of the atom part is measured from the exact
-    law at a horizon of about ``ATOM_WINDOW_HORIZON`` steps.  Like
+    length.  The bounded window of the atom part is the least and greatest
+    sum that the exact law puts on the atom's states after the preperiod
+    and about ``ATOM_WINDOW_HORIZON`` steps of whole periods
+    (``_reachable_window``).  No law is built, so unlike the exact law this
+    raises neither ``SupportCapExceeded`` nor ``PackedBitsExceeded``.  Like
     ``layer_chains``, it raises ``ValueError`` unless gamma has eigenvalue 1.
     """
     _require_eigenvalue_one(gamma)
@@ -882,12 +892,51 @@ def mixture_prediction(
     if dirac_states:
         # the digits of the first horizon steps: the preperiod, then whole periods
         layers = pre_layers + per_layers * max(1, ATOM_WINDOW_HORIZON // len(per))
-        dist = exact_sum_distribution(layers, init, len(layers))
-        bounded = dist.restricted_to_states(dirac_states)
-        if bounded.table:
-            window = bounded.support_bounds()
+        window = _reachable_window(layers, init, dirac_states)
     return MixturePrediction(
         plan, p0, tuple(comps), frozenset(dirac_states), window, lattice
+    )
+
+
+def _reachable_window(
+    layers: Sequence[ChainGraph], init: InitialDistribution, states: set[int]
+) -> tuple[Fraction, Fraction] | None:
+    """Least and greatest sum of the exact law after all the layers on
+    ``states``, or None when it puts no mass there.
+
+    Every edge has probability 1/d > 0, so the law's support is exactly the
+    (state, sum) pairs that some path from an initial state of positive
+    mass reaches: a min-plus and a max-plus step per layer carry each
+    state's least and greatest reachable sum, and the law is never built.
+    """
+    lattice, tables, order = _layer_tables(layers, len(layers))
+    size = len(layers[0].states)
+    # an unreached state keeps the empty range (inf, -inf)
+    lows: list[float] = [math.inf] * size
+    for q, p in _initial_indices(layers, init).items():
+        if p:
+            lows[q] = 0
+    highs = [-low for low in lows]
+    for i in order:
+        targets, pays = tables[i]
+        new_lows: list[float] = [math.inf] * size
+        new_highs: list[float] = [-math.inf] * size
+        for q, low in enumerate(lows):
+            if low == math.inf:
+                continue
+            high = highs[q]
+            for r, p in zip(targets[q], pays[q]):
+                if low + p < new_lows[r]:
+                    new_lows[r] = low + p
+                if high + p > new_highs[r]:
+                    new_highs[r] = high + p
+        lows, highs = new_lows, new_highs
+    reached = [q for q in states if lows[q] != math.inf]
+    if not reached:
+        return None
+    return (
+        Fraction(min(lows[q] for q in reached), lattice),
+        Fraction(max(highs[q] for q in reached), lattice),
     )
 
 
@@ -914,9 +963,12 @@ def ks_lattice_vs_normal(scaled: np.ndarray, step: int, mean: float, sd: float) 
     i.e. the normal law with half-step continuity correction; this measures
     convergence in law without charging for the unavoidable quantization of
     a lattice variable (whose raw sup-distance to the continuous normal is
-    bounded below by half the central mass).
+    bounded below by half the central mass).  A sorted sample is read as
+    is; any other is sorted first.
     """
-    scaled = np.sort(np.asarray(scaled))
+    scaled = np.asarray(scaled)
+    if np.any(scaled[1:] < scaled[:-1]):
+        scaled = np.sort(scaled)
     n = len(scaled)
     lo = int(scaled[0]) - 2 * step
     hi = int(scaled[-1]) + 2 * step
@@ -971,12 +1023,18 @@ def gof_test(sample: EmpiricalSample, prediction: MixturePrediction) -> GofResul
     n = sample.n
     ks_cont = 0.0
     steps: dict[int, int] = {}  # observed sum-lattice step per component
+    final = sample.final_states
+    # class membership as a table over every state index in the sample or a class
+    size = 1 + max([int(final.max())] + [max(c.states) for c in prediction.components])
     for ci, comp in enumerate(prediction.components):
-        mask = np.isin(sample.final_states, np.fromiter(comp.states, dtype=np.int64))
+        member = np.zeros(size, dtype=bool)
+        member[list(comp.states)] = True
+        mask = member[final]
         if not mask.any():
             continue
-        sub_scaled = sample.scaled[mask]
-        steps[ci] = _observed_step(sub_scaled)
+        sub_scaled = np.sort(sample.scaled[mask])
+        # the gcd of the sorted values' gaps: equal values add gaps of 0
+        steps[ci] = int(np.gcd.reduce(np.diff(sub_scaled))) or 1
         sd_scaled = math.sqrt(n * float(comp.variance_per_step)) * sample.lattice
         ks_cont = max(
             ks_cont, ks_lattice_vs_normal(sub_scaled, steps[ci], 0.0, sd_scaled)
@@ -995,14 +1053,6 @@ def gof_test(sample: EmpiricalSample, prediction: MixturePrediction) -> GofResul
             normal_cdf((float(hi) + half) / sd) - normal_cdf((float(lo) - half) / sd)
         )
     return GofResult(ks_cont, emp, pred, (float(lo), float(hi)), n)
-
-
-def _observed_step(scaled: np.ndarray) -> int:
-    """gcd spacing of the observed lattice values (1 for a single value)."""
-    uniq = np.unique(scaled)
-    if len(uniq) < 2:
-        return 1
-    return int(np.gcd.reduce(np.diff(uniq)))
 
 
 def sample_moments(sample: EmpiricalSample) -> dict:

@@ -290,25 +290,25 @@ def test_dist_exact_stdout_is_pinned(args, digest):
             # Monte Carlo law with the mixture prediction and its atom window
             ["dist", "--inline", "1: 112; 2: 221", "--t", "7/3", "--n", "200",
              "--samples", "20000", "--seed", "5"],
-            "356930ddd45d194bb0ace9015a5e580d328a1359708163af1069c1b44fb96329",
+            "7b2e86dfe861a7e61dff78be7e9222840aad37dc1a1ef96b2f3e4c2e4d0127d3",
         ),
         (
             # d = 2: Monte Carlo blocks of eight steps, with the histogram
             ["simulate", "--inline", "1: 12; 2: 13; 3: 23", "--t", "5/3", "--n", "100",
              "--samples", "20000", "--seed", "3", "--format", "csv"],
-            "c31b6b87ecf35451e2fc2ed2dfbabd37e4e9625c892805d8270e77ae02211e94",
+            "da2ccede9a8559b7d645dabfbefa4539ef133ec2f5bd323a17263b613adb6a72",
         ),
         (
             # d = 7: blocks of two steps through seeded digits
             ["dist", "--inline", "1: 1112122; 2: 2221211", "--random-digits", "5", "--n", "60",
              "--samples", "20000", "--seed", "7"],
-            "069f778fd0fa19bed4107a4a0e7d719d1587b80e42c8e886973abda6139ce974",
+            "de51e05d853a6983a94608704a0aac902904af5510d612d06b6942f97ca343b5",
         ),
         (
             # d = 5: blocks of three steps
             ["simulate", "--inline", "1: 11212; 2: 22121", "--t", "3/2", "--n", "90",
              "--samples", "20000", "--seed", "11"],
-            "cd6cdfdd2834b12fd3b8db516cceb37055afb5b6fae56f6650ac0d7da71fe12b",
+            "fc51d46b01e524f022b39be3b65c58beabd83831a809e0e65479af57ed837bd8",
         ),
     ],
     ids=["classify-twist2-tau", "classify-sync3-block", "classify-twist7-block",

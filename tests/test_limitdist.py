@@ -223,6 +223,18 @@ def test_exact_checkpoints_are_prefixes(twist2):
     assert snaps[0].sum_marginal() == direct2.sum_marginal()
 
 
+def _support_bounds(dist):
+    """Least and greatest sum of an exact law, as Fractions."""
+    sums = [s for _, s in dist.table]
+    return Fraction(min(sums), dist.lattice), Fraction(max(sums), dist.lattice)
+
+
+def _restricted(dist, states):
+    """The exact law with the mass off ``states`` dropped."""
+    table = {(q, s): num for (q, s), num in dist.table.items() if q in states}
+    return dataclasses.replace(dist, table=table)
+
+
 def _diagonal_start(layers):
     """The synchronized states only: the class where the payoff is a potential
     difference, so the law keeps a bounded support."""
@@ -236,7 +248,7 @@ def test_coboundary_only_start_has_bounded_support(twist2):
     diag = _diagonal_start(layers)
     diameters = set()
     for n in (10, 20, 40):
-        lo, hi = exact_sum_distribution(layers, diag, n).support_bounds()
+        lo, hi = _support_bounds(exact_sum_distribution(layers, diag, n))
         diameters.add(hi - lo)
     assert len(diameters) == 1
 
@@ -337,10 +349,16 @@ def _block_steps(d):
     return k
 
 
+def _code_type(w):
+    """The word of a block's draws: uint16, or uint32 once w > 2**16."""
+    return np.dtype(np.uint16 if w <= 2**16 else np.uint32)
+
+
 def _reference_monte_carlo(layers, init, n, samples, seed):
     """(scaled sums, final states) after n steps: every block of k steps
-    draws one integer below d**k per sample, and step j of the block takes
-    the edge of the integer's j-th base-d digit, the leading digit first."""
+    draws one 16-bit integer below d**k per sample, and step j of the block
+    takes the edge of the integer's j-th base-d digit, the leading digit
+    first."""
     lattice = _reference_lattice(layers[:n])
     rng = np.random.default_rng(seed)
     init_idx = initial_state_indices(layers[0], init)
@@ -355,7 +373,7 @@ def _reference_monte_carlo(layers, init, n, samples, seed):
     w = d**k
     for step, chain in enumerate(layers[:n]):
         if step % k == 0:
-            block = rng.integers(0, w, samples, dtype=np.min_scalar_type(w - 1)).astype(np.int64)
+            block = rng.integers(0, w, samples, dtype=_code_type(w)).astype(np.int64)
         digits = block // d ** (k - 1 - step % k) % d
         target = np.array([[e.target for e in group] for group in chain.edges], dtype=np.int64)
         pay = np.array(
@@ -465,7 +483,7 @@ def test_accessors_match_fraction_loops(request, name, t, n, checkpoints):
     got = exact_sum_distribution(layers, init, n, checkpoints=checkpoints)
     for full in got if checkpoints else [got]:
         # a restriction has mass below 1, which the variance must account for
-        half = full.restricted_to_states(set(range(0, len(layers[0].states), 2)))
+        half = _restricted(full, set(range(0, len(layers[0].states), 2)))
         for dist in (full, half):
             assert dist.sum_marginal() == _reference_sum_marginal(dist)
             marginal = dist.state_marginal()
@@ -626,7 +644,7 @@ def test_monte_carlo_walks_every_block_code(request, monkeypatch, name, t):
 
     monkeypatch.setattr(np.random, "default_rng", lambda seed: CodeDraws())
     sample = monte_carlo(layers, init, 12, w, seed=0)
-    assert made[0].calls == [(0, w, np.min_scalar_type(w - 1))] * -(-12 // k)
+    assert made[0].calls == [(0, w, np.dtype(np.uint16))] * -(-12 // k)
     scaled, states = _reference_monte_carlo(layers, init, 12, w, seed=0)
     assert np.array_equal(sample.scaled, scaled)
     assert np.array_equal(sample.final_states, states)
@@ -930,7 +948,7 @@ def test_mixture_prediction_is_pinned(twist2, case):
         layers = layer_chains(sub, gamma, plan, horizon)
         init = initial_distribution(sub, gamma, plan.tau0)
         dist = exact_sum_distribution(layers, init, horizon)
-        assert dist.restricted_to_states(atoms).support_bounds() == window
+        assert _support_bounds(_restricted(dist, atoms)) == window
 
 
 def test_gof_small(twist2):
