@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subshift_lab.limitdist import (
@@ -251,6 +252,102 @@ def test_coboundary_only_start_has_bounded_support(twist2):
         lo, hi = _support_bounds(exact_sum_distribution(layers, diag, n))
         diameters.add(hi - lo)
     assert len(diameters) == 1
+
+
+# the slot count of every step, as a count at every step would raise it
+
+
+def _slot_counts(layers, init, n):
+    """(slot count after each step 1..n, slot width) of the packed law,
+    recounted from the law itself: slot 0 holds the least sum of the whole
+    law, and a state with mass fills the slots up to its greatest sum."""
+    snaps = exact_sum_distribution(layers, init, n, checkpoints=range(1, n + 1))
+    lattice = snaps[-1].lattice
+    spacing = 0
+    for chain in layers[:n]:
+        pays = [e.payoff * lattice for group in chain.edges for e in group]
+        spacing = math.gcd(spacing, *(int(p - min(pays)) for p in pays))
+    counts = []
+    for snap in snaps:
+        low = min(s for _, s in snap.table)
+        top = {}
+        for q, s in snap.table:
+            top[q] = max(top.get(q, s), s)
+        counts.append(sum((s - low) // (spacing or 1) + 1 for s in top.values()))
+    # the widest slot value is the initial mass times every step's d
+    return counts, 8 * -(-snaps[-1].denominator.bit_length() // 8)
+
+
+SLOT_CASES = {
+    "twist2-3/2": ("twist2", Fraction(3, 2), 30),
+    "twist2-random": ("twist2", RandomDigitStream(3, 5), 40),
+    "twist2-diagonal": ("twist2:diagonal", Fraction(1), 40),
+    "sync3-1": ("sync3", Fraction(1), 60),
+    "twist2half-random": ("twist2half", RandomDigitStream(3, 7), 30),
+}
+
+
+@pytest.fixture(scope="module")
+def slot_counts(request):
+    """Layers, initial law, horizon, recounted slot counts and slot width
+    per case."""
+    out = {}
+    for case, (name, t, n) in SLOT_CASES.items():
+        layers, init = _law_inputs(request, name, t, n)
+        out[case] = (layers, init, n, *_slot_counts(layers, init, n))
+    return out
+
+
+def _raised(layers, init, n, **kwargs):
+    """The error of an exact law to n, or None."""
+    try:
+        exact_sum_distribution(layers, init, n, **kwargs)
+    except (SupportCapExceeded, PackedBitsExceeded) as err:
+        return err
+    return None
+
+
+@pytest.mark.parametrize("case", SLOT_CASES)
+def test_bound_errors_name_the_first_step_past_the_bound(slot_counts, monkeypatch, case):
+    layers, init, n, counts, width = slot_counts[case]
+    # just below the first step's count, and just below the largest count
+    caps = [counts[0] - 1, max(counts) - 1]
+    if counts[-1] > max(counts[:-1]):
+        caps.append(max(counts[:-1]))  # only the last step passes
+    for cap in caps:
+        k = next(k for k, c in enumerate(counts, start=1) if c > cap)
+        err = _raised(layers, init, n, support_cap=cap)
+        assert isinstance(err, SupportCapExceeded)
+        assert (err.reached_n, err.size) == (k, counts[k - 1])
+        for extra in (0, width - 1):
+            monkeypatch.setattr(limitdist, "MAX_PACKED_BITS", cap * width + extra)
+            err = _raised(layers, init, n)
+            assert isinstance(err, PackedBitsExceeded)
+            assert (err.reached_n, err.bits) == (k, counts[k - 1] * width)
+        monkeypatch.undo()
+    assert _raised(layers, init, n, support_cap=max(counts)) is None
+    monkeypatch.setattr(limitdist, "MAX_PACKED_BITS", max(counts) * width)
+    assert _raised(layers, init, n) is None
+
+
+def test_bound_errors_cover_the_first_and_last_step(slot_counts):
+    # the recounts above reach both ends of a horizon
+    layers, init, n, counts, _ = slot_counts["twist2-3/2"]
+    assert counts[-1] > max(counts[:-1])
+    assert _raised(layers, init, n, support_cap=counts[0] - 1).reached_n == 1
+    assert _raised(layers, init, n, support_cap=max(counts[:-1])).reached_n == n
+
+
+@given(st.data())
+def test_bound_errors_match_a_count_at_every_step(slot_counts, data):
+    layers, init, n, counts, _ = slot_counts[data.draw(st.sampled_from(sorted(SLOT_CASES)))]
+    cap = data.draw(st.integers(0, max(counts)))
+    k = next((k for k, c in enumerate(counts, start=1) if c > cap), None)
+    err = _raised(layers, init, n, support_cap=cap)
+    if k is None:
+        assert err is None
+    else:
+        assert (type(err), err.reached_n, err.size) == (SupportCapExceeded, k, counts[k - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +600,7 @@ def test_exact_rejects_negative_initial_mass(twist2):
 @pytest.fixture(scope="module")
 def twist301():
     """A3's twist with k = 150: d = 301 > MAX_CHUNK_WIDTH, so every Monte
-    Carlo block is one step and its edge codes need more than a uint8."""
+    Carlo block is one step of 301 edge codes."""
     image = [0] * 151 + [1] * 150
     sub = Substitution.from_words([image, [1 - x for x in image]])
     return sub, eigenvector_for(matrix_of(sub), 1)
@@ -951,6 +1048,55 @@ def test_mixture_prediction_is_pinned(twist2, case):
         assert _support_bounds(_restricted(dist, atoms)) == window
 
 
+def _a3_twists():
+    """The 20 shuffled twists of acceptance check A3: 1 -> k + 1 ones and k
+    twos in a random order, 2 -> its mirror, k in 1..3."""
+    rng = random.Random(20240)
+    texts = []
+    for _ in range(20):
+        k = rng.randint(1, 3)
+        image = [0] * (k + 1) + [1] * k
+        rng.shuffle(image)
+        word = "".join("12"[x] for x in image)
+        texts.append(f"1: {word}\n2: {word.translate(str.maketrans('12', '21'))}")
+    return texts
+
+
+WINDOW_SUBSTITUTIONS = {
+    "twist2": ["1: 112\n2: 221"],
+    "sync3": ["1: 12\n2: 13\n3: 23"],
+    "twist7": ["1: 1112122\n2: 2221211"],
+    "twist5": ["1: 11212\n2: 22121"],
+    "three-letter": ["1: 1123\n2: 2231\n3: 3312"],
+    "a3-twists": _a3_twists(),
+}
+
+
+@pytest.mark.parametrize("family", WINDOW_SUBSTITUTIONS)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_mixture_window_is_the_restricted_exact_support(family, data):
+    # the window from reachability against the exact law it replaced: the
+    # sums that the law at the same horizon puts on the atom's states
+    text = data.draw(st.sampled_from(WINDOW_SUBSTITUTIONS[family]))
+    sub = parse_substitution(text)
+    gamma = eigenvector_for(matrix_of(sub), 1)
+    d = len(sub.images[0])
+    q = data.draw(st.integers(1, 12))
+    t = Fraction(data.draw(st.integers(1, d * q - 1)), q)
+    mix = mixture_prediction(sub, gamma, t)
+    if not mix.dirac_states:
+        assert mix.dirac_window is None
+        return
+    plan = mix.plan
+    per = len(plan.period)
+    horizon = len(plan.preperiod) + max(1, ATOM_WINDOW_HORIZON // per) * per
+    layers = layer_chains(sub, gamma, plan, horizon)
+    dist = exact_sum_distribution(layers, initial_distribution(sub, gamma, plan.tau0), horizon)
+    atoms = _restricted(dist, mix.dirac_states)
+    assert mix.dirac_window == (_support_bounds(atoms) if atoms.table else None)
+
+
 def test_gof_small(twist2):
     sub, g = twist2
     plan = time_expansion(sub, Fraction(1))
@@ -961,6 +1107,62 @@ def test_gof_small(twist2):
     res = gof_test(sample, mix)
     assert res.ks_continuous < 0.05
     assert res.window_mass_gap < 0.03
+
+
+def _reference_gof(sample, prediction):
+    """GofResult by its first formulas: class membership through ``np.isin``,
+    the observed step from ``np.unique`` and a KS distance that sorts again."""
+    n = sample.n
+    ks_cont = 0.0
+    steps = {}
+    for ci, comp in enumerate(prediction.components):
+        mask = np.isin(sample.final_states, np.fromiter(comp.states, dtype=np.int64))
+        if not mask.any():
+            continue
+        sub_scaled = sample.scaled[mask]
+        uniq = np.unique(sub_scaled)
+        steps[ci] = 1 if len(uniq) < 2 else int(np.gcd.reduce(np.diff(uniq)))
+        scaled = np.sort(sub_scaled)
+        sd = math.sqrt(n * float(comp.variance_per_step)) * sample.lattice
+        grid = np.arange(
+            int(scaled[0]) - 2 * steps[ci], int(scaled[-1]) + 3 * steps[ci], steps[ci],
+            dtype=np.int64,
+        )
+        emp = np.searchsorted(scaled, grid, side="right") / len(scaled)
+        z = (grid + steps[ci] / 2.0) / sd
+        model = 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
+        ks_cont = max(ks_cont, float(np.max(np.abs(emp - model))))
+    if prediction.dirac_window is None:
+        return (ks_cont, 0.0, 0.0, None, n)
+    lo, hi = prediction.dirac_window
+    inside = (sample.scaled >= int(lo * sample.lattice)) & (sample.scaled <= int(hi * sample.lattice))
+    pred = float(prediction.p0)
+    for ci, comp in enumerate(prediction.components):
+        sd = math.sqrt(n * float(comp.variance_per_step))
+        half = steps.get(ci, comp.lattice_step) / (2 * sample.lattice)
+        pred += float(comp.weight) * (
+            normal_cdf((float(hi) + half) / sd) - normal_cdf((float(lo) - half) / sd)
+        )
+    return (ks_cont, float(np.mean(inside)), pred, (float(lo), float(hi)), n)
+
+
+@pytest.mark.parametrize("name, t, n, checkpoints", MC_ORACLE_CASES)
+def test_gof_matches_its_first_formulas(request, name, t, n, checkpoints):
+    # bit for bit, after every step >= 1 of the case's checkpoints; seeded
+    # digits are tested against the prediction at t = 1 of the same input
+    layers, init = _law_inputs(request, name, t, n)
+    sub, g = request.getfixturevalue(name.partition(":")[0])
+    prediction = mixture_prediction(sub, g, t if isinstance(t, Fraction) else Fraction(1))
+    snaps = monte_carlo(layers, init, n, 3000, seed=17, checkpoints=checkpoints)
+    for snap in snaps:
+        # the first sample alone: one value per class, whose step reads 1
+        first = dataclasses.replace(
+            snap, values=snap.values[:1], scaled=snap.scaled[:1], final_states=snap.final_states[:1]
+        )
+        for sample in (snap, first) if snap.n else ():
+            assert dataclasses.astuple(gof_test(sample, prediction)) == _reference_gof(
+                sample, prediction
+            )
 
 
 def test_moments(twist2):
