@@ -28,14 +28,7 @@ from typing import Sequence
 
 from .linalg import common_numerators
 from .markov import ChainGraph, IntegerForm, State
-from .substitution import Substitution, WeightVector
-
-
-def _require_constant_length(sub: Substitution) -> int:
-    lengths = set(sub.image_lengths())
-    if len(lengths) != 1:
-        raise ValueError("digit automata require a constant-length substitution")
-    return lengths.pop()
+from .substitution import Substitution, WeightVector, constant_length
 
 
 def _prefix_sums(ints: list[int], w: bytes) -> list[int]:
@@ -49,7 +42,9 @@ def _build_automaton(
 ) -> ChainGraph:
     """The automaton on states A x A^width: width 2 is the tau automaton,
     width 1 the simplified one (tau = 0, second pair letter dropped)."""
-    d = _require_constant_length(sub)
+    d = constant_length(sub)
+    if d is None:
+        raise ValueError("digit automata require a constant-length substitution")
     if not (0 <= tau <= d - 1):
         raise ValueError(f"tau must lie in 0..{d - 1}")
     # the last split, j = d + tau, must leave width letters of the tracked image

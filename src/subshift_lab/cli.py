@@ -59,16 +59,6 @@ def _fmt(value):
     return value
 
 
-def emit_json(doc: dict, out: Path | None, name: str) -> None:
-    text = json.dumps(_fmt(doc), indent=2, sort_keys=False) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(text)
-        print(f"wrote {out / name}")
-
-
 def emit_text(text: str, out: Path | None, name: str) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -76,6 +66,10 @@ def emit_text(text: str, out: Path | None, name: str) -> None:
         out.mkdir(parents=True, exist_ok=True)
         (out / name).write_text(text)
         print(f"wrote {out / name}")
+
+
+def emit_json(doc: dict, out: Path | None, name: str) -> None:
+    emit_text(json.dumps(_fmt(doc), indent=2, sort_keys=False) + "\n", out, name)
 
 
 class CliError(ValueError):
@@ -323,6 +317,12 @@ def _histogram_csv(pairs) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sample_histogram(sample: ld.EmpiricalSample) -> list[tuple]:
+    """(value, share of the samples) per distinct sample value, ascending."""
+    uniq, counts = np.unique(sample.scaled, return_counts=True)
+    return [(v / sample.lattice, c / len(sample)) for v, c in zip(uniq, counts)]
+
+
 def cmd_simulate(args) -> int:
     check_samples(args.samples)
     sub = load_substitution(args)
@@ -343,9 +343,7 @@ def cmd_simulate(args) -> int:
         **moments,
     }
     if args.format == "csv":
-        uniq, counts = np.unique(sample.scaled, return_counts=True)
-        pairs = [(v / sample.lattice, c / len(sample)) for v, c in zip(uniq, counts)]
-        emit_text(_histogram_csv(pairs), args.out, "simulate-hist.csv")
+        emit_text(_histogram_csv(_sample_histogram(sample)), args.out, "simulate-hist.csv")
     emit_json(report, args.out, "simulate.json")
     return 0
 
@@ -396,9 +394,7 @@ def cmd_dist(args) -> int:
                 report["window_mass_empirical"] = gof.window_mass_empirical
                 report["window_mass_predicted"] = gof.window_mass_predicted
         if args.format == "csv":
-            uniq, counts = np.unique(sample.scaled, return_counts=True)
-            pairs = [(v / sample.lattice, c / len(sample)) for v, c in zip(uniq, counts)]
-            emit_text(_histogram_csv(pairs), args.out, f"dist-mc-n{n}.csv")
+            emit_text(_histogram_csv(_sample_histogram(sample)), args.out, f"dist-mc-n{n}.csv")
     emit_json(report, args.out, "dist.json")
     return 0
 

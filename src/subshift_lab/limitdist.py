@@ -60,7 +60,8 @@ from .markov import (
 from .prefix_suffix import sample_point_with_coverage
 from .substitution import Substitution, WeightVector, gamma_of_word
 
-DEFAULT_SUPPORT_CAP = 10**6
+# most slots the exact law may hold, an upper bound on its (state, sum) pairs
+MAX_SLOTS = 10**6
 # most bits the exact law may pack, slots times slot width: each slot grows by
 # log2(d) bits per step, so the step cost grows with the packed bits
 MAX_PACKED_BITS = 2**25
@@ -285,19 +286,6 @@ def _layer_tables(
     return lattice, tables, order
 
 
-def _initial_indices(
-    layers: Sequence[ChainGraph], init: InitialDistribution | Mapping
-) -> dict[int, Fraction]:
-    if isinstance(init, InitialDistribution):
-        if not layers:
-            raise ValueError("at least one layer is needed to index initial states")
-        return initial_state_indices(layers[0], init)
-    return {
-        key if isinstance(key, int) else layers[0].states.index(key): Fraction(p)
-        for key, p in init.items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # exact distribution
 # ---------------------------------------------------------------------------
@@ -317,7 +305,7 @@ class PackedBitsExceeded(ValueError):
 
 
 class SupportCapExceeded(ValueError):
-    """The exact law outgrew ``support_cap`` slots: an input too large for the
+    """The exact law outgrew ``MAX_SLOTS`` slots: an input too large for the
     exact method, rejected like any other."""
 
     def __init__(self, reached_n: int, size: int):
@@ -377,9 +365,8 @@ class SumDistribution:
 
 def exact_sum_distribution(
     layers: Sequence[ChainGraph],
-    init: InitialDistribution | Mapping,
+    init: InitialDistribution,
     n: int,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
     checkpoints: Sequence[int] = (),
 ) -> SumDistribution | list[SumDistribution]:
     """Digit-by-digit convolution of the joint (state, sum) law.
@@ -397,21 +384,21 @@ def exact_sum_distribution(
     spacing slots, into each edge target and moves ``base`` by the least
     pay; the ints are then shifted down by their common count of empty low
     slots, so a law of bounded support keeps ints of bounded length.
-    ``support_cap`` bounds the slot count, the sum over states of
+    ``MAX_SLOTS`` bounds the slot count, the sum over states of
     ceil(bits / W), an upper bound on the (state, sum) pairs, and
     ``MAX_PACKED_BITS`` the slot count times W.  The states times the slots
     of the ints' OR bound the slot count from above, so a step counts the
     slots only when that bound passes a limit; the step and count raised
     are those of a count at every step.
     """
-    if n > len(layers):
+    if not layers or n > len(layers):  # the first layer indexes the initial states
         raise ValueError("not enough layers for the requested horizon")
     lattice, tables, order = _layer_tables(layers, n)
-    init_idx = _initial_indices(layers, init)
+    init_idx = initial_state_indices(layers[0], init)
     if any(p < 0 for p in init_idx.values()):
         raise ValueError("initial probabilities must be nonnegative")
     nums, denom = common_numerators(init_idx.values())
-    size = len(layers[0].states) if layers else max(init_idx, default=-1) + 1
+    size = len(layers[0].states)
     packed = [0] * size
     for q, num in zip(init_idx, nums):
         packed[q] = num
@@ -426,7 +413,7 @@ def exact_sum_distribution(
     width = 8 * nbytes
     pad = width - 1
     # slot counts up to this one pass neither bound
-    limit = min(support_cap, MAX_PACKED_BITS // width)
+    limit = min(MAX_SLOTS, MAX_PACKED_BITS // width)
     # per distinct layer and state: (shift in bits, targets) per distinct payoff
     steps = []
     for (targets, pays), low in zip(tables, lows):
@@ -440,7 +427,6 @@ def exact_sum_distribution(
     base = 0
     want = sorted(set(checkpoints))
     snaps: list[SumDistribution] = []
-    labels = layers[0].state_labels if layers else ()
 
     def snapshot(step: int) -> SumDistribution:
         table: dict[tuple[int, int], int] = {}
@@ -451,7 +437,7 @@ def exact_sum_distribution(
                 num = int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
                 if num:
                     table[q, base + i * spacing] = num
-        return SumDistribution(step, lattice, denom, table, labels)
+        return SumDistribution(step, lattice, denom, table, layers[0].state_labels)
 
     if 0 in want:
         snaps.append(snapshot(0))
@@ -478,7 +464,7 @@ def exact_sum_distribution(
             # the sum over states of ceil(bits / width), mapped without a Python frame
             bits = map(pad.__add__, map(int.bit_length, packed))
             slots = sum(map(operator.floordiv, bits, repeat(width)))
-            if slots > support_cap:
+            if slots > MAX_SLOTS:
                 raise SupportCapExceeded(k, slots)
             if slots * width > MAX_PACKED_BITS:
                 raise PackedBitsExceeded(k, slots * width)
@@ -512,7 +498,7 @@ class EmpiricalSample:
 
 def monte_carlo(
     layers: Sequence[ChainGraph],
-    init: InitialDistribution | Mapping,
+    init: InitialDistribution,
     n: int,
     samples: int,
     seed: int,
@@ -547,7 +533,7 @@ def monte_carlo(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if n > len(layers):
+    if not layers or n > len(layers):  # the first layer indexes the initial states
         raise ValueError("not enough layers for the requested horizon")
     lattice, tables, order = _layer_tables(layers, n)
     widths = {len(targets[0]) for targets, _ in tables}
@@ -571,7 +557,7 @@ def monte_carlo(
     w = d**k
     code_type = np.promote_types(np.uint16, np.min_scalar_type(w - 1))
     rng = np.random.default_rng(seed)
-    init_idx = _initial_indices(layers, init)
+    init_idx = initial_state_indices(layers[0], init)
     states_list = sorted(init_idx)
     probs = np.array([float(init_idx[s]) for s in states_list])
     probs /= probs.sum()
@@ -723,7 +709,7 @@ class GrowthReport:
 
 def _moment_variances(
     layers: Sequence[ChainGraph],
-    init: InitialDistribution | Mapping,
+    init: InitialDistribution,
     checkpoints: Sequence[int],
 ) -> list[Fraction]:
     """Exact variance of the accumulated payoff at each sorted checkpoint >= 1.
@@ -737,7 +723,7 @@ def _moment_variances(
     """
     n = checkpoints[-1]
     lattice, tables, order = _layer_tables(layers, n)
-    init_idx = _initial_indices(layers, init)
+    init_idx = initial_state_indices(layers[0], init)
     nums, denom = common_numerators(init_idx.values())
     size = len(layers[0].states)
     m0 = [0] * size
@@ -865,7 +851,7 @@ def mixture_prediction(
     # composed chain over one period, aligned to start after the preperiod
     block = compose(*per_layers)
     classes = recurrent_classes(block)
-    mu = _initial_indices(chains, init)
+    mu = initial_state_indices(chains[0], init)
     for chain in pre_layers:
         mu = _push(chain, mu)
     weights = absorption_probabilities(block, classes, mu)
@@ -913,7 +899,7 @@ def _reachable_window(
     size = len(layers[0].states)
     # an unreached state keeps the empty range (inf, -inf)
     lows: list[float] = [math.inf] * size
-    for q, p in _initial_indices(layers, init).items():
+    for q, p in initial_state_indices(layers[0], init).items():
         if p:
             lows[q] = 0
     highs = [-low for low in lows]
@@ -975,7 +961,7 @@ def ks_lattice_vs_normal(scaled: np.ndarray, step: int, mean: float, sd: float) 
     grid = np.arange(lo, hi + step, step, dtype=np.int64)
     emp = np.searchsorted(scaled, grid, side="right") / n
     z = (grid + step / 2.0 - mean) / sd
-    model = 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
+    model = np.fromiter(map(normal_cdf, z.tolist()), float, len(z))
     return float(np.max(np.abs(emp - model)))
 
 

@@ -2,11 +2,12 @@
 
 A digit automaton becomes a Markov chain by putting probability 1/d on each
 of the d outgoing edges.  Everything here is exact rational: strongly
-connected components, recurrent classes and their periods, stationary
-distributions, the coboundary decision (a spanning-tree potential checked
-on every class edge), per-step asymptotic variances via the Poisson
-equation, the composed multi-digit chains, absorption probabilities and the
-Dobrushin ergodic coefficient.
+connected components, recurrent classes, stationary distributions, per-step
+asymptotic variances via the Poisson equation, the composed multi-digit
+chains, absorption probabilities and the Dobrushin ergodic coefficient.
+One breadth-first spanning tree per recurrent class gives its period, its
+coboundary decision (the tree's payoff potential checked on every class
+edge) and, with the stationary law, its mean payoff.
 
 A chain holds its edges as one ``IntegerForm`` and nothing else: every
 probability a numerator over one common denominator D and every payoff a
@@ -177,12 +178,14 @@ def compose(*layers: ChainGraph) -> ChainGraph:
 
 @dataclass(frozen=True)
 class RecurrentClass:
-    """A closed strongly connected component with its exact invariants."""
+    """A closed strongly connected component with its exact invariants:
+    ``mean`` is the stationary expectation of the edge payoff."""
 
     states: tuple[int, ...]
     period: int
     stationary: dict[int, Fraction]
     coboundary: bool
+    mean: Fraction
 
 
 def strongly_connected_components(chain: ChainGraph) -> list[list[int]]:
@@ -235,8 +238,9 @@ def strongly_connected_components(chain: ChainGraph) -> list[list[int]]:
     return sccs
 
 
-def is_strongly_connected(chain: ChainGraph) -> bool:
-    return len(strongly_connected_components(chain)) == 1
+def is_strongly_connected(chain: ChainGraph, classes: Sequence[RecurrentClass]) -> bool:
+    """True when one closed class, of ``recurrent_classes(chain)``, holds every state."""
+    return len(classes) == 1 and len(classes[0].states) == chain.n
 
 
 def weakly_connected_components(chain: ChainGraph) -> list[list[int]]:
@@ -265,42 +269,60 @@ def weakly_connected_components(chain: ChainGraph) -> list[list[int]]:
     return comps
 
 
-def class_period(chain: ChainGraph, states: Sequence[int]) -> int:
-    """gcd of cycle lengths inside a strongly connected set of states."""
-    rows = chain.integer_form.rows
-    members = set(states)
-    root = states[0]
-    level = {root: 0}
-    frontier = [root]
-    g = 0
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for t, _, _ in rows[v]:
-                if t not in members:
-                    continue
-                if t in level:
-                    g = gcd(g, level[v] + 1 - level[t])
-                else:
-                    level[t] = level[v] + 1
-                    nxt.append(t)
-        frontier = nxt
-    return abs(g) if g else 0
-
-
 def recurrent_classes(chain: ChainGraph) -> list[RecurrentClass]:
-    """Closed SCCs of the chain with period, stationary law and coboundary."""
-    rows = chain.integer_form.rows
+    """Closed SCCs of the chain with period, stationary law, coboundary and mean."""
+    form = chain.integer_form
     out = []
     for comp in strongly_connected_components(chain):
         members = set(comp)
-        if not all(t in members for v in comp for t, _, _ in rows[v]):
+        if not all(t in members for v in comp for t, _, _ in form.rows[v]):
             continue
-        stationary = _stationary(chain, comp)
-        cob = coboundary_on_class(chain, comp)
-        out.append(RecurrentClass(tuple(comp), class_period(chain, comp), stationary, cob))
+        out.append(_class_record(form, comp, _stationary(chain, comp)))
     out.sort(key=lambda c: c.states[0])
     return out
+
+
+def _class_record(
+    form: IntegerForm, states: Sequence[int], stationary: dict[int, Fraction]
+) -> RecurrentClass:
+    """The invariants of a closed strongly connected class from one BFS tree.
+
+    The tree from the least state gives each state a depth and a payoff
+    potential in lattice units.  Each class edge v -> t then adds
+    depth(v) + 1 - depth(t) to a gcd, which is the period (the gcd of the
+    cycle lengths; Kemeny & Snell, Finite Markov Chains, 1960), and checks
+    potential(t) - potential(v) against its payoff: on a strongly connected
+    class a potential is unique up to a constant, so the payoff is a
+    coboundary exactly when every edge passes.  The stationary-weighted
+    payoff rows sum to the mean.  ROADMAP item 9's span (g, c, h) reads the
+    same depths and potentials.
+    """
+    rows = form.rows
+    root = states[0]
+    tree = {root: (0, 0)}  # state -> (depth, potential)
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            depth, potential = tree[v]
+            for t, _, pay in rows[v]:
+                if t not in tree:
+                    tree[t] = depth + 1, potential + pay
+                    nxt.append(t)
+        frontier = nxt
+    pi, den = linalg.common_numerators([stationary[s] for s in states])
+    period, coboundary, total = 0, True, 0
+    for v, q in zip(states, pi):
+        depth, potential = tree[v]
+        acc = 0
+        for t, p, pay in rows[v]:
+            t_depth, t_potential = tree[t]
+            period = gcd(period, depth + 1 - t_depth)
+            coboundary = coboundary and t_potential - potential == pay
+            acc += p * pay
+        total += q * acc
+    mean = Fraction(total, den * form.denominator * form.lattice)
+    return RecurrentClass(tuple(states), period, stationary, coboundary, mean)
 
 
 def transient_states(chain: ChainGraph, classes: Sequence[RecurrentClass]) -> list[int]:
@@ -328,55 +350,16 @@ def _stationary(chain: ChainGraph, states: Sequence[int]) -> dict[int, Fraction]
     return {s: x[local[s]] for s in states}
 
 
-def expected_payoff(chain: ChainGraph, cls: RecurrentClass) -> Fraction:
-    """Stationary expectation of the edge payoff, exact."""
-    form = chain.integer_form
-    pi, den = linalg.common_numerators([cls.stationary[s] for s in cls.states])
-    total = sum(q * sum(p * v for _, p, v in form.rows[s]) for s, q in zip(cls.states, pi))
-    return Fraction(total, den * form.denominator * form.lattice)
-
-
-def coboundary_on_class(chain: ChainGraph, states: Sequence[int]) -> bool:
-    """Decide whether the payoff is a potential difference on the class.
-
-    Assigns a potential along a directed spanning tree of the integer rows
-    and checks every class edge against it.  On a strongly connected class
-    the potential is unique up to a constant, so one failed edge decides.
-    """
-    rows = chain.integer_form.rows
-    members = set(states)
-    root = min(states)
-    h: dict[int, int] = {root: 0}  # potentials in payoff lattice units
-    frontier = [root]
-    while frontier:
-        v = frontier.pop()
-        for t, _, pay in rows[v]:
-            if t in members and t not in h:
-                h[t] = h[v] + pay
-                frontier.append(t)
-    if len(h) != len(members):
-        raise ValueError("class must be strongly connected")
-    return all(
-        h[t] - h[v] == pay for v in states for t, _, pay in rows[v] if t in members
-    )
-
-
 def asymptotic_variance(chain: ChainGraph, cls: RecurrentClass) -> Fraction:
     """Per-step variance of the accumulated payoff on a recurrent class.
 
     Solves the Poisson equation (I - P) h = mean payoff per state and returns
     sum_s pi(s) sum_e p(e) (v(e) + h(target) - h(source))^2, which is the
     martingale-increment second moment; zero exactly when the payoff is a
-    coboundary.  Rejects classes with nonzero stationary mean.
+    coboundary.  Rejects a class whose ``mean`` is not zero.
     """
-    mean = expected_payoff(chain, cls)
-    if mean != 0:
-        raise ValueError(f"class has nonzero stationary mean {mean}")
-    return _poisson_variance(chain, cls)
-
-
-def _poisson_variance(chain: ChainGraph, cls: RecurrentClass) -> Fraction:
-    """``asymptotic_variance`` of a class already known to have mean zero."""
+    if cls.mean != 0:
+        raise ValueError(f"class has nonzero stationary mean {cls.mean}")
     form = chain.integer_form
     lattice = form.lattice
     solution = _poisson_solution(chain, cls.states)
@@ -509,7 +492,7 @@ def block_frequencies(sub: Substitution, k: int) -> dict[Word, Fraction]:
     form = IntegerForm(d, 1, tuple(rows))
     chain = ChainGraph(tuple(blocks), tuple(sub.render(b) for b in blocks), form)
     classes = recurrent_classes(chain)
-    if len(classes) != 1 or len(classes[0].states) != len(blocks):
+    if not is_strongly_connected(chain, classes):
         raise ValueError("block chain is not irreducible; substitution must be primitive")
     return {blocks[s]: q for s, q in classes[0].stationary.items()}
 
@@ -534,8 +517,8 @@ class InitialDistribution:
 
 def initial_distribution(sub: Substitution, gamma: WeightVector, tau0: int) -> InitialDistribution:
     """Exact initial state law for a leading digit tau0 in 1..d-1."""
-    d = len(sub.images[0])
-    if set(sub.image_lengths()) != {d}:
+    d = constant_length(sub)
+    if d is None:
         raise ValueError("initial distribution requires constant length")
     if not 1 <= tau0 <= d - 1:
         raise ValueError("leading digit must lie in 1..d-1")
@@ -568,20 +551,19 @@ def chain_report(
     classes = recurrent_classes(chain)
     report_classes = []
     for cls in classes:
-        mean = expected_payoff(chain, cls)
         entry = {
             "states": [chain.state_labels[s] for s in cls.states],
             "period": cls.period,
             "coboundary": cls.coboundary,
             "stationary": {chain.state_labels[s]: str(q) for s, q in cls.stationary.items()},
-            "expected_payoff": str(mean),
+            "expected_payoff": str(cls.mean),
         }
-        if mean == 0:
-            entry["variance"] = str(_poisson_variance(chain, cls))
+        if cls.mean == 0:
+            entry["variance"] = str(asymptotic_variance(chain, cls))
         report_classes.append(entry)
     report = {
         "n_states": chain.n,
-        "strongly_connected": is_strongly_connected(chain),
+        "strongly_connected": is_strongly_connected(chain, classes),
         "weak_components": len(weakly_connected_components(chain)),
         "classes": report_classes,
         "transient": [chain.state_labels[s] for s in transient_states(chain, classes)],

@@ -1,9 +1,11 @@
 """Every public module-level function or class of the package, and every
-public method of a public class, has a caller.
+public method of a public class, has a caller; so does every private
+module-level function.
 
 A name counts as called when it appears as a ``Name``, an ``Attribute`` or
 an imported name anywhere in ``src/subshift_lab`` or ``bench/*.py`` outside
-its own definition.  Tests do not count: code that only tests read goes.
+its own definition; a private function needs its caller in
+``src/subshift_lab``.  Tests do not count: code that only tests read goes.
 Names are matched, not resolved, so a method shares its callers with every
 other definition or attribute of its name.
 """
@@ -31,9 +33,19 @@ def _public(stmt: ast.stmt) -> bool:
     return isinstance(stmt, DEFINES) and not stmt.name.startswith("_")
 
 
-def test_every_public_definition_has_a_caller_outside_the_tests():
-    files = sorted((ROOT / "src" / "subshift_lab").glob("*.py"))
-    files += sorted((ROOT / "bench").glob("*.py"))
+def _private_function(stmt: ast.stmt) -> bool:
+    return (
+        isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and stmt.name.startswith("_")
+        and not stmt.name.startswith("__")
+    )
+
+
+def _uncalled(files, top, method=None) -> list[str]:
+    """Labels of the definitions in ``files`` whose name has no use there
+    outside their own site: every top-level statement that ``top`` accepts,
+    and every class-body statement part of a class stmt for which
+    ``method(stmt, part)`` holds."""
     assert files
     # a site is (file, top-level statement, class-body statement or None);
     # a definition's own site and the sites inside it do not count as uses
@@ -50,15 +62,27 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
             for j, part in parts:
                 for name in _referenced_names(part):
                     uses.setdefault(name, set()).add((path, index, j))
-                if j is not None and _public(stmt) and _public(part):
+                if j is not None and method is not None and method(stmt, part):
                     label = f"{path.relative_to(ROOT)}:{stmt.name}.{part.name}"
                     definitions.append((label, part.name, (path, index, j)))
-            if _public(stmt):
+            if top(stmt):
                 label = f"{path.relative_to(ROOT)}:{stmt.name}"
                 definitions.append((label, stmt.name, (path, index)))
-    uncalled = [
+    return [
         label
         for label, name, site in definitions
         if not {use for use in uses.get(name, ()) if use[: len(site)] != site}
     ]
-    assert uncalled == []
+
+
+SRC = sorted((ROOT / "src" / "subshift_lab").glob("*.py"))
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    files = SRC + sorted((ROOT / "bench").glob("*.py"))
+    assert _uncalled(files, _public, lambda cls, part: _public(cls) and _public(part)) == []
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # a merge that leaves a private helper without its caller leaves dead code
+    assert _uncalled(SRC, _private_function) == []

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -428,6 +427,40 @@ def test_classify_block_report_is_pinned(args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            # two classes, the diagonal one a coboundary; two weak components
+            ["--simplified"],
+            "5e21e134b27a42e0ac7f42cc875b4dc5c952ba2f17a70ffb1e7cce11e4f4d28d",
+        ),
+        (
+            ["--tau", "2", "--t", "3/2"],
+            "4197e05d8e1def3cbef69331c66507349bb2464895c34a130e42b6de2f27a9e6",
+        ),
+        (
+            # gamma = (1, 1) has eigenvalue 3: every edge pays 3
+            ["--gamma", "1,1", "--tau", "1", "--t", "3/2"],
+            "b41261eb68845c974681e28e09156143e3d83625bd6dcfa86cae6ee386798a94",
+        ),
+    ],
+    ids=["simplified", "tau2", "mean-3"],
+)
+def test_classify_class_records_are_pinned(args, digest):
+    code, out, err = _run_in_process(["classify", "--inline", "1: 112; 2: 221", *args])
+    assert code == 0, err
+    doc = json.loads(out)
+    if args[0] == "--gamma":
+        (cls,) = doc["classes"]
+        assert doc["strongly_connected"] and cls["expected_payoff"] == "3"
+        assert "variance" not in cls
+    else:
+        assert not doc["strongly_connected"] and doc["weak_components"] == 2
+        assert [c["coboundary"] for c in doc["classes"]] == [True, False]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_simulate_cli(tmp_path):
     proc = run_cli(
         [
@@ -570,12 +603,12 @@ def test_sample_count_is_bounded_when_parsed(command, samples):
     }
 
 
-# the CLI with the exact law's support cap lowered to 50 slots
+# the CLI with the exact law's slot bound lowered to 50 slots
 _CAP_50 = """\
-import functools, sys
+import sys
 from subshift_lab import limitdist as ld
 from subshift_lab.cli import main
-ld.exact_sum_distribution = functools.partial(ld.exact_sum_distribution, support_cap=50)
+ld.MAX_SLOTS = 50
 sys.exit(main())
 """
 
@@ -617,10 +650,7 @@ def test_rejected_inputs_exit_2_with_one_json_line(
     argv = [arg.format(tmp=tmp_path) for arg in args]
     proc = run_cli(argv, script=_CAP_50 if capped else None)
     if capped:
-        monkeypatch.setattr(
-            ld, "exact_sum_distribution",
-            functools.partial(ld.exact_sum_distribution, support_cap=50),
-        )
+        monkeypatch.setattr(ld, "MAX_SLOTS", 50)
     code, out, err = _run_in_process(argv)
     assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
     assert code == 2 and out == ""
@@ -730,3 +760,12 @@ def test_gallery_dot_files_are_pinned(tmp_path):
         "nonsync2-tau1.dot": "ca63ab9b1e28a912407443fc9f9c774fc258c917d51121066be0ebd4e9c699f6",
         "nonsync2-tau2.dot": "e08915077c1ab9d82e4c296d42a324bfbc62884872583b90a430b545b2ca5a7b",
     }
+
+
+def test_gallery_stdout_is_pinned(tmp_path):
+    code, out, err = _run_in_process(["gallery", "--out", str(tmp_path)])
+    assert code == 0, err
+    assert out.endswith("gallery: PASS (4 configurations)\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c85da40abd9cf148606f484049cffffdcab988ace8dae142a725ae6260ed1758"
+    )

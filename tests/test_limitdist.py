@@ -29,7 +29,12 @@ from subshift_lab.limitdist import (
 )
 from subshift_lab import limitdist
 from subshift_lab.limitdist import _moment_variances
-from subshift_lab.markov import compose, initial_distribution, initial_state_indices
+from subshift_lab.markov import (
+    InitialDistribution,
+    compose,
+    initial_distribution,
+    initial_state_indices,
+)
 from subshift_lab.substitution import (
     Substitution,
     WeightVector,
@@ -189,13 +194,14 @@ def test_exact_distribution_basics(twist2):
         assert dist.mean() == 0  # zero-mean at every step for eigenvalue 1
 
 
-def test_exact_distribution_support_cap(twist2):
+def test_exact_distribution_support_cap(twist2, monkeypatch):
     sub, g = twist2
     plan = time_expansion(sub, Fraction(3, 2))
     layers = layer_chains(sub, g, plan, 30)
     init = initial_distribution(sub, g, plan.tau0)
+    monkeypatch.setattr(limitdist, "MAX_SLOTS", 50)
     with pytest.raises(SupportCapExceeded) as err:
-        exact_sum_distribution(layers, init, 30, support_cap=50)
+        exact_sum_distribution(layers, init, 30)
     assert 0 < err.value.reached_n <= 30
 
 
@@ -236,10 +242,16 @@ def _restricted(dist, states):
     return dataclasses.replace(dist, table=table)
 
 
+def _start_on(layers, indices):
+    """The uniform initial law on the given state indices of the first layer."""
+    states = layers[0].states
+    return InitialDistribution(1, {states[i]: Fraction(1, len(indices)) for i in indices})
+
+
 def _diagonal_start(layers):
     """The synchronized states only: the class where the payoff is a potential
     difference, so the law keeps a bounded support."""
-    return {i: Fraction(1, 4) for i, (a, v) in enumerate(layers[0].states) if v[0] == a}
+    return _start_on(layers, [i for i, (a, v) in enumerate(layers[0].states) if v[0] == a])
 
 
 def test_coboundary_only_start_has_bounded_support(twist2):
@@ -298,12 +310,16 @@ def slot_counts(request):
     return out
 
 
-def _raised(layers, init, n, **kwargs):
-    """The error of an exact law to n, or None."""
-    try:
-        exact_sum_distribution(layers, init, n, **kwargs)
-    except (SupportCapExceeded, PackedBitsExceeded) as err:
-        return err
+def _raised(layers, init, n, max_slots=None):
+    """The error of an exact law to n, or None; ``limitdist.MAX_SLOTS`` reads
+    ``max_slots`` during the call when that is given."""
+    with pytest.MonkeyPatch.context() as patch:
+        if max_slots is not None:
+            patch.setattr(limitdist, "MAX_SLOTS", max_slots)
+        try:
+            exact_sum_distribution(layers, init, n)
+        except (SupportCapExceeded, PackedBitsExceeded) as err:
+            return err
     return None
 
 
@@ -316,7 +332,7 @@ def test_bound_errors_name_the_first_step_past_the_bound(slot_counts, monkeypatc
         caps.append(max(counts[:-1]))  # only the last step passes
     for cap in caps:
         k = next(k for k, c in enumerate(counts, start=1) if c > cap)
-        err = _raised(layers, init, n, support_cap=cap)
+        err = _raised(layers, init, n, max_slots=cap)
         assert isinstance(err, SupportCapExceeded)
         assert (err.reached_n, err.size) == (k, counts[k - 1])
         for extra in (0, width - 1):
@@ -325,7 +341,7 @@ def test_bound_errors_name_the_first_step_past_the_bound(slot_counts, monkeypatc
             assert isinstance(err, PackedBitsExceeded)
             assert (err.reached_n, err.bits) == (k, counts[k - 1] * width)
         monkeypatch.undo()
-    assert _raised(layers, init, n, support_cap=max(counts)) is None
+    assert _raised(layers, init, n, max_slots=max(counts)) is None
     monkeypatch.setattr(limitdist, "MAX_PACKED_BITS", max(counts) * width)
     assert _raised(layers, init, n) is None
 
@@ -334,8 +350,8 @@ def test_bound_errors_cover_the_first_and_last_step(slot_counts):
     # the recounts above reach both ends of a horizon
     layers, init, n, counts, _ = slot_counts["twist2-3/2"]
     assert counts[-1] > max(counts[:-1])
-    assert _raised(layers, init, n, support_cap=counts[0] - 1).reached_n == 1
-    assert _raised(layers, init, n, support_cap=max(counts[:-1])).reached_n == n
+    assert _raised(layers, init, n, max_slots=counts[0] - 1).reached_n == 1
+    assert _raised(layers, init, n, max_slots=max(counts[:-1])).reached_n == n
 
 
 @given(st.data())
@@ -343,7 +359,7 @@ def test_bound_errors_match_a_count_at_every_step(slot_counts, data):
     layers, init, n, counts, _ = slot_counts[data.draw(st.sampled_from(sorted(SLOT_CASES)))]
     cap = data.draw(st.integers(0, max(counts)))
     k = next((k for k, c in enumerate(counts, start=1) if c > cap), None)
-    err = _raised(layers, init, n, support_cap=cap)
+    err = _raised(layers, init, n, max_slots=cap)
     if k is None:
         assert err is None
     else:
@@ -408,10 +424,7 @@ def _reference_lattice(layers):
 def _reference_exact(layers, init, n, checkpoints):
     """(n, lattice, denominator, table) at each checkpoint."""
     lattice = _reference_lattice(layers[:n])
-    if isinstance(init, dict):
-        init_idx = init  # state index -> probability
-    else:
-        init_idx = initial_state_indices(layers[0], init)
+    init_idx = initial_state_indices(layers[0], init)
     denom = 1
     for p in init_idx.values():
         denom = denom * p.denominator // math.gcd(denom, p.denominator)
@@ -593,8 +606,10 @@ def test_exact_rejects_negative_initial_mass(twist2):
     # a negative numerator would borrow across the packed slots
     sub, g = twist2
     layers = layer_chains(sub, g, time_expansion(sub, Fraction(1)), 2)
+    states = layers[0].states
+    init = InitialDistribution(1, {states[0]: Fraction(3, 2), states[1]: Fraction(-1, 2)})
     with pytest.raises(ValueError, match="nonnegative"):
-        exact_sum_distribution(layers, {0: Fraction(3, 2), 1: Fraction(-1, 2)}, 2)
+        exact_sum_distribution(layers, init, 2)
 
 
 @pytest.fixture(scope="module")
@@ -781,7 +796,7 @@ def test_monte_carlo_rejects_layers_with_different_d(twist2, sync3):
         layer_chains(sub, g, time_expansion(sub, Fraction(1)), 1)[0] for sub, g in (twist2, sync3)
     ]
     with pytest.raises(ValueError, match="edge count"):
-        monte_carlo(layers, {0: Fraction(1)}, 2, 10, seed=0)
+        monte_carlo(layers, _start_on(layers, [0]), 2, 10, seed=0)
 
 
 def test_engines_reject_layers_without_d_equal_edges(twist2):
@@ -789,11 +804,20 @@ def test_engines_reject_layers_without_d_equal_edges(twist2):
     layer = layer_chains(sub, g, time_expansion(sub, Fraction(1)), 1)[0]
     merged = compose(layer, layer)  # parallel edges merge: fewer than 9, unequal
     assert any(len(group) < 9 for group in merged.edges)
-    init = {0: Fraction(1)}
+    init = _start_on([merged], [0])
     with pytest.raises(ValueError):
         exact_sum_distribution([merged], init, 1)
     with pytest.raises(ValueError):
         monte_carlo([merged], init, 1, 10, seed=0)
+
+
+def test_engines_need_a_layer_even_at_step_0(twist2):
+    sub, g = twist2
+    init = initial_distribution(sub, g, 1)
+    with pytest.raises(ValueError, match="not enough layers"):
+        exact_sum_distribution([], init, 0)
+    with pytest.raises(ValueError, match="not enough layers"):
+        monte_carlo([], init, 0, 10, seed=0)
 
 
 def test_ks_exact_vs_sample_rejects_lattice_mismatch(twist2):

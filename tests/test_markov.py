@@ -19,16 +19,15 @@ from subshift_lab.markov import (
     absorption_probabilities,
     asymptotic_variance,
     block_frequencies,
+    InitialDistribution,
     chain_report,
-    class_period,
-    coboundary_on_class,
     compose,
     ergodic_coefficient,
-    expected_payoff,
     initial_distribution,
     initial_state_indices,
     is_strongly_connected,
     recurrent_classes,
+    strongly_connected_components,
     transient_states,
     weakly_connected_components,
 )
@@ -147,7 +146,16 @@ def test_two_cycle_period():
     chain = small_chain({0: [(1, 1, 0)], 1: [(0, 1, 0)]}, 2)
     classes = recurrent_classes(chain)
     assert classes[0].period == 2
-    assert class_period(chain, classes[0].states) == 2
+    assert _bfs_period(chain, classes[0].states) == 2
+    # a self-loop makes the class aperiodic
+    half = Fraction(1, 2)
+    looped = small_chain({0: [(0, half, 0), (1, half, 0)], 1: [(0, 1, 0)]}, 2)
+    assert [c.period for c in recurrent_classes(looped)] == [1]
+    # a transient state 0 feeds the 3-cycle 1 -> 2 -> 3 -> 1
+    fed = small_chain({0: [(1, 1, 0)], 1: [(2, 1, 0)], 2: [(3, 1, 0)], 3: [(1, 1, 0)]}, 4)
+    (cls,) = recurrent_classes(fed)
+    assert (cls.states, cls.period) == ((1, 2, 3), 3)
+    assert not is_strongly_connected(fed, [cls])
 
 
 def test_coboundary_examples(twist2):
@@ -164,7 +172,9 @@ def test_all_zero_payoffs_coboundary():
     chain = small_chain(
         {0: [(1, 1, 0)], 1: [(0, Fraction(1, 2), 0), (1, Fraction(1, 2), 0)]}, 2
     )
-    assert coboundary_on_class(chain, [0, 1]) is True
+    (cls,) = recurrent_classes(chain)
+    assert cls.coboundary is True and cls.mean == 0
+    assert _dfs_coboundary(chain, cls.states) is True
 
 
 def test_stationary_and_payoff(twist2):
@@ -173,9 +183,9 @@ def test_stationary_and_payoff(twist2):
     classes = recurrent_classes(chain)
     off = next(c for c in classes if chain.state_labels[c.states[0]] == "1|2")
     assert sorted(off.stationary.values()) == [Fraction(1, 2), Fraction(1, 2)]
-    assert expected_payoff(chain, off) == 0
+    assert off.mean == 0 == _integer_mean(chain, off)
     diagonal = next(c for c in classes if c is not off)
-    assert expected_payoff(chain, diagonal) == 0
+    assert diagonal.mean == 0 == _integer_mean(chain, diagonal)
 
 
 def test_single_state_stationary():
@@ -221,7 +231,8 @@ def test_variance_matches_exact_dp(twist2):
     chain = build_simplified_automaton(sub, g)
     classes = recurrent_classes(chain)
     off = next(c for c in classes if chain.state_labels[c.states[0]] == "1|2")
-    init = {s: Fraction(1, len(off.states)) for s in off.states}
+    share = Fraction(1, len(off.states))
+    init = InitialDistribution(1, {chain.states[s]: share for s in off.states})
     v200, v400 = (
         exact_sum_distribution([chain] * 400, init, 400, checkpoints=(200, 400))
     )
@@ -256,8 +267,9 @@ def test_product_chain(twist2):
     two = compose(*digit_chains(sub, g, [1, 1]))
     assert two.integer_form == compose(base, base).integer_form
     assert all(e.prob.denominator == 9 for group in two.edges for e in group)
-    assert is_strongly_connected(one)
-    assert recurrent_classes(one)[0].period == 1
+    classes = recurrent_classes(one)
+    assert is_strongly_connected(one, classes)
+    assert classes[0].period == 1
 
 
 def test_product_chain_needs_a_layer(twist2):
@@ -676,6 +688,110 @@ def _reference_expected_payoff(chain, cls):
     return total
 
 
+# the class invariants as separate passes over the integer rows, each on its
+# own tree: ``recurrent_classes`` derives all three from one BFS tree
+
+
+def _bfs_period(chain, states):
+    """gcd of level(v) + 1 - level(t) over the edges inside a strongly
+    connected set of states, with levels from a BFS of the first state."""
+    rows = chain.integer_form.rows
+    members = set(states)
+    root = states[0]
+    level = {root: 0}
+    frontier = [root]
+    g = 0
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for t, _, _ in rows[v]:
+                if t not in members:
+                    continue
+                if t in level:
+                    g = gcd(g, level[v] + 1 - level[t])
+                else:
+                    level[t] = level[v] + 1
+                    nxt.append(t)
+        frontier = nxt
+    return abs(g) if g else 0
+
+
+def _dfs_coboundary(chain, states):
+    """Whether the payoff is a potential difference on a strongly connected
+    set of states: a potential along a DFS tree from the least state,
+    checked on every edge inside the set."""
+    rows = chain.integer_form.rows
+    members = set(states)
+    root = min(states)
+    h = {root: 0}  # potentials in payoff lattice units
+    frontier = [root]
+    while frontier:
+        v = frontier.pop()
+        for t, _, pay in rows[v]:
+            if t in members and t not in h:
+                h[t] = h[v] + pay
+                frontier.append(t)
+    if len(h) != len(members):
+        raise ValueError("class must be strongly connected")
+    return all(h[t] - h[v] == pay for v in states for t, _, pay in rows[v] if t in members)
+
+
+def _integer_mean(chain, cls):
+    """Stationary expectation of the edge payoff, summed on the integer rows."""
+    form = chain.integer_form
+    pi, den = linalg.common_numerators([cls.stationary[s] for s in cls.states])
+    total = sum(q * sum(p * v for _, p, v in form.rows[s]) for s, q in zip(cls.states, pi))
+    return Fraction(total, den * form.denominator * form.lattice)
+
+
+@st.composite
+def integer_chains(draw):
+    """1-9 states with 1-4 edges each, weights 1-3 and payoffs in
+    {-1, 0, 1, 2} over a lattice of 1, 2 or 3.  Some chains are layered:
+    state s only reaches states of layer s + 1 mod p for p in 2..3, so
+    their classes are periodic.  Some are split: no edge joins the states
+    below n // 2 to the others, so each part holds a closed class."""
+    n = draw(st.integers(1, 9))
+    layers = draw(st.sampled_from([1, 1, 2, 3]))
+    split = draw(st.booleans())
+    lattice = draw(st.integers(1, 3))
+    groups = []
+    for s in range(n):
+        allowed = [
+            t
+            for t in range(n)
+            if t % layers == (s + 1) % layers and (not split or (t < n // 2) == (s < n // 2))
+        ] or [s]
+        k = draw(st.integers(1, 4))
+        targets = draw(st.lists(st.sampled_from(allowed), min_size=k, max_size=k))
+        weights = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+        pays = draw(st.lists(st.sampled_from([-1, 0, 1, 2]), min_size=k, max_size=k))
+        total = sum(weights)
+        groups.append(
+            tuple(
+                ChainEdge(t, Fraction(w, total), Fraction(v, lattice))
+                for t, w, v in zip(targets, weights, pays)
+            )
+        )
+    return chain_from_edges(range(n), (str(i) for i in range(n)), groups)
+
+
+@given(integer_chains())
+def test_class_records_match_the_separate_passes(chain):
+    classes = recurrent_classes(chain)
+    for cls in classes:
+        assert cls.period == _bfs_period(chain, cls.states)
+        assert cls.coboundary == _dfs_coboundary(chain, cls.states)
+        assert cls.mean == _integer_mean(chain, cls) == _reference_expected_payoff(chain, cls)
+    connected = len(strongly_connected_components(chain)) == 1
+    assert is_strongly_connected(chain, classes) == connected
+    report = chain_report(chain)
+    assert report["strongly_connected"] == connected
+    for entry, cls in zip(report["classes"], classes):
+        assert entry["expected_payoff"] == str(cls.mean)
+        assert ("variance" in entry) == (cls.mean == 0)
+
+
 def _reference_poisson_solution(chain, states):
     local = {s: i for i, s in enumerate(states)}
     k = len(states)
@@ -708,7 +824,7 @@ def _reference_asymptotic_variance(chain, cls):
 
 def _centered(chain, classes):
     """The chain with each class's stationary mean taken off its payoffs."""
-    shift = {s: expected_payoff(chain, cls) for cls in classes for s in cls.states}
+    shift = {s: cls.mean for cls in classes for s in cls.states}
     groups = tuple(
         tuple(ChainEdge(e.target, e.prob, e.payoff - shift.get(s, 0)) for e in group)
         for s, group in enumerate(chain.edges)
@@ -727,10 +843,10 @@ def _assert_class_analysis_matches_reference(chain):
         assert list(cls.stationary.items()) == list(
             _reference_stationary(chain, cls.states).items()
         )
-        assert expected_payoff(chain, cls) == _reference_expected_payoff(chain, cls)
+        assert cls.mean == _reference_expected_payoff(chain, cls)
         # a potential difference has zero mean under the stationary law
         if cls.coboundary:
-            assert expected_payoff(chain, cls) == 0
+            assert cls.mean == 0
     centered = _centered(chain, classes)
     for cls in recurrent_classes(centered):
         assert list(_poisson_solution(centered, cls.states).items()) == list(
