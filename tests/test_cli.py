@@ -769,3 +769,48 @@ def test_gallery_stdout_is_pinned(tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "c85da40abd9cf148606f484049cffffdcab988ace8dae142a725ae6260ed1758"
     )
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["analyze", "--inline", "1: 112; 2: 221"],
+            "1de872dacef9c46bde33ae59c0aba19cbb6d4516ff57770fe7c004a4ff3e4c28",
+        ),
+        (
+            ["analyze", "--inline", "1: 12; 2: 13; 3: 23"],
+            "b1598172dbd5041f345a64b85ffb22582747141be1ad6cdea8f99ff23cea2f62",
+        ),
+        (
+            # theta = -1: the eigenvector and liminf constant of the other sign
+            ["analyze", "--inline", "1: 122; 2: 211"],
+            "a3e2399bd20e699f1f7c8c30dfb1ef1126785845cf1d1c614205949fc233f706",
+        ),
+        (
+            # not of constant length: "constant_length" is null
+            ["analyze", "--inline", "1: 112; 2: 12212"],
+            "d6cfa6545de49abbc2d67f7d7f85e22c955a55c344221fc2b2b1cd8f07d86210",
+        ),
+        (
+            ["prefix-suffix", "--inline", "1: 112; 2: 221"],
+            "9b3d23086be2c711f65bb74f758b87133526b31f08d020851a576c0553bfd98c",
+        ),
+        (
+            ["prefix-suffix", "--inline", "1: 12; 2: 13; 3: 23"],
+            "3d87608a9b232f7205094b446f4e7a9062550def232fd5f27260931959c69ecb",
+        ),
+        (
+            # the table, then the JSON document with its floats
+            ["salem", "--n-max", "50", "--table"],
+            "154168d276576d7dd61238f09326b7a89151287d26a59911675ffedff9ffa62f",
+        ),
+    ],
+    ids=["analyze-twist2", "analyze-sync3", "analyze-theta-minus-1",
+         "analyze-not-constant-length", "prefix-suffix-twist2", "prefix-suffix-sync3",
+         "salem-50-table"],
+)
+def test_report_stdout_is_pinned(args, digest):
+    code, out, err = _run_in_process(args)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
