@@ -5,6 +5,12 @@ echoed into the output); floats are serialized with fixed precision so
 reruns are byte-identical.  JSON is the machine-readable format, DOT is for
 graphs, CSV only for histograms.
 
+One writer, ``_json``, turns every report into its JSON text in one
+recursive pass: floats become strings of their ``.12g`` form, Fractions
+strings, and the layout is ``json.dumps``'s with an indent of 2.  No copy of
+the report is made first, and the pure-Python encoder that ``json.dumps``
+falls back to whenever an indent is asked for is never run.
+
 Errors have one boundary, ``main``: the commands and the library raise
 ``ValueError`` (``CliError`` here) for every input they reject, and ``main``
 turns it, or an ``OSError`` from a path, into one JSON line
@@ -46,17 +52,53 @@ from .substitution import (
 )
 
 
-def _fmt(value):
-    """Recursive JSON normalization with fixed-precision floats."""
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, indent: str = "") -> str:
+    """``value`` as JSON text indented by two spaces per level, in one pass.
+
+    The text is the one ``json.dumps`` writes with an indent of 2, except
+    that a float is the string of its ``.12g`` form and a Fraction the
+    string of ``str``; tuples are lists.  ``indent`` is where the value's
+    closing bracket sits; its items sit two spaces deeper.  Raises
+    ``TypeError`` where ``json.dumps`` does."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
-        return f"{value:.12g}"
+        return _encode_str(f"{value:.12g}")
     if isinstance(value, Fraction):
-        return str(value)
+        return _encode_str(str(value))
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        items = [f"{inner}{_json_key(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
-    return value
+        if not value:
+            return "[]"
+        items = [inner + _json(v, inner) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: a string, or the quoted JSON
+    text of an int, float, bool or None."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, (int, float)) or key is None:
+        return '"' + json.dumps(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def emit_text(text: str, out: Path | None, name: str) -> None:
@@ -69,7 +111,7 @@ def emit_text(text: str, out: Path | None, name: str) -> None:
 
 
 def emit_json(doc: dict, out: Path | None, name: str) -> None:
-    emit_text(json.dumps(_fmt(doc), indent=2, sort_keys=False) + "\n", out, name)
+    emit_text(_json(doc) + "\n", out, name)
 
 
 class CliError(ValueError):
@@ -423,8 +465,7 @@ def cmd_gallery(args) -> int:
     all_ok = True
     for entry in entries:
         out.mkdir(parents=True, exist_ok=True)
-        classes = mk.recurrent_classes(entry.chain)
-        (out / f"{entry.name}.dot").write_text(entry.chain.to_dot(classes))
+        (out / f"{entry.name}.dot").write_text(entry.chain.to_dot(entry.classes))
         for check in entry.checks:
             rows.append(
                 f"{'PASS' if check.passed else 'FAIL'}  {entry.name:15s} {check.claim}"

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .automata import build_simplified_automaton, build_tau_automaton
 from .markov import (
     ChainGraph,
+    RecurrentClass,
     asymptotic_variance,
     is_strongly_connected,
     recurrent_classes,
@@ -49,6 +50,7 @@ class GalleryCheck:
 class GalleryEntry:
     name: str
     chain: ChainGraph
+    classes: list[RecurrentClass]  # the recurrent classes the checks read
     checks: tuple[GalleryCheck, ...]
 
     @property
@@ -72,15 +74,15 @@ def _entry(name: str, text: str, tau: int, simplified: bool, claims) -> GalleryE
         if simplified
         else build_tau_automaton(sub, gamma, tau)
     )
-    return GalleryEntry(name, chain, tuple(claims(name, chain)))
+    classes = recurrent_classes(chain)
+    return GalleryEntry(name, chain, classes, tuple(claims(name, chain, classes)))
 
 
 def _check(name, claim, passed, detail=""):
     return GalleryCheck(name, claim, bool(passed), detail)
 
 
-def _sync3_claims(name: str, chain: ChainGraph):
-    classes = recurrent_classes(chain)
+def _sync3_claims(name: str, chain: ChainGraph, classes: list[RecurrentClass]):
     yield _check(name, "one recurrent class", len(classes) == 1, f"found {len(classes)}")
     yield _check(name, "not strongly connected", not is_strongly_connected(chain, classes))
     diag = _diagonal_states(chain)
@@ -95,8 +97,7 @@ def _sync3_claims(name: str, chain: ChainGraph):
     yield _check(name, "zero stationary mean", only.mean == 0)
 
 
-def _nonsync2_tau0_claims(name: str, chain: ChainGraph):
-    classes = recurrent_classes(chain)
+def _nonsync2_tau0_claims(name: str, chain: ChainGraph, classes: list[RecurrentClass]):
     yield _check(name, "exactly two recurrent classes", len(classes) == 2, f"found {len(classes)}")
     diag = _diagonal_states(chain)
     on = [c for c in classes if set(c.states) <= diag]
@@ -113,8 +114,7 @@ def _nonsync2_tau0_claims(name: str, chain: ChainGraph):
         )
 
 
-def _nonsync2_tau1_claims(name: str, chain: ChainGraph):
-    classes = recurrent_classes(chain)
+def _nonsync2_tau1_claims(name: str, chain: ChainGraph, classes: list[RecurrentClass]):
     yield _check(name, "strongly connected", is_strongly_connected(chain, classes))
     yield _check(name, "aperiodic", len(classes) == 1 and classes[0].period == 1)
     if classes:
@@ -127,10 +127,9 @@ def _nonsync2_tau1_claims(name: str, chain: ChainGraph):
         )
 
 
-def _nonsync2_tau2_claims(name: str, chain: ChainGraph):
+def _nonsync2_tau2_claims(name: str, chain: ChainGraph, classes: list[RecurrentClass]):
     weak = weakly_connected_components(chain)
     yield _check(name, "two components", len(weak) == 2, f"found {len(weak)}")
-    classes = recurrent_classes(chain)
     yield _check(name, "two recurrent classes", len(classes) == 2)
     cob = [c for c in classes if c.coboundary]
     yield _check(name, "exactly one coboundary class", len(cob) == 1)

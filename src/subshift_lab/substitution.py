@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -70,7 +70,7 @@ class Substitution:
         for img in self.images:
             if len(img) == 0:
                 raise ValueError("images must be nonempty")
-            if any(b >= self.alphabet_size for b in img):
+            if max(img) >= self.alphabet_size:
                 raise ValueError("image contains an out-of-alphabet letter")
         if not self.symbols:
             object.__setattr__(
@@ -94,6 +94,12 @@ class Substitution:
     @cached_property
     def _image_table(self) -> "_ImageTable":
         return _ImageTable(self.images)
+
+    @cached_property
+    def _letter_lengths(self) -> list[list[int]]:
+        """[|sigma^k(b)| for each letter b] for k = 0 .. the deepest level
+        asked for so far; ``letter_lengths`` extends it."""
+        return [[1] * self.alphabet_size]
 
     @cached_property
     def _power_table(self) -> tuple[int, "_ImageTable"]:
@@ -311,11 +317,16 @@ def expand_levels(
 
 
 def letter_lengths(sub: Substitution) -> Iterator[list[int]]:
-    """The exact lengths [|sigma^k(b)| for each letter b] for k = 0, 1, 2, ..."""
-    lengths = [1] * sub.alphabet_size
-    while True:
-        yield lengths
-        lengths = [sum(lengths[b] for b in img) for img in sub.images]
+    """The exact lengths [|sigma^k(b)| for each letter b] for k = 0, 1, 2, ...
+
+    Each level is computed once per substitution and kept on it; the lists
+    are shared, so callers must not change them."""
+    levels = sub._letter_lengths
+    for k in count():
+        if k == len(levels):
+            lengths = levels[-1]
+            levels.append([sum(lengths[b] for b in img) for img in sub.images])
+        yield levels[k]
 
 
 def growth_depth(sub: Substitution, a: int, length: int) -> int | None:

@@ -7,9 +7,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subshift_lab import limitdist as ld
-from subshift_lab.cli import build_parser, main
+from subshift_lab.cli import _json, build_parser, main
 
 
 def run_cli(args, script=None):
@@ -814,3 +816,80 @@ def test_report_stdout_is_pinned(args, digest):
     code, out, err = _run_in_process(args)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _reference_fmt(value):
+    """The CLI's JSON normalization before the one-pass writer, kept as the
+    oracle of its output: fixed-precision floats, Fractions as strings,
+    tuples as lists, then ``json.dumps(..., indent=2)``."""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _reference_fmt(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_fmt(v) for v in value]
+    return value
+
+
+def _text_or_error(write, doc):
+    try:
+        return write(doc)
+    except TypeError:
+        return TypeError
+
+
+# every code point, lone surrogates and control characters included
+_ANY_TEXT = st.text(st.characters(blacklist_categories=()), max_size=8)
+_JSON_LEAVES = (
+    _ANY_TEXT
+    | st.sampled_from(["", "\ud800", "\udfff", "\x00\x1f\x7f", "\u2028é😀", '"\\/'])
+    | st.integers()
+    | st.integers(min_value=10**30, max_value=10**60).map(lambda x: -x if x % 2 else x)
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e-300, 2.0**80])
+    | st.fractions()
+    | st.booleans()
+    | st.none()
+)
+_JSON_KEYS = _ANY_TEXT | st.integers() | st.booleans() | st.none() | st.floats()
+# values and keys json.dumps rejects
+_UNSUPPORTED = st.sampled_from([b"x", {1, 2}, 1j, object()])
+_BAD_KEYS = st.fractions() | st.tuples(st.integers())
+
+
+@settings(max_examples=80)
+@given(
+    st.recursive(
+        _JSON_LEAVES | _UNSUPPORTED,
+        lambda children: (
+            st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(_JSON_KEYS | _BAD_KEYS, children, max_size=4)
+        ),
+        max_leaves=12,
+    )
+)
+def test_json_writer_matches_dumps_of_the_normalized_document(doc):
+    # the same text, or a TypeError from both
+    new = _text_or_error(lambda d: _json(d) + "\n", doc)
+    old = _text_or_error(lambda d: json.dumps(_reference_fmt(d), indent=2) + "\n", doc)
+    assert new == old
+
+
+def test_gallery_computes_each_entrys_classes_once(tmp_path, monkeypatch):
+    from subshift_lab import gallery, markov
+
+    chains, real = [], markov.recurrent_classes
+
+    def counted(chain):
+        chains.append(chain)
+        return real(chain)
+
+    monkeypatch.setattr(gallery, "recurrent_classes", counted)
+    # the DOT files are coloured from the classes the checks computed
+    monkeypatch.setattr(markov, "recurrent_classes", None)
+    code, _, err = _run_in_process(["gallery", "--out", str(tmp_path)])
+    assert code == 0, err
+    assert len(chains) == 4

@@ -358,6 +358,20 @@ def test_power_table_size(name):
     assert table.padded == (len(set(map(len, table.images))) > 1)
 
 
+def test_letter_lengths_are_kept_on_the_substitution():
+    sub = parse_substitution("1: 112\n2: 12212")
+    walked, lengths = [], [1, 1]
+    for _ in range(7):
+        walked.append(lengths)
+        lengths = [sum(lengths[b] for b in img) for img in sub.images]
+    assert list(islice(letter_lengths(sub), 5)) == walked[:5]
+    # only the levels asked for are computed, and each only once
+    assert len(sub._letter_lengths) == 5
+    again = list(islice(letter_lengths(sub), 7))
+    assert again == walked and len(sub._letter_lengths) == 7
+    assert all(a is b for a, b in zip(again, sub._letter_lengths))
+
+
 @pytest.mark.parametrize("name", [*POWER_CASES, "letters255"])
 def test_apply_power_matches_repeated_apply(name):
     sub, r = _power_sub(name)
@@ -521,3 +535,9 @@ def test_out_of_alphabet_words_are_rejected(twist2, w):
         expand_prefix(sub, w, 3, 10)
     with pytest.raises(ValueError, match=message):
         expand_levels(sub, [b"\x00", w], 5, from_end=True)
+
+
+@pytest.mark.parametrize("images", [[[0, 2], [1]], [[0], [1, 1, 255]], [[3], [0]]])
+def test_out_of_alphabet_images_are_rejected(images):
+    with pytest.raises(ValueError, match="^image contains an out-of-alphabet letter$"):
+        Substitution.from_words(images)
