@@ -339,6 +339,33 @@ def test_dist_growth_mode():
         assert "mode" not in doc and "seed" not in doc
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            # the growth path: V_n stepped by the moment recursion
+            ["--t", "3/2", "--n", "100,1000,10000"],
+            "d981e20bcffd96b92ec1800727cb723e9d1266f66e0fd438bb2ef711348a6007",
+        ),
+        (
+            # tau0 = 2 with a preperiod digit
+            ["--t", "7/3", "--n", "64", "--exact"],
+            "f4060064018d4e1a9a6eb358cd2027ec5255d189a7f1317df4c1ebdc8df757ae",
+        ),
+        (
+            # growth on seeded digits
+            ["--random-digits", "4", "--n", "25,50,100"],
+            "38b7ffb371581267e66c5cd6f786b0dbbb3d5f828b675b9ea3d67dae5951be4d",
+        ),
+    ],
+    ids=["growth-twist2", "exact-twist2-tau2", "growth-twist2-random"],
+)
+def test_dist_law_stdout_is_pinned(args, digest):
+    code, out, err = _run_in_process(["dist", "--inline", "1: 112; 2: 221", *args])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_bounds_cli():
     proc = run_cli(
         ["bounds", "--inline", "1: 112; 2: 221", "--points", "3", "--horizon", "500"]
