@@ -4,14 +4,14 @@ The time parameter t in [1, d) drives everything through its base-d digits:
 the integer digit fixes the initial state law, each fractional digit selects
 the automaton layer for one step.  One ``DigitStream`` holds t however it is
 given: a rational (``--t``), a preperiod and period (``--digits``) or a seed
-for uniform digits (``--random-digits``).  The engines start every
-accumulated payoff at 0, so after n steps it misses the ergodic sum S at
-time floor(d^n t) by the initial window's gamma(x_0) + gamma(x[1:tau0]):
-at most tau0 max|gamma| <= (d - 1) max|gamma|, a bound that passes
-3 max|gamma| once d >= 5 (carrying that offset into the laws is ROADMAP.md
-item 1).  ``word_vs_chain_check`` starts its chain sum at gamma(x[1:tau0])
-and checks it against words built letter by letter; what remains is
-|gamma(x_0)|.
+for uniform digits (``--random-digits``).  Every law walk starts in
+``_start``, with its accumulated payoff at 0, so after n steps it misses the
+ergodic sum S at time floor(d^n t) by the initial window's gamma(x_0) +
+gamma(x[1:tau0]): at most tau0 max|gamma| <= (d - 1) max|gamma|, a bound
+that passes 3 max|gamma| once d >= 5 (that offset goes into ``_start``:
+ROADMAP.md item 1).  ``word_vs_chain_check`` starts its chain sum at
+gamma(x[1:tau0]) and checks it against words built letter by letter; what
+remains is |gamma(x_0)|.
 
 Both engines step through the same compiled layers: integer (states, d)
 tables of edge targets and of payoffs in lattice units.  Exact distributions
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -286,6 +286,26 @@ def _layer_tables(
     return lattice, tables, order
 
 
+_Start = tuple[int, list[_Tables], list[int], list[int], int]
+
+
+def _start(layers: Sequence[ChainGraph], init: InitialDistribution, n: int) -> _Start:
+    """``_layer_tables`` of the first n layers, then the initial law as one
+    integer mass per state of ``layers[0]`` and their denominator.  Fewer
+    than n layers or a negative initial probability raise ``ValueError``."""
+    if not layers or n > len(layers):  # the first layer indexes the initial states
+        raise ValueError("not enough layers for the requested horizon")
+    lattice, tables, order = _layer_tables(layers, n)
+    init_idx = initial_state_indices(layers[0], init)
+    if any(p < 0 for p in init_idx.values()):
+        raise ValueError("initial probabilities must be nonnegative")
+    nums, denom = common_numerators(init_idx.values())
+    mass = [0] * len(layers[0].states)
+    for q, num in zip(init_idx, nums):
+        mass[q] = num
+    return lattice, tables, order, mass, denom
+
+
 # ---------------------------------------------------------------------------
 # exact distribution
 # ---------------------------------------------------------------------------
@@ -391,17 +411,8 @@ def exact_sum_distribution(
     slots only when that bound passes a limit; the step and count raised
     are those of a count at every step.
     """
-    if not layers or n > len(layers):  # the first layer indexes the initial states
-        raise ValueError("not enough layers for the requested horizon")
-    lattice, tables, order = _layer_tables(layers, n)
-    init_idx = initial_state_indices(layers[0], init)
-    if any(p < 0 for p in init_idx.values()):
-        raise ValueError("initial probabilities must be nonnegative")
-    nums, denom = common_numerators(init_idx.values())
-    size = len(layers[0].states)
-    packed = [0] * size
-    for q, num in zip(init_idx, nums):
-        packed[q] = num
+    lattice, tables, order, packed, denom = _start(layers, init, n)
+    size = len(packed)
     lows = [min(min(row) for row in pays) for _, pays in tables]
     spacing = math.gcd(
         *(p - low for (_, pays), low in zip(tables, lows) for row in pays for p in row)
@@ -510,6 +521,8 @@ def monte_carlo(
     Payoffs accumulate as scaled int64 integers, so sample values are exact;
     a horizon whose largest possible |sum| exceeds int64 raises ``ValueError``.
     Every layer must have the same edge count d, or ``ValueError`` is raised.
+    Each sample starts at sum 0 in a state of positive ``_start`` mass, in
+    index order, drawn with probability mass / denominator as a float.
 
     The steps are cut into blocks of k, aligned at step 0, where k is the
     largest count with w = d^k at most ``MAX_CHUNK_WIDTH`` (256), or 1 when d
@@ -533,9 +546,7 @@ def monte_carlo(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if not layers or n > len(layers):  # the first layer indexes the initial states
-        raise ValueError("not enough layers for the requested horizon")
-    lattice, tables, order = _layer_tables(layers, n)
+    lattice, tables, order, mass, denom = _start(layers, init, n)
     widths = {len(targets[0]) for targets, _ in tables}
     if len(widths) > 1:
         raise ValueError(f"Monte Carlo needs one edge count d for all layers: {sorted(widths)}")
@@ -557,9 +568,8 @@ def monte_carlo(
     w = d**k
     code_type = np.promote_types(np.uint16, np.min_scalar_type(w - 1))
     rng = np.random.default_rng(seed)
-    init_idx = initial_state_indices(layers[0], init)
-    states_list = sorted(init_idx)
-    probs = np.array([float(init_idx[s]) for s in states_list])
+    states_list = [q for q, m in enumerate(mass) if m]
+    probs = np.array([mass[q] / denom for q in states_list])
     probs /= probs.sum()
     cum = np.cumsum(probs)
     cum[-1] = 1.0  # the float sum can end below the largest draw, 1 - 2**-53
@@ -722,13 +732,8 @@ def _moment_variances(
     one pass over the edges whatever the support of the law.
     """
     n = checkpoints[-1]
-    lattice, tables, order = _layer_tables(layers, n)
-    init_idx = initial_state_indices(layers[0], init)
-    nums, denom = common_numerators(init_idx.values())
-    size = len(layers[0].states)
-    m0 = [0] * size
-    for q, num in zip(init_idx, nums):
-        m0[q] = num
+    lattice, tables, order, m0, denom = _start(layers, init, n)
+    size = len(m0)
     m1 = [0] * size
     m2 = [0] * size
     want = set(checkpoints)
@@ -832,10 +837,11 @@ def mixture_prediction(
     Weights are absorption probabilities into the recurrent classes of the
     period-composed chain; coboundary classes pool into the atom at zero.
     Per-step variances divide the composed-class variance by the period
-    length.  The bounded window of the atom part is the least and greatest
-    sum that the exact law puts on the atom's states after the preperiod
-    and about ``ATOM_WINDOW_HORIZON`` steps of whole periods
-    (``_reachable_window``).  No law is built, so unlike the exact law this
+    length.  One ``_start`` covers the preperiod, through which its mass is
+    pushed to the law that the weights absorb, and about
+    ``ATOM_WINDOW_HORIZON`` steps of whole periods: the bounded window of the
+    atom part is the least and greatest sum that the exact law puts on the
+    atom's states after them (``_reachable_window``).  No law is built, so unlike the exact law this
     raises neither ``SupportCapExceeded`` nor ``PackedBitsExceeded``.  Like
     ``layer_chains``, it raises ``ValueError`` unless gamma has eigenvalue 1.
     """
@@ -851,9 +857,17 @@ def mixture_prediction(
     # composed chain over one period, aligned to start after the preperiod
     block = compose(*per_layers)
     classes = recurrent_classes(block)
-    mu = initial_state_indices(chains[0], init)
-    for chain in pre_layers:
-        mu = _push(chain, mu)
+    # the digits of the first horizon steps: the preperiod, then whole periods
+    layers = pre_layers + per_layers * max(1, ATOM_WINDOW_HORIZON // len(per))
+    start = _start(layers, init, len(layers))
+    _, tables, order, mass, denom = start
+    for i in order[: len(pre)]:  # mu: the initial mass pushed through the preperiod
+        pushed = [0] * len(mass)
+        for m, targets in zip(mass, tables[i][0]):
+            for r in targets:
+                pushed[r] += m
+        mass, denom = pushed, denom * len(tables[i][0][0])
+    mu = {q: Fraction(m, denom) for q, m in enumerate(mass) if m}
     weights = absorption_probabilities(block, classes, mu)
     lattice = payoff_lattice(per_layers)
     p0 = Fraction(0)
@@ -876,32 +890,25 @@ def mixture_prediction(
             )
     window = None
     if dirac_states:
-        # the digits of the first horizon steps: the preperiod, then whole periods
-        layers = pre_layers + per_layers * max(1, ATOM_WINDOW_HORIZON // len(per))
-        window = _reachable_window(layers, init, dirac_states)
+        window = _reachable_window(start, dirac_states)
     return MixturePrediction(
         plan, p0, tuple(comps), frozenset(dirac_states), window, lattice
     )
 
 
-def _reachable_window(
-    layers: Sequence[ChainGraph], init: InitialDistribution, states: set[int]
-) -> tuple[Fraction, Fraction] | None:
-    """Least and greatest sum of the exact law after all the layers on
-    ``states``, or None when it puts no mass there.
+def _reachable_window(start: _Start, states: set[int]) -> tuple[Fraction, Fraction] | None:
+    """Least and greatest sum of the exact law after all the steps of
+    ``start`` on ``states``, or None when it puts no mass there.
 
     Every edge has probability 1/d > 0, so the law's support is exactly the
-    (state, sum) pairs that some path from an initial state of positive
-    mass reaches: a min-plus and a max-plus step per layer carry each
-    state's least and greatest reachable sum, and the law is never built.
+    (state, sum) pairs that some path from a state of positive initial mass
+    reaches: a min-plus and a max-plus step per layer carry each state's
+    least and greatest reachable sum, and the law is never built.
     """
-    lattice, tables, order = _layer_tables(layers, len(layers))
-    size = len(layers[0].states)
+    lattice, tables, order, mass, _ = start
+    size = len(mass)
     # an unreached state keeps the empty range (inf, -inf)
-    lows: list[float] = [math.inf] * size
-    for q, p in initial_state_indices(layers[0], init).items():
-        if p:
-            lows[q] = 0
+    lows: list[float] = [0 if m else math.inf for m in mass]
     highs = [-low for low in lows]
     for i in order:
         targets, pays = tables[i]
@@ -924,18 +931,6 @@ def _reachable_window(
         Fraction(min(lows[q] for q in reached), lattice),
         Fraction(max(highs[q] for q in reached), lattice),
     )
-
-
-def _push(chain: ChainGraph, mu: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    form = chain.integer_form
-    out: dict[int, Fraction] = {}
-    for s, p in mu.items():
-        if p == 0:
-            continue
-        p /= form.denominator
-        for t, q, _ in form.rows[s]:
-            out[t] = out.get(t, Fraction(0)) + p * q
-    return out
 
 
 def normal_cdf(x: float) -> float:

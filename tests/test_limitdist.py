@@ -602,14 +602,24 @@ def test_accessors_match_fraction_loops(request, name, t, n, checkpoints):
             assert dist.variance() == _reference_variance(dist)
 
 
-def test_exact_rejects_negative_initial_mass(twist2):
-    # a negative numerator would borrow across the packed slots
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda layers, init: exact_sum_distribution(layers, init, 2),
+        lambda layers, init: monte_carlo(layers, init, 2, samples=100, seed=0),
+        lambda layers, init: _moment_variances(layers, init, [1, 2]),
+    ],
+    ids=["exact", "monte_carlo", "moments"],
+)
+def test_engines_reject_negative_initial_mass(twist2, engine):
+    # a negative numerator would borrow across the packed slots of the exact
+    # law, and would give Monte Carlo and the moments a signed "law"
     sub, g = twist2
     layers = layer_chains(sub, g, time_expansion(sub, Fraction(1)), 2)
     states = layers[0].states
     init = InitialDistribution(1, {states[0]: Fraction(3, 2), states[1]: Fraction(-1, 2)})
     with pytest.raises(ValueError, match="nonnegative"):
-        exact_sum_distribution(layers, init, 2)
+        engine(layers, init)
 
 
 @pytest.fixture(scope="module")
