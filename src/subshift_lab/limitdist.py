@@ -841,9 +841,10 @@ def mixture_prediction(
     pushed to the law that the weights absorb, and about
     ``ATOM_WINDOW_HORIZON`` steps of whole periods: the bounded window of the
     atom part is the least and greatest sum that the exact law puts on the
-    atom's states after them (``_reachable_window``).  No law is built, so unlike the exact law this
-    raises neither ``SupportCapExceeded`` nor ``PackedBitsExceeded``.  Like
-    ``layer_chains``, it raises ``ValueError`` unless gamma has eigenvalue 1.
+    atom's states after them (``_reachable_window``).  No law is built, so
+    unlike the exact law this raises neither ``SupportCapExceeded`` nor
+    ``PackedBitsExceeded``.  Like ``layer_chains``, it raises ``ValueError``
+    unless gamma has eigenvalue 1.
     """
     _require_eigenvalue_one(gamma)
     plan = time_expansion(sub, t)
