@@ -289,12 +289,21 @@ def _layer_tables(
 _Start = tuple[int, list[_Tables], list[int], list[int], int]
 
 
-def _start(layers: Sequence[ChainGraph], init: InitialDistribution, n: int) -> _Start:
+def _start(
+    layers: Sequence[ChainGraph],
+    init: InitialDistribution,
+    n: int,
+    checkpoints: Sequence[int] = (),
+) -> _Start:
     """``_layer_tables`` of the first n layers, then the initial law as one
     integer mass per state of ``layers[0]`` and their denominator.  Fewer
-    than n layers or a negative initial probability raise ``ValueError``."""
+    than n layers, a checkpoint outside 0..n or a negative initial
+    probability raise ``ValueError``."""
     if not layers or n > len(layers):  # the first layer indexes the initial states
         raise ValueError("not enough layers for the requested horizon")
+    for c in checkpoints:
+        if not 0 <= c <= n:
+            raise ValueError(f"checkpoint {c} outside the steps 0..{n}")
     lattice, tables, order = _layer_tables(layers, n)
     init_idx = initial_state_indices(layers[0], init)
     if any(p < 0 for p in init_idx.values()):
@@ -392,7 +401,8 @@ def exact_sum_distribution(
     """Digit-by-digit convolution of the joint (state, sum) law.
 
     Sums start at 0; the law after step k uses layer k.  When ``checkpoints``
-    is given, a list of snapshots at those step counts is returned instead.
+    is given, a list of snapshots at those step counts, each in 0..n, is
+    returned instead.
 
     Each state's law over the sums is one Python int (Kronecker substitution;
     Harvey, J. Symb. Comput. 2009): byte-aligned slot i of width W holds the
@@ -411,7 +421,7 @@ def exact_sum_distribution(
     slots only when that bound passes a limit; the step and count raised
     are those of a count at every step.
     """
-    lattice, tables, order, packed, denom = _start(layers, init, n)
+    lattice, tables, order, packed, denom = _start(layers, init, n, checkpoints)
     size = len(packed)
     lows = [min(min(row) for row in pays) for _, pays in tables]
     spacing = math.gcd(
@@ -546,7 +556,7 @@ def monte_carlo(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    lattice, tables, order, mass, denom = _start(layers, init, n)
+    lattice, tables, order, mass, denom = _start(layers, init, n, checkpoints)
     widths = {len(targets[0]) for targets, _ in tables}
     if len(widths) > 1:
         raise ValueError(f"Monte Carlo needs one edge count d for all layers: {sorted(widths)}")
@@ -732,7 +742,7 @@ def _moment_variances(
     one pass over the edges whatever the support of the law.
     """
     n = checkpoints[-1]
-    lattice, tables, order, m0, denom = _start(layers, init, n)
+    lattice, tables, order, m0, denom = _start(layers, init, n, checkpoints)
     size = len(m0)
     m1 = [0] * size
     m2 = [0] * size

@@ -1,22 +1,20 @@
-"""Exact rational linear algebra over small dense matrices.
+"""Exact integer linear algebra over small dense matrices.
 
-Inputs and results are ``fractions.Fraction`` (or plain ints), and the
-functions serve the small systems that show up in this package: kernels of
-``M - theta*I``, stationary distributions, absorption probabilities and
-Poisson equations on chains with at most a few hundred states.  Inside the
-elimination everything is a Python int: ``rref`` clears each row's
-denominators, runs fraction-free Gauss-Jordan elimination and builds
-``Fraction``s only for its result.  No floating point anywhere; results are
-bit-for-bit reproducible.
+Inputs are ``fractions.Fraction`` or plain ints, and the functions serve
+the small systems that show up in this package: kernels of ``M - theta*I``,
+stationary distributions, absorption probabilities and Poisson equations on
+chains with at most a few hundred states.  Everything is a Python int:
+``eliminate`` clears each row's denominators and runs fraction-free
+Gauss-Jordan elimination, and every solve returns integer numerators over
+one positive denominator, so a caller builds a ``Fraction`` only for a
+value it reports.  No floating point anywhere; results are bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Collection, Sequence
-
-Matrix = list[list[Fraction]]
 
 
 def common_numerators(values: Collection) -> tuple[list[int], int]:
@@ -44,30 +42,19 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     return out
 
 
-def rref(m: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column list).
+def eliminate(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
+    """Reduced row echelon form as integers: (rows, pivot columns, last).
 
     Each row is scaled to integers by the lcm of its denominators, then
     eliminated fraction-free (Bareiss, Math. Comp. 1968): with pivot p and
     previous pivot prev, every other row becomes (p*row - f*pivot_row) //
     prev, f being its entry in the pivot column (f = 0 still rescales the
     row by p/prev).  By Sylvester's identity each division is exact and
-    every pivot row ends with the last pivot in its pivot column, so the
-    result is each pivot row over that one pivot.  The RREF is unique: the
-    ``Fraction``s equal those of any exact Gauss-Jordan elimination.
+    every pivot row ends with the last pivot in its pivot column; the rows
+    past the pivots end all zero.  The sign of every row is flipped when
+    that pivot is negative, so ``last`` > 0 and the RREF, which is unique,
+    is each row over ``last``.
     """
-    a, pivots, last = _eliminate(m)
-    cols = len(m[0]) if m else 0
-    zero = Fraction(0)
-    red = [[Fraction(x, last) for x in row] for row in a[: len(pivots)]]
-    red += [[zero] * cols for _ in range(len(m) - len(pivots))]
-    return red, pivots
-
-
-def _eliminate(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
-    """The integer core of ``rref``: the eliminated integer rows, the pivot
-    columns and the last pivot, which every pivot row holds in its pivot
-    column (the RREF is pivot row r over it)."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [common_numerators(row)[0] for row in m]
@@ -94,54 +81,48 @@ def _eliminate(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
         r += 1
         if r == rows:
             break
+    if prev < 0:
+        a = [[-x for x in row] for row in a]
+        prev = -prev
     return a, pivots, prev
 
 
-def kernel_vector(m: Sequence[Sequence]) -> list[Fraction] | None:
-    """One nonzero kernel vector of a square rational matrix, or None.
+def kernel_vector(m: Sequence[Sequence]) -> list[int] | None:
+    """One nonzero kernel vector of a square rational matrix as coprime
+    integers, or None.
 
     Deterministic choice: the first free column gets value 1, the remaining
-    free columns 0, pivot variables are back-substituted.
+    free columns 0, pivot variables are back-substituted; the vector is then
+    scaled by ``last`` and divided by the gcd of its entries, which keeps
+    the sign of the first free entry positive.
     """
     n = len(m)
-    red, pivots = rref(m)
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
+    rows, pivots, last = eliminate(m)
+    c0 = next((c for c in range(n) if c not in pivots), None)
+    if c0 is None:
         return None
-    c0 = free[0]
-    v = [Fraction(0)] * n
-    v[c0] = Fraction(1)
-    for row, pc in zip(red, pivots):
+    v = [0] * n
+    v[c0] = last
+    for row, pc in zip(rows, pivots):
         v[pc] = -row[c0]
-    return v
+    g = gcd(*v)
+    return [x // g for x in v]
 
 
-def normalize_integer_vector(v: Sequence[Fraction]) -> list[int]:
-    """Scale a rational vector to coprime integers, first nonzero positive."""
-    if all(x == 0 for x in v):
-        raise ValueError("zero vector cannot be normalized")
-    ints, _ = common_numerators(v)
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return ints
-
-
-def solve_consistent(a: Sequence[Sequence], b: Sequence) -> list[Fraction]:
+def solve_consistent(a: Sequence[Sequence], b: Sequence) -> tuple[list[int], int]:
     """Solve a*x = b for any consistent system (possibly rank deficient).
 
-    Free variables are set to 0.  Raises ValueError on inconsistency.
+    Returns x as integer numerators over one positive denominator.  Free
+    variables are set to 0.  Raises ValueError on inconsistency.
     """
     cols = len(a[0])
-    red, pivots, last = _eliminate([[*row, y] for row, y in zip(a, b)])
+    rows, pivots, last = eliminate([[*row, y] for row, y in zip(a, b)])
     if cols in pivots:
         raise ValueError("inconsistent linear system")
-    x = [Fraction(0)] * cols
-    for row, pc in zip(red, pivots):
-        x[pc] = Fraction(row[cols], last)
-    return x
+    x = [0] * cols
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[cols]
+    return x, last
 
 
 def char_poly(m: Sequence[Sequence[int]]) -> list[int]:
@@ -166,34 +147,3 @@ def char_poly(m: Sequence[Sequence[int]]) -> list[int]:
             mk[i][i] += ck
         mk = mat_mul(m, mk)
     return coeffs
-
-
-def poly_eval(coeffs: Sequence, x) -> object:
-    """Evaluate a leading-first coefficient list at x (Horner)."""
-    acc = 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Division of integer polynomials by one with leading coefficient +-1.
-
-    Leading-first coefficient lists.  With a unit leading coefficient the
-    quotient and remainder are integer polynomials, so the division runs on
-    ints; any other divisor raises ``ValueError``.
-    """
-    if all(c == 0 for c in den):
-        raise ZeroDivisionError("polynomial division by zero")
-    if den[0] not in (1, -1):
-        raise ValueError("the divisor's leading coefficient must be 1 or -1")
-    out: list[int] = []
-    rem = list(num)
-    dn = len(den)
-    while len(rem) >= dn:
-        lead = rem[0] * den[0]  # rem[0] / den[0], as den[0] is +-1
-        out.append(lead)
-        for i in range(1, dn):
-            rem[i] -= lead * den[i]
-        rem.pop(0)
-    return out, rem

@@ -14,9 +14,10 @@ probability a numerator over one common denominator D and every payoff a
 numerator over the least payoff lattice L.  The digit automata
 (``automata``) build it from integer prefix sums, ``compose`` multiplies
 and adds numerators, the linear systems of stationary laws and Poisson
-equations are integer rows for ``linalg``, and expectations and variances
-sum integer products, so each reported value is the one ``Fraction`` built
-at the end.
+equations are integer rows for ``linalg``, whose solves come back as
+integer numerators over one positive denominator, and expectations and
+variances sum integer products, so each reported value is the one
+``Fraction`` built at the end.
 """
 
 from __future__ import annotations
@@ -283,9 +284,11 @@ def recurrent_classes(chain: ChainGraph) -> list[RecurrentClass]:
 
 
 def _class_record(
-    form: IntegerForm, states: Sequence[int], stationary: dict[int, Fraction]
+    form: IntegerForm, states: Sequence[int], stationary: tuple[list[int], int]
 ) -> RecurrentClass:
     """The invariants of a closed strongly connected class from one BFS tree.
+
+    ``stationary`` is ``_stationary``'s law: numerators over one denominator.
 
     The tree from the least state gives each state a depth and a payoff
     potential in lattice units.  Each class edge v -> t then adds
@@ -310,7 +313,7 @@ def _class_record(
                     tree[t] = depth + 1, potential + pay
                     nxt.append(t)
         frontier = nxt
-    pi, den = linalg.common_numerators([stationary[s] for s in states])
+    pi, den = stationary
     period, coboundary, total = 0, True, 0
     for v, q in zip(states, pi):
         depth, potential = tree[v]
@@ -322,7 +325,8 @@ def _class_record(
             acc += p * pay
         total += q * acc
     mean = Fraction(total, den * form.denominator * form.lattice)
-    return RecurrentClass(tuple(states), period, stationary, coboundary, mean)
+    law = {s: Fraction(q, den) for s, q in zip(states, pi)}
+    return RecurrentClass(tuple(states), period, law, coboundary, mean)
 
 
 def transient_states(chain: ChainGraph, classes: Sequence[RecurrentClass]) -> list[int]:
@@ -330,8 +334,9 @@ def transient_states(chain: ChainGraph, classes: Sequence[RecurrentClass]) -> li
     return [s for s in range(chain.n) if s not in recurrent]
 
 
-def _stationary(chain: ChainGraph, states: Sequence[int]) -> dict[int, Fraction]:
-    """Unique stationary distribution of a closed class, exact solve."""
+def _stationary(chain: ChainGraph, states: Sequence[int]) -> tuple[list[int], int]:
+    """Unique stationary distribution of a closed class, exact solve: one
+    numerator per state, in ``states`` order, over a positive denominator."""
     form = chain.integer_form
     local = {s: i for i, s in enumerate(states)}
     k = len(states)
@@ -344,10 +349,10 @@ def _stationary(chain: ChainGraph, states: Sequence[int]) -> dict[int, Fraction]
     for i in range(k):
         a[i][i] -= form.denominator
     a[k] = [1] * k
-    x = linalg.solve_consistent(a, [0] * k + [1])
+    x, den = linalg.solve_consistent(a, [0] * k + [1])
     if not all(v > 0 for v in x):
         raise ValueError("stationary distribution of a class must be positive")
-    return {s: x[local[s]] for s in states}
+    return x, den
 
 
 def asymptotic_variance(chain: ChainGraph, cls: RecurrentClass) -> Fraction:
@@ -362,9 +367,8 @@ def asymptotic_variance(chain: ChainGraph, cls: RecurrentClass) -> Fraction:
         raise ValueError(f"class has nonzero stationary mean {cls.mean}")
     form = chain.integer_form
     lattice = form.lattice
-    solution = _poisson_solution(chain, cls.states)
-    nums, h_den = linalg.common_numerators(solution.values())
-    h = dict(zip(solution, nums))
+    nums, h_den = _poisson_solution(chain, cls.states)
+    h = dict(zip(cls.states, nums))
     pi, pi_den = linalg.common_numerators([cls.stationary[s] for s in cls.states])
     # an increment is (v h_den + (h(t) - h(s)) L) / (L h_den)
     total = 0
@@ -378,8 +382,9 @@ def asymptotic_variance(chain: ChainGraph, cls: RecurrentClass) -> Fraction:
     return Fraction(total, pi_den * form.denominator * (lattice * h_den) ** 2)
 
 
-def _poisson_solution(chain: ChainGraph, states: Sequence[int]) -> dict[int, Fraction]:
-    """h with (I - P) h = mean payoff per state on a class, h(root) = 0."""
+def _poisson_solution(chain: ChainGraph, states: Sequence[int]) -> tuple[list[int], int]:
+    """h with (I - P) h = mean payoff per state on a class, h(root) = 0: one
+    numerator per state, in ``states`` order, over a positive denominator."""
     form = chain.integer_form
     local = {s: i for i, s in enumerate(states)}
     k = len(states)
@@ -394,8 +399,7 @@ def _poisson_solution(chain: ChainGraph, states: Sequence[int]) -> dict[int, Fra
             a[i][local[t]] -= p * form.lattice
             b[i] += p * v
     a[k][0] = 1
-    h = linalg.solve_consistent(a, b)
-    return {s: h[local[s]] for s in states}
+    return linalg.solve_consistent(a, b)
 
 
 def absorption_probabilities(
@@ -423,10 +427,10 @@ def absorption_probabilities(
                 aug[i][t_index[t]] -= p
             else:
                 aug[i][nt + class_of[t]] += p
-    red, pivots = linalg.rref(aug)
+    rows, pivots, last = linalg.eliminate(aug)
     if pivots[:nt] != list(range(nt)):
         raise ValueError("I - Q must be invertible on the transient states")
-    absorb = [row[nt:] for row in red]
+    # row t_index[s] of B is that row's class columns over last
     out = [Fraction(0)] * len(classes)
     for s, p in initial.items():
         if p == 0:
@@ -434,8 +438,8 @@ def absorption_probabilities(
         if s in class_of:
             out[class_of[s]] += p
         else:
-            for k in range(len(classes)):
-                out[k] += p * absorb[t_index[s]][k]
+            for k, num in enumerate(rows[t_index[s]][nt:]):
+                out[k] += Fraction(p * num, last)
     return out
 
 

@@ -7,11 +7,23 @@ four intervals; its characteristic polynomial is the reciprocal quartic
 
 Writing t = theta_1 + 1/theta_1 and s = theta_2 + 1/theta_2 for the root
 pairs, the quartic reduces to t + s = 6+n, t*s = 8+n, so s and t are the
-roots of Y^2 - (6+n) Y + (8+n).  The dominant root theta_1 is a Salem
-number exactly when s lies in (-2, 2) (a conjugate pair on the unit
-circle), t > 2, and P_n is irreducible; all of this is decided by exact
-integer arithmetic (the square root of the discriminant is only ever
-compared, never evaluated).
+roots of Y^2 - (6+n) Y + (8+n), whose discriminant is n^2 + 8n + 4.  The
+dominant root theta_1 is a Salem number exactly when s lies in (-2, 2) (a
+conjugate pair on the unit circle), t > 2, and P_n is irreducible; all of
+this is decided by exact integer arithmetic (the square root of the
+discriminant is only ever compared, never evaluated).
+
+Irreducibility comes from the same discriminant.  A monic integer quartic
+that factors over Q factors into monic integer polynomials (Gauss's lemma).
+A linear factor means a root +-1 of P_n, so Y = +-2 is a root of the
+quadratic in Y.  Two quadratic factors have constant terms q = q' = +-1, so
+their cubic and linear coefficients read a and q*a; a palindrome whose
+cubic coefficient a = -(6+n) is nonzero needs q = 1, and the factors
+X^2 + pX + 1 and X^2 + rX + 1 make -p and -r the roots in Y.  Conversely
+integer roots u, v in Y give the factors X^2 - uX + 1 and X^2 - vX + 1.  So
+P_n is reducible exactly when n^2 + 8n + 4 is a perfect square, which it
+never is for n >= 1: 13 and 24 are not squares, and from n = 3 on
+(n+3)^2 < n^2 + 8n + 4 < (n+4)^2.
 """
 
 from __future__ import annotations
@@ -19,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linalg import poly_divmod, poly_eval
 from .substitution import Substitution, char_poly, matrix_of
 
 
@@ -40,9 +51,6 @@ def salem_substitution(n: int) -> Substitution:
 
 def closed_form_poly(n: int) -> list[int]:
     return [1, -(6 + n), 10 + n, -(6 + n), 1]
-
-
-_CYCLOTOMIC_QUADRATICS = ([1, 1, 1], [1, 0, 1], [1, -1, 1])
 
 
 @dataclass(frozen=True)
@@ -77,10 +85,9 @@ def salem_check(n: int) -> SalemReport:
     """Exact verification that the dominant eigenvalue is a Salem number.
 
     The characteristic polynomial must match the closed form; reciprocity is
-    a palindrome check; irreducibility follows from nonvanishing at +-1 and
-    non-divisibility by the three quadratic cyclotomics (the only monic
-    integer quadratics with both roots on the unit circle); the unit-circle
-    pair and the dominant real root are located through s and t.
+    a palindrome check; irreducibility is the discriminant rule of
+    ``_irreducible_reciprocal_quartic``; the unit-circle pair and the
+    dominant real root are located through s and t.
     """
     sub = salem_substitution(n)
     m = matrix_of(sub)
@@ -88,23 +95,13 @@ def salem_check(n: int) -> SalemReport:
     if poly != closed_form_poly(n):
         raise ValueError("characteristic polynomial must match the closed form")
     reciprocal = poly == poly[::-1]
-    at_one = poly_eval(poly, 1)
-    at_minus_one = poly_eval(poly, -1)
-    irreducible = at_one != 0 and at_minus_one != 0
-    if irreducible:
-        for quad in _CYCLOTOMIC_QUADRATICS:
-            _, rem = poly_divmod(poly, quad)
-            if all(c == 0 for c in rem):
-                irreducible = False
-                break
+    irreducible = _irreducible_reciprocal_quartic(poly[1], poly[2])
     # s = ((6+n) - sqrt(disc)) / 2 and t = ((6+n) + sqrt(disc)) / 2; the
     # square root is never evaluated, only squared comparisons are used
     disc = n * n + 8 * n + 4
     s_low = disc < (10 + n) ** 2  # s > -2  <=>  sqrt(disc) < 10 + n
     s_high = disc > (2 + n) ** 2  # s < 2   <=>  sqrt(disc) > 2 + n
-    if disc <= 0:
-        raise ValueError("discriminant n^2 + 8n + 4 must be positive")
-    t_above = True  # t > 2  <=>  sqrt(disc) > -(2+n), and disc > 0
+    t_above = True  # t > 2  <=>  sqrt(disc) > -(2+n), true as disc >= 13
     root = math.sqrt(disc)
     return SalemReport(
         n=n,
@@ -120,3 +117,13 @@ def salem_check(n: int) -> SalemReport:
         t_value=(6 + n + root) / 2,
         salem=reciprocal and irreducible and s_low and s_high and t_above,
     )
+
+
+def _irreducible_reciprocal_quartic(a: int, b: int) -> bool:
+    """Whether X^4 + a X^3 + b X^2 + a X + 1 with a != 0 is irreducible
+    over Q: exactly when a^2 - 4b + 8, the discriminant of the quadratic
+    Y^2 + a Y + b - 2 in Y = X + 1/X, is not a perfect square (the module
+    docstring has the proof; at a = 0 the quartic can also split as
+    (X^2 + pX - 1)(X^2 - pX - 1))."""
+    disc = a * a - 4 * b + 8
+    return disc < 0 or math.isqrt(disc) ** 2 != disc

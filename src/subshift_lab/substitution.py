@@ -230,15 +230,13 @@ def eigenvector_for(matrix: Sequence[Sequence[int]], theta) -> WeightVector | No
     """
     theta = Fraction(theta)
     n = len(matrix)
-    shifted = [
-        [Fraction(matrix[i][j]) - (theta if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
+    shifted = [[matrix[i][j] - (theta if i == j else 0) for j in range(n)] for i in range(n)]
     v = linalg.kernel_vector(shifted)
     if v is None:
         return None
-    ints = linalg.normalize_integer_vector(v)
-    return WeightVector(tuple(Fraction(x) for x in ints), theta)
+    if next(x for x in v if x) < 0:
+        v = [-x for x in v]
+    return WeightVector(tuple(map(Fraction, v)), theta)
 
 
 def gamma_of_word(gamma: WeightVector, w: Word) -> Fraction:

@@ -1,13 +1,15 @@
 """Every public module-level function or class of the package, and every
 public method of a public class, has a caller; so does every private
-module-level function.
+module-level function, and every name a module-level assignment binds has
+a reader.
 
-A name counts as called when it appears as a ``Name``, an ``Attribute`` or
-an imported name anywhere in ``src/subshift_lab`` or ``bench/*.py`` outside
-its own definition; a private function needs its caller in
-``src/subshift_lab``.  Tests do not count: code that only tests read goes.
-Names are matched, not resolved, so a method shares its callers with every
-other definition or attribute of its name.
+A name counts as called or read when it appears as a ``Name`` that is not
+assigned to, an ``Attribute`` or an imported name anywhere in
+``src/subshift_lab`` or ``bench/*.py`` outside its own definition or
+assignment; a private function needs its caller in ``src/subshift_lab``.
+Tests do not count: code that only tests read goes.  Names are matched, not
+resolved, so a method shares its callers with every other definition or
+attribute of its name.
 """
 
 import ast
@@ -20,7 +22,7 @@ DEFINES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 def _referenced_names(node: ast.AST) -> set[str]:
     names = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
@@ -41,11 +43,29 @@ def _private_function(stmt: ast.stmt) -> bool:
     )
 
 
+def _assignment(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+
+
+def _bound_names(stmt: ast.stmt) -> list[str]:
+    """The name a definition binds, or the names an assignment stores to;
+    dunders such as ``__all__`` are read by the import system, not by code."""
+    if isinstance(stmt, DEFINES):
+        return [stmt.name]
+    return [
+        sub.id
+        for sub in ast.walk(stmt)
+        if isinstance(sub, ast.Name)
+        and isinstance(sub.ctx, ast.Store)
+        and not sub.id.startswith("__")
+    ]
+
+
 def _uncalled(files, top, method=None) -> list[str]:
     """Labels of the definitions in ``files`` whose name has no use there
-    outside their own site: every top-level statement that ``top`` accepts,
-    and every class-body statement part of a class stmt for which
-    ``method(stmt, part)`` holds."""
+    outside their own site: every name bound by a top-level statement that
+    ``top`` accepts, and every class-body statement part of a class stmt
+    for which ``method(stmt, part)`` holds."""
     assert files
     # a site is (file, top-level statement, class-body statement or None);
     # a definition's own site and the sites inside it do not count as uses
@@ -66,8 +86,9 @@ def _uncalled(files, top, method=None) -> list[str]:
                     label = f"{path.relative_to(ROOT)}:{stmt.name}.{part.name}"
                     definitions.append((label, part.name, (path, index, j)))
             if top(stmt):
-                label = f"{path.relative_to(ROOT)}:{stmt.name}"
-                definitions.append((label, stmt.name, (path, index)))
+                for name in _bound_names(stmt):
+                    label = f"{path.relative_to(ROOT)}:{name}"
+                    definitions.append((label, name, (path, index)))
     return [
         label
         for label, name, site in definitions
@@ -86,3 +107,11 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
 def test_every_private_function_has_a_caller_in_the_package():
     # a merge that leaves a private helper without its caller leaves dead code
     assert _uncalled(SRC, _private_function) == []
+
+
+def test_every_module_level_assignment_in_the_package_has_a_reader():
+    # a constant or alias left behind by a deletion is dead code too; the
+    # readers may sit in bench, the assignments checked are the package's
+    files = SRC + sorted((ROOT / "bench").glob("*.py"))
+    unread = _uncalled(files, _assignment)
+    assert [label for label in unread if label.startswith("src/")] == []

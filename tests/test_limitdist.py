@@ -622,6 +622,24 @@ def test_engines_reject_negative_initial_mass(twist2, engine):
         engine(layers, init)
 
 
+@pytest.mark.parametrize("checkpoint", [11, -1])
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda layers, init, c: exact_sum_distribution(layers, init, 10, checkpoints=[c]),
+        lambda layers, init, c: monte_carlo(layers, init, 10, 5, 0, checkpoints=[4, c]),
+    ],
+    ids=["exact", "monte_carlo"],
+)
+def test_engines_reject_checkpoints_outside_the_horizon(twist2, engine, checkpoint):
+    # such a checkpoint used to be dropped: no snapshot and no error
+    sub, g = twist2
+    layers = layer_chains(sub, g, time_expansion(sub, Fraction(1)), 10)
+    init = initial_distribution(sub, g, 1)
+    with pytest.raises(ValueError, match=rf"checkpoint {checkpoint} outside the steps 0\.\.10"):
+        engine(layers, init, checkpoint)
+
+
 @pytest.fixture(scope="module")
 def twist301():
     """A3's twist with k = 150: d = 301 > MAX_CHUNK_WIDTH, so every Monte

@@ -1,4 +1,4 @@
-"""The integer elimination of ``linalg.rref`` against the Fraction loop it replaced."""
+"""The integer elimination of ``linalg.eliminate`` against the Fraction loop it replaced."""
 
 import math
 from fractions import Fraction
@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 
 from subshift_lab.linalg import (
     common_numerators,
+    eliminate,
     kernel_vector,
     mat_mul,
-    rref,
     solve_consistent,
 )
 
 
 def _reference_rref(m):
-    """The dense ``Fraction`` Gauss-Jordan loop that ``rref`` used to run."""
+    """The dense ``Fraction`` Gauss-Jordan loop that ``eliminate`` replaced."""
     m = [row[:] for row in m]
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -67,30 +67,45 @@ def _matrices(draw, rows=st.integers(0, 6), cols=st.integers(0, 6)):
     return a
 
 
+def _rref(m):
+    """``eliminate``'s rows read as the RREF: each row over the last pivot,
+    which must be a positive int over int rows."""
+    rows, pivots, last = eliminate(m)
+    assert type(last) is int and last > 0
+    assert all(type(x) is int for row in rows for x in row)
+    return [[Fraction(x, last) for x in row] for row in rows], pivots
+
+
 @given(_matrices())
 def test_rref_matches_fraction_loop(m):
-    red, pivots = rref(m)
-    assert (red, pivots) == _reference_rref(m)
-    assert all(type(x) is Fraction for row in red for x in row)
+    assert _rref(m) == _reference_rref(m)
 
 
 @pytest.mark.parametrize("m", [[], [[]], [[], []], [[0, 0]], [[Fraction(1, 2)], [Fraction(3)]]])
 def test_rref_of_degenerate_shapes(m):
-    assert rref(m) == _reference_rref(m)
+    assert _rref(m) == _reference_rref(m)
 
 
 def test_rref_takes_int_rows_and_leaves_them_alone():
     m = [[2, 4, 6], [1, 3, 5]]
-    red, pivots = rref(m)
-    assert red == [[1, 0, -1], [0, 1, 2]] and pivots == [0, 1]
+    assert eliminate(m) == ([[2, 0, -2], [0, 2, 4]], [0, 1], 2)
+    assert _rref(m) == ([[1, 0, -1], [0, 1, 2]], [0, 1])
     assert m == [[2, 4, 6], [1, 3, 5]]
+
+
+def test_eliminate_makes_a_negative_last_pivot_positive():
+    # the Bareiss pivots are 1 and then det = -2: every row changes sign
+    assert eliminate([[1, 2], [3, 4]]) == ([[2, 0], [0, 2]], [0, 1], 2)
+    assert eliminate([[-3]]) == ([[3]], [0], 3)
 
 
 @given(_matrices(rows=st.integers(1, 6), cols=st.integers(1, 6)), st.data())
 def test_solve_consistent_solves_consistent_systems(a, data):
     x = [data.draw(_rationals) for _ in a[0]]
     b = [sum((u * v for u, v in zip(row, x)), Fraction(0)) for row in a]
-    y = solve_consistent(a, b)
+    nums, den = solve_consistent(a, b)
+    assert type(den) is int and den > 0 and all(type(v) is int for v in nums)
+    y = [Fraction(v, den) for v in nums]
     assert [sum((u * v for u, v in zip(row, y)), Fraction(0)) for row in a] == b
 
 
@@ -112,7 +127,7 @@ def test_kernel_vector_is_none_exactly_on_nonsingular_matrices(a):
     if len(pivots) == n:
         assert v is None
     else:
-        assert v is not None and any(v)
+        assert v is not None and all(type(x) is int for x in v) and math.gcd(*v) == 1
         assert all(sum((u * w for u, w in zip(row, v)), Fraction(0)) == 0 for row in square)
 
 

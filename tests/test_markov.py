@@ -585,9 +585,9 @@ def _reference_absorption_probabilities(chain, classes, initial):
                 else:
                     r[i][class_of[e.target]] += e.prob
         for k in range(len(classes)):
-            col = linalg.solve_consistent(a, [row[k] for row in r])
+            col, den = linalg.solve_consistent(a, [row[k] for row in r])
             for i in range(nt):
-                absorb[i][k] = col[i]
+                absorb[i][k] = Fraction(col[i], den)
     out = [Fraction(0)] * len(classes)
     for s, p in initial.items():
         if s in class_of:
@@ -675,8 +675,8 @@ def _reference_stationary(chain, states):
     for i in range(k):
         a[i][i] -= 1
     a[k] = [Fraction(1)] * k
-    x = linalg.solve_consistent(a, [Fraction(0)] * k + [Fraction(1)])
-    return {s: x[local[s]] for s in states}
+    x, den = linalg.solve_consistent(a, [Fraction(0)] * k + [Fraction(1)])
+    return {s: Fraction(x[local[s]], den) for s in states}
 
 
 def _reference_expected_payoff(chain, cls):
@@ -806,8 +806,8 @@ def _reference_poisson_solution(chain, states):
         for e in chain.edges[s]:
             a[i][local[e.target]] -= e.prob
     a[k][0] = Fraction(1)
-    h = linalg.solve_consistent(a, gbar + [Fraction(0)])
-    return {s: h[local[s]] for s in states}
+    h, den = linalg.solve_consistent(a, gbar + [Fraction(0)])
+    return {s: Fraction(h[local[s]], den) for s in states}
 
 
 def _reference_asymptotic_variance(chain, cls):
@@ -849,7 +849,9 @@ def _assert_class_analysis_matches_reference(chain):
             assert cls.mean == 0
     centered = _centered(chain, classes)
     for cls in recurrent_classes(centered):
-        assert list(_poisson_solution(centered, cls.states).items()) == list(
+        h, den = _poisson_solution(centered, cls.states)
+        assert den > 0
+        assert [(s, Fraction(x, den)) for s, x in zip(cls.states, h)] == list(
             _reference_poisson_solution(centered, cls.states).items()
         )
         variance = asymptotic_variance(centered, cls)

@@ -1,11 +1,7 @@
-from fractions import Fraction
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from subshift_lab.linalg import poly_divmod
 from subshift_lab.salem import (
+    _irreducible_reciprocal_quartic,
     closed_form_poly,
     salem_check,
     salem_substitution,
@@ -47,52 +43,10 @@ def test_family_closed_form_and_palindrome():
         assert poly == poly[::-1]
 
 
-def test_poly_divmod_detects_factors():
+def test_irreducibility_rule_detects_factors():
     # (X^2 + 1)(X^2 - 3X + 1) has a cyclotomic factor
-    product = [1, -3, 2, -3, 1]
-    quotient, remainder = poly_divmod(product, [1, 0, 1])
-    assert all(r == 0 for r in remainder)
-    assert quotient == [1, -3, 1]
-    _, remainder = poly_divmod([1, -7, 11, -7, 1], [1, 0, 1])
-    assert any(r != 0 for r in remainder)
-
-
-def _reference_poly_divmod(num, den):
-    """The Fraction long division that poly_divmod ran before."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    out = []
-    rem = num[:]
-    dn = len(den)
-    while len(rem) >= dn:
-        lead = rem[0] / den[0]
-        out.append(lead)
-        for i in range(dn):
-            rem[i] -= lead * den[i]
-        assert rem[0] == 0
-        rem.pop(0)
-    return out, rem
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.integers(-50, 50), min_size=0, max_size=12),
-    st.sampled_from([1, -1]),
-    st.lists(st.integers(-5, 5), min_size=0, max_size=4),
-)
-def test_poly_divmod_matches_fraction_division(num, lead, tail):
-    den = [lead, *tail]
-    quotient, remainder = poly_divmod(num, den)
-    assert (quotient, remainder) == _reference_poly_divmod(num, den)
-    assert all(type(c) is int for c in quotient + remainder)
-
-
-@pytest.mark.parametrize("den", [[2, 0, 1], [0, 1, 1], [3]])
-def test_poly_divmod_rejects_non_unit_leading_coefficient(den):
-    with pytest.raises(ValueError, match="leading coefficient"):
-        poly_divmod([1, 2, 3, 4], den)
-
-
-def test_poly_divmod_rejects_zero_divisor():
-    with pytest.raises(ZeroDivisionError):
-        poly_divmod([1, 2, 3], [0, 0])
+    assert not _irreducible_reciprocal_quartic(-3, 2)
+    # P_0 = (X^2 - 2X + 1)(X^2 - 4X + 1), one step before the family
+    assert closed_form_poly(0) == [1, -6, 10, -6, 1]
+    assert not _irreducible_reciprocal_quartic(-6, 10)
+    assert _irreducible_reciprocal_quartic(-7, 11)

@@ -11,6 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from subshift_lab.markov import _poisson_solution, recurrent_classes
+from subshift_lab.salem import _irreducible_reciprocal_quartic
 from subshift_lab.substitution import (
     Substitution,
     char_poly,
@@ -63,6 +64,22 @@ def test_eigenvector_spans_sympy_nullspace(sub):
         assert sympy.Matrix.hstack(*basis, column).rank() == len(basis)
 
 
+def test_reciprocal_quartic_rule_matches_sympy_factoring():
+    # the range holds reducible quartics of both kinds: a root +-1, such as
+    # P_0 = (x - 1)^2 (x^2 - 4x + 1), and two quadratics with roots off the
+    # circle, such as (x^2 - 3x + 1)(x^2 + 4x + 1), which the old test of
+    # +-1 and the three cyclotomic quadratics took for irreducible
+    x = sympy.Symbol("x")
+    verdicts = set()
+    for a in [*range(-12, 0), *range(1, 13)]:
+        for b in range(-12, 13):
+            quartic = sympy.Poly(x**4 + a * x**3 + b * x**2 + a * x + 1, x)
+            verdict = _irreducible_reciprocal_quartic(a, b)
+            assert verdict == quartic.is_irreducible, (a, b)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def _rational(x):
     return sympy.Rational(x.numerator, x.denominator)
 
@@ -105,5 +122,5 @@ def test_poisson_solution_solves_sympy_system(chain):
         system = (sympy.eye(k) - p).col_join(pin)
         expected, params = system.gauss_jordan_solve(gbar.col_join(sympy.zeros(1, 1)))
         assert params.shape[0] == 0
-        h = _poisson_solution(chain, cls.states)
-        assert sympy.Matrix([_rational(h[s]) for s in cls.states]) == expected
+        h, den = _poisson_solution(chain, cls.states)
+        assert sympy.Matrix([sympy.Rational(x, den) for x in h]) == expected
