@@ -31,12 +31,12 @@ from itertools import islice
 from math import gcd
 from typing import Sequence
 
-from .linalg import common_numerators
 from .prefix_suffix import PSTriple, SymbolicPoint, build_ps_automaton, check_path
 from .substitution import (
     Substitution,
     WeightVector,
     Word,
+    eigen_numerators,
     gamma_of_word,
     letter_lengths,
 )
@@ -161,18 +161,9 @@ def _unit_weights(sub: Substitution, gamma: WeightVector) -> tuple[int, list[int
     exactly; a census of any other vector would give wrong minima.
     """
     _require_unit_eigenvalue(gamma)
-    if len(gamma.values) != sub.alphabet_size:
-        raise ValueError("the weight vector needs one value per letter")
-    scaled, scale = common_numerators(gamma.values)
-    theta = int(gamma.theta)
-    for a, img in enumerate(sub.images):
-        if sum(scaled[c] for c in img) != theta * scaled[a]:
-            raise ValueError(
-                f"the weight vector is not an eigenvector for {theta}: "
-                f"gamma(sigma({sub.symbols[a]})) != {theta} * gamma({sub.symbols[a]})"
-            )
+    scaled, scale = eigen_numerators(sub, gamma)
     unit = gcd(*scaled)
-    return theta, [v // unit for v in scaled], unit, scale
+    return int(gamma.theta), [v // unit for v in scaled], unit, scale
 
 
 def _census(

@@ -373,9 +373,7 @@ def cmd_simulate(args) -> int:
     plan = parse_time(args, sub)
     layers = ld.layer_chains(sub, gamma, plan, n)
     init = mk.initial_distribution(sub, gamma, plan.tau0)
-    sample = ld.monte_carlo(
-        layers, init, n, args.samples, args.seed, t_digits=plan.describe()
-    )
+    sample = ld.monte_carlo(layers, init, n, args.samples, args.seed)
     moments = ld.sample_moments(sample)
     report = {
         "t": plan.describe(),
@@ -423,9 +421,7 @@ def cmd_dist(args) -> int:
         if args.format == "csv":
             emit_text(_histogram_csv(pairs), args.out, f"dist-exact-n{n}.csv")
     else:
-        sample = ld.monte_carlo(
-            layers, init, n, args.samples, args.seed, t_digits=plan.describe()
-        )
+        sample = ld.monte_carlo(layers, init, n, args.samples, args.seed)
         report["samples"] = args.samples
         report["V_n"] = float(np.var(sample.values))
         if prediction is not None:

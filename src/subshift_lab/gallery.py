@@ -53,10 +53,6 @@ class GalleryEntry:
     classes: list[RecurrentClass]  # the recurrent classes the checks read
     checks: tuple[GalleryCheck, ...]
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
 
 def _diagonal_states(chain: ChainGraph) -> set[int]:
     return {

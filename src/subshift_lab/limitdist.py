@@ -58,7 +58,13 @@ from .markov import (
     recurrent_classes,
 )
 from .prefix_suffix import sample_point_with_coverage
-from .substitution import Substitution, WeightVector, gamma_of_word
+from .substitution import (
+    Substitution,
+    WeightVector,
+    constant_length,
+    eigen_numerators,
+    gamma_of_word,
+)
 
 # most slots the exact law may hold, an upper bound on its (state, sum) pairs
 MAX_SLOTS = 10**6
@@ -196,7 +202,9 @@ def time_expansion(sub: Substitution, t) -> DigitStream:
     tau0 is set is returned as is; otherwise it is t in (0, 1) and is shifted
     so that its first nonzero digit becomes tau0.
     """
-    d = len(sub.images[0])
+    d = constant_length(sub)
+    if d is None:
+        raise ValueError("time expansion requires a constant-length substitution")
     try:
         t = Fraction(t)
     except TypeError:
@@ -222,11 +230,13 @@ def time_expansion(sub: Substitution, t) -> DigitStream:
 # ---------------------------------------------------------------------------
 
 
-def _require_eigenvalue_one(gamma: WeightVector) -> None:
+def _require_eigenvalue_one(sub: Substitution, gamma: WeightVector) -> None:
+    """Raise ``ValueError`` unless gamma(sigma(a)) = gamma(a) for every letter."""
     if gamma.theta != 1:
         raise ValueError(
             f"the law of the ergodic sum needs eigenvalue 1; gamma has eigenvalue {gamma.theta}"
         )
+    eigen_numerators(sub, gamma)
 
 
 def layer_chains(
@@ -235,10 +245,10 @@ def layer_chains(
     """The chain layer for each of the first n steps (one chain per digit).
 
     The layers follow the ergodic sum only for eigenvalue 1: the payoffs of
-    sigma^k's blocks assume gamma(sigma(w)) = gamma(w), so any other gamma
-    raises ``ValueError``.
+    sigma^k's blocks assume gamma(sigma(w)) = gamma(w), so any gamma that
+    is not an eigenvector for 1 raises ``ValueError``.
     """
-    _require_eigenvalue_one(gamma)
+    _require_eigenvalue_one(sub, gamma)
     return digit_chains(sub, gamma, [plan.layer_digit(k) for k in range(1, n + 1)])
 
 
@@ -355,7 +365,6 @@ class SumDistribution:
     lattice: int
     denominator: int
     table: dict[tuple[int, int], int]
-    state_labels: tuple[str, ...]
 
     def mass(self) -> Fraction:
         return Fraction(sum(self.table.values()), self.denominator)
@@ -458,7 +467,7 @@ def exact_sum_distribution(
                 num = int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
                 if num:
                     table[q, base + i * spacing] = num
-        return SumDistribution(step, lattice, denom, table, layers[0].state_labels)
+        return SumDistribution(step, lattice, denom, table)
 
     if 0 in want:
         snaps.append(snapshot(0))
@@ -503,18 +512,22 @@ def exact_sum_distribution(
 
 @dataclass
 class EmpiricalSample:
-    """Reproducible Monte Carlo sample of accumulated payoffs."""
+    """Reproducible Monte Carlo sample of accumulated payoffs: integer
+    lattice values ``scaled``, read as floats through ``values``."""
 
-    values: np.ndarray  # float payoffs
     scaled: np.ndarray  # integer lattice values (values * lattice)
     final_states: np.ndarray
     lattice: int
     n: int
-    seed: int
     t_digits: dict
 
+    @property
+    def values(self) -> np.ndarray:
+        """The float payoffs, ``scaled / lattice``."""
+        return self.scaled / self.lattice
+
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.scaled)
 
 
 def monte_carlo(
@@ -592,12 +605,10 @@ def monte_carlo(
 
     def snapshot(step: int) -> EmpiricalSample:
         return EmpiricalSample(
-            values=sums / lattice,
             scaled=sums.copy(),
             final_states=states,
             lattice=lattice,
             n=step,
-            seed=seed,
             t_digits=meta,
         )
 
@@ -722,7 +733,6 @@ def word_vs_chain_check(
 
 @dataclass(frozen=True)
 class GrowthReport:
-    n_values: tuple[int, ...]
     variances: tuple[float, ...]
     slope: float
 
@@ -800,7 +810,7 @@ def variance_growth(
     xs = np.log([n for n, _ in positive])
     ys = np.log([v for _, v in positive])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    return GrowthReport(n_values, variances, slope)
+    return GrowthReport(variances, slope)
 
 
 # ---------------------------------------------------------------------------
@@ -820,10 +830,8 @@ class MixtureComponent:
 class MixturePrediction:
     """Limit law p0 * delta_0 + sum p_k N(0, sigma_k^2) for periodic digits."""
 
-    plan: DigitStream
     p0: Fraction
     components: tuple[MixtureComponent, ...]
-    dirac_states: frozenset[int]
     dirac_window: tuple[Fraction, Fraction] | None
     lattice: int
 
@@ -854,9 +862,9 @@ def mixture_prediction(
     atom's states after them (``_reachable_window``).  No law is built, so
     unlike the exact law this raises neither ``SupportCapExceeded`` nor
     ``PackedBitsExceeded``.  Like ``layer_chains``, it raises ``ValueError``
-    unless gamma has eigenvalue 1.
+    unless gamma is an eigenvector for 1.
     """
-    _require_eigenvalue_one(gamma)
+    _require_eigenvalue_one(sub, gamma)
     plan = time_expansion(sub, t)
     if not plan.eventually_periodic:
         raise ValueError("mixture prediction requires an eventually periodic digit stream")
@@ -902,9 +910,7 @@ def mixture_prediction(
     window = None
     if dirac_states:
         window = _reachable_window(start, dirac_states)
-    return MixturePrediction(
-        plan, p0, tuple(comps), frozenset(dirac_states), window, lattice
-    )
+    return MixturePrediction(p0, tuple(comps), window, lattice)
 
 
 def _reachable_window(start: _Start, states: set[int]) -> tuple[Fraction, Fraction] | None:
@@ -996,7 +1002,6 @@ class GofResult:
     window_mass_empirical: float
     window_mass_predicted: float
     window: tuple[float, float] | None
-    n: int
 
     @property
     def window_mass_gap(self) -> float:
@@ -1032,7 +1037,7 @@ def gof_test(sample: EmpiricalSample, prediction: MixturePrediction) -> GofResul
             ks_cont, ks_lattice_vs_normal(sub_scaled, steps[ci], 0.0, sd_scaled)
         )
     if prediction.dirac_window is None:
-        return GofResult(ks_cont, 0.0, 0.0, None, n)
+        return GofResult(ks_cont, 0.0, 0.0, None)
     lo, hi = prediction.dirac_window
     lo_s = int(lo * sample.lattice)
     hi_s = int(hi * sample.lattice)
@@ -1040,11 +1045,12 @@ def gof_test(sample: EmpiricalSample, prediction: MixturePrediction) -> GofResul
     pred = float(prediction.p0)
     for ci, comp in enumerate(prediction.components):
         sd = math.sqrt(n * float(comp.variance_per_step))
-        half = steps.get(ci, comp.lattice_step) / (2 * sample.lattice)
+        # observed steps count 1/sample.lattice, lattice_step 1/prediction.lattice
+        step = steps[ci] / sample.lattice if ci in steps else comp.lattice_step / prediction.lattice
         pred += float(comp.weight) * (
-            normal_cdf((float(hi) + half) / sd) - normal_cdf((float(lo) - half) / sd)
+            normal_cdf((float(hi) + step / 2) / sd) - normal_cdf((float(lo) - step / 2) / sd)
         )
-    return GofResult(ks_cont, emp, pred, (float(lo), float(hi)), n)
+    return GofResult(ks_cont, emp, pred, (float(lo), float(hi)))
 
 
 def sample_moments(sample: EmpiricalSample) -> dict:

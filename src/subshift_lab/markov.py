@@ -510,7 +510,6 @@ class InitialDistribution:
     parameter.
     """
 
-    tau0: int
     probs: dict[State, Fraction]
 
     def __post_init__(self):
@@ -530,7 +529,7 @@ def initial_distribution(sub: Substitution, gamma: WeightVector, tau0: int) -> I
     for w, q in block_frequencies(sub, d + 1).items():
         state: State = (w[0], (w[tau0], w[tau0 + 1]))
         probs[state] = probs.get(state, Fraction(0)) + q
-    return InitialDistribution(tau0, probs)
+    return InitialDistribution(probs)
 
 
 def initial_state_indices(

@@ -103,15 +103,12 @@ class SymbolicPoint:
     """A finite two-sided window of a subshift point plus its generating path.
 
     ``right`` holds x[0..] (starting with the center letter), ``left`` holds
-    x[..-1]; ``left + right`` is a factor of sigma^depth(base).
+    x[..-1]; ``left + right`` is a factor of sigma^len(path)(path[-1].parent).
     """
 
-    sub: Substitution
     path: tuple[PSTriple, ...]
     left: Word
     right: Word
-    depth: int
-    base: int
 
 
 def check_path(sub: Substitution, path: tuple[PSTriple, ...]) -> None:
@@ -141,7 +138,7 @@ def point_from_path(sub: Substitution, path, window: int) -> SymbolicPoint:
     suffixes = [bytes([path[0].center]) + path[0].suffix] + [t.suffix for t in path[1:]]
     right = expand_levels(sub, suffixes, window)
     left = expand_levels(sub, [t.prefix for t in path], window, from_end=True)
-    return SymbolicPoint(sub, path, left, right, len(path), path[-1].parent)
+    return SymbolicPoint(path, left, right)
 
 
 def _random_path(sub: Substitution, depth: int, seed: int) -> tuple[PSTriple, ...]:

@@ -60,10 +60,6 @@ class SalemReport:
     poly: list[int]
     reciprocal: bool
     irreducible: bool
-    trace_sum: int  # s + t = 6 + n
-    trace_product: int  # s * t = 8 + n
-    s_in_open_interval: bool  # s in (-2, 2): one conjugate pair on the circle
-    t_above_two: bool  # t > 2: the dominant root is real > 1
     s_value: float
     t_value: float
     salem: bool
@@ -86,8 +82,9 @@ def salem_check(n: int) -> SalemReport:
 
     The characteristic polynomial must match the closed form; reciprocity is
     a palindrome check; irreducibility is the discriminant rule of
-    ``_irreducible_reciprocal_quartic``; the unit-circle pair and the
-    dominant real root are located through s and t.
+    ``_irreducible_reciprocal_quartic``; the unit-circle pair is located
+    through s in (-2, 2).  The dominant root needs no test: t > 2 holds for
+    every n (see below).
     """
     sub = salem_substitution(n)
     m = matrix_of(sub)
@@ -101,7 +98,8 @@ def salem_check(n: int) -> SalemReport:
     disc = n * n + 8 * n + 4
     s_low = disc < (10 + n) ** 2  # s > -2  <=>  sqrt(disc) < 10 + n
     s_high = disc > (2 + n) ** 2  # s < 2   <=>  sqrt(disc) > 2 + n
-    t_above = True  # t > 2  <=>  sqrt(disc) > -(2+n), true as disc >= 13
+    # t > 2  <=>  sqrt(disc) > -(2+n), true as disc >= 13: the dominant root
+    # is real > 1 for every n
     root = math.sqrt(disc)
     return SalemReport(
         n=n,
@@ -109,13 +107,9 @@ def salem_check(n: int) -> SalemReport:
         poly=poly,
         reciprocal=reciprocal,
         irreducible=irreducible,
-        trace_sum=6 + n,
-        trace_product=8 + n,
-        s_in_open_interval=s_low and s_high,
-        t_above_two=t_above,
         s_value=(6 + n - root) / 2,
         t_value=(6 + n + root) / 2,
-        salem=reciprocal and irreducible and s_low and s_high and t_above,
+        salem=reciprocal and irreducible and s_low and s_high,
     )
 
 

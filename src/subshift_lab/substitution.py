@@ -239,6 +239,25 @@ def eigenvector_for(matrix: Sequence[Sequence[int]], theta) -> WeightVector | No
     return WeightVector(tuple(map(Fraction, v)), theta)
 
 
+def eigen_numerators(sub: Substitution, gamma: WeightVector) -> tuple[list[int], int]:
+    """gamma's integer numerators over the lcm L of its denominators, and L.
+
+    Raises ``ValueError`` unless gamma has one value per letter and
+    gamma(sigma(a)) = theta * gamma(a) holds exactly for every letter a.
+    """
+    if len(gamma.values) != sub.alphabet_size:
+        raise ValueError("the weight vector needs one value per letter")
+    scaled, scale = linalg.common_numerators(gamma.values)
+    theta = gamma.theta
+    for a, img in enumerate(sub.images):
+        if sum(scaled[c] for c in img) != theta * scaled[a]:
+            raise ValueError(
+                f"the weight vector is not an eigenvector for {theta}: "
+                f"gamma(sigma({sub.symbols[a]})) != {theta} * gamma({sub.symbols[a]})"
+            )
+    return scaled, scale
+
+
 def gamma_of_word(gamma: WeightVector, w: Word) -> Fraction:
     """Morphism extension: sum of gamma over the letters of w."""
     if len(w) <= 16:

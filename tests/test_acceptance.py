@@ -50,7 +50,7 @@ def test_a01_salem_family_closed_form():
     for n in range(1, 51):
         rep = salem_check(n)
         ok &= rep.poly == closed_form_poly(n)
-        ok &= rep.s_in_open_interval and rep.t_above_two and rep.salem
+        ok &= -2 < rep.s_value < 2 and rep.t_value > 2 and rep.salem
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
     report(
@@ -65,9 +65,10 @@ def test_a02_gallery_structure():
     start = time.perf_counter()
     entries = run_gallery()
     elapsed = time.perf_counter() - start
-    ok = all(entry.passed for entry in entries) and elapsed < 1.0
+    passed = [all(c.passed for c in entry.checks) for entry in entries]
+    ok = all(passed) and elapsed < 1.0
     detail = "; ".join(
-        f"{e.name}:{'ok' if e.passed else 'FAIL'}" for e in entries
+        f"{e.name}:{'ok' if p else 'FAIL'}" for e, p in zip(entries, passed)
     )
     report("A2 automaton gallery", ok, f"{detail} ({elapsed:.3f}s)")
 

@@ -369,12 +369,9 @@ def test_liminf_probe_rejects_window_past_the_path(twist2):
     # refuses every horizon past it
     sub, g = twist2
     point = SymbolicPoint(
-        sub,
         (PSTriple(0, word([0, 0]), 1, b""),),
         word([0, 0]),
         word([1]) + iterate_prefix(sub, 0, 99),
-        1,
-        0,
     )
     assert len(point.right) == 100
     assert liminf_probe(sub, g, point, 1) == window_probe(g, point, 1)

@@ -1,7 +1,8 @@
 """Every public module-level function or class of the package, and every
 public method of a public class, has a caller; so does every private
-module-level function, and every name a module-level assignment binds has
-a reader.
+module-level function, every name a module-level assignment binds has
+a reader, and every annotated field of a package class is read as an
+attribute.
 
 A name counts as called or read when it appears as a ``Name`` that is not
 assigned to, an ``Attribute`` or an imported name anywhere in
@@ -31,6 +32,14 @@ def _referenced_names(node: ast.AST) -> set[str]:
     return names
 
 
+def _attribute_reads(node: ast.AST) -> set[str]:
+    return {
+        sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+
+
 def _public(stmt: ast.stmt) -> bool:
     return isinstance(stmt, DEFINES) and not stmt.name.startswith("_")
 
@@ -47,6 +56,10 @@ def _assignment(stmt: ast.stmt) -> bool:
     return isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign))
 
 
+def _field(cls: ast.ClassDef, part: ast.AST) -> bool:
+    return isinstance(part, ast.AnnAssign) and isinstance(part.target, ast.Name)
+
+
 def _bound_names(stmt: ast.stmt) -> list[str]:
     """The name a definition binds, or the names an assignment stores to;
     dunders such as ``__all__`` are read by the import system, not by code."""
@@ -61,11 +74,12 @@ def _bound_names(stmt: ast.stmt) -> list[str]:
     ]
 
 
-def _uncalled(files, top, method=None) -> list[str]:
+def _uncalled(files, top, method=None, referenced=_referenced_names) -> list[str]:
     """Labels of the definitions in ``files`` whose name has no use there
     outside their own site: every name bound by a top-level statement that
-    ``top`` accepts, and every class-body statement part of a class stmt
-    for which ``method(stmt, part)`` holds."""
+    ``top`` accepts, and every name bound by a class-body statement part of
+    a class stmt for which ``method(stmt, part)`` holds.  ``referenced``
+    gives the names a node uses."""
     assert files
     # a site is (file, top-level statement, class-body statement or None);
     # a definition's own site and the sites inside it do not count as uses
@@ -80,11 +94,12 @@ def _uncalled(files, top, method=None) -> list[str]:
                 parts = [(None, node) for node in stmt.decorator_list + stmt.bases]
                 parts += enumerate(stmt.body)
             for j, part in parts:
-                for name in _referenced_names(part):
+                for name in referenced(part):
                     uses.setdefault(name, set()).add((path, index, j))
                 if j is not None and method is not None and method(stmt, part):
-                    label = f"{path.relative_to(ROOT)}:{stmt.name}.{part.name}"
-                    definitions.append((label, part.name, (path, index, j)))
+                    for name in _bound_names(part):
+                        label = f"{path.relative_to(ROOT)}:{stmt.name}.{name}"
+                        definitions.append((label, name, (path, index, j)))
             if top(stmt):
                 for name in _bound_names(stmt):
                     label = f"{path.relative_to(ROOT)}:{name}"
@@ -115,3 +130,14 @@ def test_every_module_level_assignment_in_the_package_has_a_reader():
     files = SRC + sorted((ROOT / "bench").glob("*.py"))
     unread = _uncalled(files, _assignment)
     assert [label for label in unread if label.startswith("src/")] == []
+
+
+def test_every_field_of_a_package_class_is_read_as_an_attribute():
+    # a field that only tests read echoes an input, a constant or another
+    # field; a constructor keyword or a local of the same name is no read.
+    # EmpiricalSample.t_digits is exempt while bench/workloads.py passes
+    # monte_carlo(t_digits=...) (ROADMAP item 12)
+    files = SRC + sorted((ROOT / "bench").glob("*.py"))
+    unread = _uncalled(files, lambda stmt: False, _field, _attribute_reads)
+    exempt = {"src/subshift_lab/limitdist.py:EmpiricalSample.t_digits"}
+    assert [label for label in unread if label.startswith("src/") and label not in exempt] == []

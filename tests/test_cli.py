@@ -1,9 +1,11 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -364,6 +366,22 @@ def test_dist_law_stdout_is_pinned(args, digest):
     code, out, err = _run_in_process(["dist", "--inline", "1: 112; 2: 221", *args])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_gof_fallback_step_counts_in_the_prediction_lattice():
+    # the one sample ends outside the Gaussian class, so the window's class
+    # term falls back to the class's lattice step, counted in
+    # 1/prediction.lattice (1 here); the preperiod digit makes the sample
+    # lattice 2, and reading the step in those units gave 0.778703905483
+    code, out, err = _run_in_process(
+        ["dist", "--inline", "1: 112; 2: 221", "--gamma", "1/2,-1/2", "--digits", "1,1:0",
+         "--n", "10", "--samples", "1", "--seed", "0"]
+    )
+    assert code == 0, err
+    assert json.loads(out)["window_mass_predicted"] == "0.805076432853"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7b627c29df1575ec0b3055f77c02471268215017db5d110e2429795dd3c5403a"
+    )
 
 
 def test_bounds_cli():
@@ -920,3 +938,24 @@ def test_gallery_computes_each_entrys_classes_once(tmp_path, monkeypatch):
     code, _, err = _run_in_process(["gallery", "--out", str(tmp_path)])
     assert code == 0, err
     assert len(chains) == 4
+
+
+def test_in_process_classify_keeps_no_chain(monkeypatch):
+    # the library holds no chain between commands: every chain that 50
+    # in-process classify calls build is freed once the calls return
+    from subshift_lab import markov
+
+    built, real = [], markov.ChainGraph.__post_init__
+
+    def tracked(chain):
+        real(chain)
+        built.append(weakref.ref(chain))
+
+    monkeypatch.setattr(markov.ChainGraph, "__post_init__", tracked)
+    calls = [["--tau", "1", "--t", "3/2"], ["--block", "0,1,2", "--t", "7/3"]]
+    for k in range(50):
+        inline = ("1: 112; 2: 221", "1: 11212; 2: 22121")[k // 2 % 2]
+        code, _, err = _run_in_process(["classify", "--inline", inline, *calls[k % 2]])
+        assert code == 0, err
+    gc.collect()
+    assert built and [ref for ref in built if ref() is not None] == []

@@ -34,6 +34,7 @@ from subshift_lab.markov import (
     compose,
     initial_distribution,
     initial_state_indices,
+    recurrent_classes,
 )
 from subshift_lab.substitution import (
     Substitution,
@@ -245,7 +246,7 @@ def _restricted(dist, states):
 def _start_on(layers, indices):
     """The uniform initial law on the given state indices of the first layer."""
     states = layers[0].states
-    return InitialDistribution(1, {states[i]: Fraction(1, len(indices)) for i in indices})
+    return InitialDistribution({states[i]: Fraction(1, len(indices)) for i in indices})
 
 
 def _diagonal_start(layers):
@@ -617,7 +618,7 @@ def test_engines_reject_negative_initial_mass(twist2, engine):
     sub, g = twist2
     layers = layer_chains(sub, g, time_expansion(sub, Fraction(1)), 2)
     states = layers[0].states
-    init = InitialDistribution(1, {states[0]: Fraction(3, 2), states[1]: Fraction(-1, 2)})
+    init = InitialDistribution({states[0]: Fraction(3, 2), states[1]: Fraction(-1, 2)})
     with pytest.raises(ValueError, match="nonnegative"):
         engine(layers, init)
 
@@ -905,7 +906,7 @@ def test_variance_growth_homogeneous(twist2):
     rep = variance_growth(sub, g, Fraction(3, 2), n_values=(50, 100, 200))
     assert 0.9 <= rep.slope <= 1.02
     # V_n <= (max payoff)^2 n crude bound
-    assert all(v <= 25 * n for v, n in zip(rep.variances, rep.n_values))
+    assert all(v <= 25 * n for v, n in zip(rep.variances, (50, 100, 200)))
 
 
 def test_variance_growth_methods_agree(twist2):
@@ -979,7 +980,7 @@ def test_variance_grows_at_the_mixture_rate(text, t, n_values):
     rate = float(sum(c.weight * c.variance_per_step for c in mix.components))
     assert rate > 0
     rep = variance_growth(sub, g, t, n_values=n_values)
-    gaps = [v - n * rate for n, v in zip(rep.n_values, rep.variances)]
+    gaps = [v - n * rate for n, v in zip(n_values, rep.variances)]
     assert abs(gaps[1] - gaps[0]) < 1e-9
 
 
@@ -1008,15 +1009,35 @@ def test_law_engines_need_eigenvalue_one(twist2):
         word_vs_chain_check(minus, g_minus, Fraction(3, 2), 2, seed=0)
     sub, _ = twist2
     g_three = eigenvector_for(matrix_of(sub), 3)
-    for s, g, theta in ((minus, g_minus, -1), (sub, g_three, 3)):
+    # gamma = (1, 0) claims eigenvalue 1 but gamma(sigma(1)) = 2; the digit
+    # automata accept any gamma, and the exact law of its layers at t = 3/2
+    # and n = 20 had mean 30 where an eigenvector gives 0
+    g_claimed = WeightVector((Fraction(1), Fraction(0)), Fraction(1))
+    g_long = WeightVector((Fraction(1), Fraction(-1), Fraction(0)), Fraction(1))
+    for s, g, message in (
+        (minus, g_minus, "needs eigenvalue 1; gamma has eigenvalue -1"),
+        (sub, g_three, "needs eigenvalue 1; gamma has eigenvalue 3"),
+        (sub, g_claimed, r"not an eigenvector for 1: gamma\(sigma\(1\)\) != 1"),
+        (sub, g_long, "one value per letter"),
+    ):
         plan = time_expansion(s, Fraction(3, 2))
-        message = f"needs eigenvalue 1; gamma has eigenvalue {theta}"
         with pytest.raises(ValueError, match=message):
             layer_chains(s, g, plan, 4)
         with pytest.raises(ValueError, match=message):
             mixture_prediction(s, g, plan)
         with pytest.raises(ValueError, match=message):
             variance_growth(s, g, plan, n_values=(2, 4))
+
+
+def test_time_expansion_needs_constant_length():
+    # d read from the first image alone made 1: 112; 2: 12212 a base-3
+    # stream, and word_vs_chain_check then failed on the window length
+    sub = parse_substitution("1: 112\n2: 12212")
+    g = eigenvector_for(matrix_of(sub), 1)
+    with pytest.raises(ValueError, match="constant-length substitution"):
+        time_expansion(sub, Fraction(3, 2))
+    with pytest.raises(ValueError, match="constant-length substitution"):
+        word_vs_chain_check(sub, g, Fraction(3, 2), 3, seed=0)
 
 
 def test_mixture_prediction_cases(twist2, sync3):
@@ -1075,6 +1096,14 @@ MIXTURE_PINS = {
 }
 
 
+def _atom_states(sub, gamma, plan):
+    """The states of the coboundary classes of the period-composed chain:
+    the states whose mass the atom at zero collects."""
+    pre = len(plan.preperiod)
+    block = compose(*layer_chains(sub, gamma, plan, pre + len(plan.period))[pre:])
+    return {s for cls in recurrent_classes(block) if cls.coboundary for s in cls.states}
+
+
 @pytest.mark.parametrize("case", MIXTURE_PINS)
 def test_mixture_prediction_is_pinned(twist2, case):
     sub, g = twist2
@@ -1085,12 +1114,12 @@ def test_mixture_prediction_is_pinned(twist2, case):
     assert [
         (c.weight, c.variance_per_step, set(c.states), c.lattice_step) for c in mix.components
     ] == comps
-    assert mix.dirac_states == atoms
+    plan = time_expansion(sub, t)
+    assert _atom_states(sub, gamma, plan) == atoms
     assert mix.dirac_window == window
     assert mix.lattice == lattice
     if atoms:
         # the window from layers built afresh for the first horizon steps
-        plan = mix.plan
         horizon = len(plan.preperiod) + (ATOM_WINDOW_HORIZON // len(plan.period)) * len(
             plan.period
         )
@@ -1137,15 +1166,16 @@ def test_mixture_window_is_the_restricted_exact_support(family, data):
     q = data.draw(st.integers(1, 12))
     t = Fraction(data.draw(st.integers(1, d * q - 1)), q)
     mix = mixture_prediction(sub, gamma, t)
-    if not mix.dirac_states:
+    plan = time_expansion(sub, t)
+    atom_states = _atom_states(sub, gamma, plan)
+    if not atom_states:
         assert mix.dirac_window is None
         return
-    plan = mix.plan
     per = len(plan.period)
     horizon = len(plan.preperiod) + max(1, ATOM_WINDOW_HORIZON // per) * per
     layers = layer_chains(sub, gamma, plan, horizon)
     dist = exact_sum_distribution(layers, initial_distribution(sub, gamma, plan.tau0), horizon)
-    atoms = _restricted(dist, mix.dirac_states)
+    atoms = _restricted(dist, atom_states)
     assert mix.dirac_window == (_support_bounds(atoms) if atoms.table else None)
 
 
@@ -1185,17 +1215,22 @@ def _reference_gof(sample, prediction):
         model = 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
         ks_cont = max(ks_cont, float(np.max(np.abs(emp - model))))
     if prediction.dirac_window is None:
-        return (ks_cont, 0.0, 0.0, None, n)
+        return (ks_cont, 0.0, 0.0, None)
     lo, hi = prediction.dirac_window
     inside = (sample.scaled >= int(lo * sample.lattice)) & (sample.scaled <= int(hi * sample.lattice))
     pred = float(prediction.p0)
     for ci, comp in enumerate(prediction.components):
         sd = math.sqrt(n * float(comp.variance_per_step))
-        half = steps.get(ci, comp.lattice_step) / (2 * sample.lattice)
+        # an observed step counts 1/sample.lattice, a class's lattice step
+        # 1/prediction.lattice
+        if ci in steps:
+            half = steps[ci] / (2 * sample.lattice)
+        else:
+            half = comp.lattice_step / (2 * prediction.lattice)
         pred += float(comp.weight) * (
             normal_cdf((float(hi) + half) / sd) - normal_cdf((float(lo) - half) / sd)
         )
-    return (ks_cont, float(np.mean(inside)), pred, (float(lo), float(hi)), n)
+    return (ks_cont, float(np.mean(inside)), pred, (float(lo), float(hi)))
 
 
 @pytest.mark.parametrize("name, t, n, checkpoints", MC_ORACLE_CASES)
@@ -1209,7 +1244,7 @@ def test_gof_matches_its_first_formulas(request, name, t, n, checkpoints):
     for snap in snaps:
         # the first sample alone: one value per class, whose step reads 1
         first = dataclasses.replace(
-            snap, values=snap.values[:1], scaled=snap.scaled[:1], final_states=snap.final_states[:1]
+            snap, scaled=snap.scaled[:1], final_states=snap.final_states[:1]
         )
         for sample in (snap, first) if snap.n else ():
             assert dataclasses.astuple(gof_test(sample, prediction)) == _reference_gof(

@@ -232,7 +232,7 @@ def test_variance_matches_exact_dp(twist2):
     classes = recurrent_classes(chain)
     off = next(c for c in classes if chain.state_labels[c.states[0]] == "1|2")
     share = Fraction(1, len(off.states))
-    init = InitialDistribution(1, {chain.states[s]: share for s in off.states})
+    init = InitialDistribution({chain.states[s]: share for s in off.states})
     v200, v400 = (
         exact_sum_distribution([chain] * 400, init, 400, checkpoints=(200, 400))
     )

