@@ -84,7 +84,7 @@ def salem_check(n: int) -> SalemReport:
     a palindrome check; irreducibility is the discriminant rule of
     ``_irreducible_reciprocal_quartic``; the unit-circle pair is located
     through s in (-2, 2).  The dominant root needs no test: t > 2 holds for
-    every n (see below).
+    every n.
     """
     sub = salem_substitution(n)
     m = matrix_of(sub)

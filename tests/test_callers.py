@@ -7,7 +7,8 @@ attribute.
 A name counts as called or read when it appears as a ``Name`` that is not
 assigned to, an ``Attribute`` or an imported name anywhere in
 ``src/subshift_lab`` or ``bench/*.py`` outside its own definition or
-assignment; a private function needs its caller in ``src/subshift_lab``.
+assignment; a private function needs its caller in ``src/subshift_lab``,
+and a field counts as read only as an ``Attribute`` that is loaded.
 Tests do not count: code that only tests read goes.  Names are matched, not
 resolved, so a method shares its callers with every other definition or
 attribute of its name.
